@@ -201,7 +201,7 @@ def _run_suite(args) -> list:
             if suite in ("rhopi", "all") and ctx.char != "good":
                 reports.append(oracle.verify_rho_pi(ctx, bound=bound))
             if suite in ("special", "all"):
-                reports.append(oracle.verify_special(ctx, bound=bound))
+                reports.append(oracle.verify_special(ctx))
     return reports
 
 

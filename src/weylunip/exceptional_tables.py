@@ -1,9 +1,13 @@
-"""Fiber tables for the exceptional types, one data file per variant.
+"""Fiber tables for the exceptional types, and the one checked reader of the
+shipped data files.
 
-Each file row lists the classes of one fiber (minimizer first) and the
-unipotent-class name it maps to.  Transcription is the dominant error
-source, so files carry pinned checksums and every load re-runs the
-structural sanity checks.
+Each table row lists the classes of one fiber (minimizer first) and the
+unipotent-class name it maps to.  The good-characteristic tables ship as
+data files.  A bad-characteristic table differs from its good sibling only
+where one fiber splits in two (``REPLACEMENTS``), so it ships no file: its
+text is derived from the good file.  Transcription is the dominant error
+source, so every table text, shipped or derived, has a pinned SHA-256, and
+every load re-runs the structural sanity checks.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ from .weyl_classes import (
     parse_carter_label,
 )
 
+#: The name each context's table text is pinned under in ``CHECKSUMS``.  The
+#: bad-characteristic names have no file; their text is derived.
 TABLE_FILES = {
     ("G2", "good"): "fiber_g2_good.tbl",
     ("G2", "p3"): "fiber_g2_p3.tbl",
@@ -40,6 +46,8 @@ TABLE_FILES = {
     ("E8", "p3"): "fiber_e8_p3.tbl",
 }
 
+#: SHA-256 of every table text: the shipped fiber and special-class files and
+#: the derived bad-characteristic fiber tables.
 CHECKSUMS = {
     "fiber_e6_good.tbl": "02545ed53cc5bc10172fb725ddb5d96a28ce95eca996b6af61cbd5c5711c88b7",
     "fiber_e7_good.tbl": "9128b587ae2b0c84177c3f2d0b578094616cc56d0f44050de5c1b6b1e51a3d15",
@@ -51,13 +59,20 @@ CHECKSUMS = {
     "fiber_f4_p2.tbl": "45b76cb00fadb1cfc412d5ae161b0747ca2dd183eab479887f3cdfaf0ae51961",
     "fiber_g2_good.tbl": "274e6adb7f8e1598f7bc8ddbe9f4e198ebc947c19d39ec9f72352755ecd07453",
     "fiber_g2_p3.tbl": "54d726208a48e297d8c964c45312fe332a42ae7f4a82fc1f91fdaf57c340e884",
+    "tau_e6.tbl": "1d9f27d60223f17971e898bdbe626d20cf41832ae72aa15ebb501c432a75f74b",
+    "tau_e7.tbl": "a48c9c2fef44427bea3e5621dff7f79dea870d518e1388b1575352d2132198e4",
+    "tau_e8.tbl": "5c80a8c6d3d925fda5de45d9a8af97722e3581c968cf1d68fcb53ff9ca553589",
+    "tau_f4.tbl": "e992c52f2d9e75963ae5c5b6650515dd86f42509972b07ab678a97b7bec84384",
+    "tau_g2.tbl": "49b5cb14942db255c2a055ae451127ac1f059717914193491759d506d6af6aa2",
 }
 
 EXPECTED_CLASS_COUNTS = {"G2": 6, "F4": 25, "E6": 25, "E7": 60, "E8": 112}
 
 #: How each bad-characteristic table differs from its good-characteristic
 #: sibling: {(family, char): [(replaced unipotent name, [(classes, name), ...])]}.
-#: The replacement rows splice in at the position of the replaced row.
+#: A variant's text is the good file's text with ``variant good`` in the header
+#: renamed and each replaced row swapped, in place, for its replacement rows;
+#: that derived text is pinned in ``CHECKSUMS`` like a shipped file's.
 REPLACEMENTS = {
     ("G2", "p3"): [
         ("~A_1", [(("A_1+~A_1",), "~A_1"), (("~A_1",), "(~A_1)_3")]),
@@ -119,69 +134,110 @@ class FiberTable:
         return [row.unipotent for row in self.rows]
 
 
-def _read_table_text(filename: str) -> str:
-    data = resources.files("weylunip.data").joinpath(filename).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    expected = CHECKSUMS[filename]
-    if digest != expected:
+#: The context each derived table text comes from, keyed by its pinned name.
+_DERIVED = {TABLE_FILES[key]: key for key in REPLACEMENTS}
+
+
+def _derive_variant(family: str, char: str) -> bytes:
+    """The text of a bad-characteristic fiber table: the checked good text with
+    the header's variant renamed and each replaced row swapped, in place, for
+    its replacement rows; every other line is kept as it is."""
+    good = _pinned_text(TABLE_FILES[(family, "good")])
+    pending = dict(REPLACEMENTS[(family, char)])
+    lines = []
+    for line in good.replace("variant good", f"variant {char}", 1).splitlines(keepends=True):
+        m = _ROW_RE.match(line.strip())
+        if m and m["unip"] in pending:
+            lines += [
+                f"classes = {'|'.join(classes)} ; unipotent = {unip}\n"
+                for classes, unip in pending.pop(m["unip"])
+            ]
+        else:
+            lines.append(line)
+    if pending:
         raise TableIntegrityError(
-            f"{filename}: checksum {digest} differs from pinned {expected}"
+            f"{TABLE_FILES[(family, char)]}: replaced rows {sorted(pending)} "
+            "are not in the good table"
+        )
+    return "".join(lines).encode("utf-8")
+
+
+def _pinned_text(name: str) -> str:
+    """The table text pinned under ``name`` once its SHA-256 matches: a data
+    file, or a bad-characteristic fiber table derived from its good sibling."""
+    if name in _DERIVED:
+        data = _derive_variant(*_DERIVED[name])
+    else:
+        data = resources.files("weylunip.data").joinpath(name).read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    if digest != CHECKSUMS[name]:
+        raise TableIntegrityError(
+            f"{name}: checksum {digest} differs from pinned {CHECKSUMS[name]}"
         )
     return data.decode("utf-8")
 
 
-def _parse_rows(filename: str) -> list[tuple[tuple[str, ...], str]]:
+def read_rows(name: str, row_re: re.Pattern) -> list[re.Match]:
+    """The rows of the checked table text pinned under ``name``, each matched
+    by ``row_re``.  Blank and ``#`` lines are skipped; any other line that
+    does not match raises."""
     rows = []
-    for line in _read_table_text(filename).splitlines():
+    for line in _pinned_text(name).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        m = _ROW_RE.match(line)
+        m = row_re.match(line)
         if not m:
-            raise TableIntegrityError(f"{filename}: unparsable row {line!r}")
-        rows.append((tuple(c.strip() for c in m.group("classes").split("|")), m.group("unip")))
+            raise TableIntegrityError(f"{name}: unparsable row {line!r}")
+        rows.append(m)
     return rows
 
 
-def _label_m(family: str, label: CarterLabel) -> int:
-    return EXCEPTIONAL_RANK[family] - label.rank
+def table_checks(table: FiberTable, good: FiberTable):
+    """Every instance of the structural invariants of a fiber table, as
+    (assertion, holds, subject, expected, got): the class count with no label
+    twice, the class set of the good-characteristic table ``good``, strict
+    minimality of the fixed-space dimension at each row's leading class, and
+    at most one elliptic class per row."""
+    ctx = table.context
+    rank, count = ctx.rank, EXPECTED_CLASS_COUNTS[ctx.family]
+    labels = [lab for row in table.rows for lab in row.classes]
+    distinct = set(labels)
+    yield "class-count", len(labels) == count == len(distinct), ctx, count, len(labels)
+    same = distinct == {lab for row in good.rows for lab in row.classes}
+    yield "same-class-set", same, ctx, "class set of good table", "differs"
+    for row in table.rows:
+        first_m = rank - row.classes[0].rank
+        for other in row.classes[1:]:
+            m = rank - other.rank
+            yield "first-strictly-minimal", m > first_m, row.unipotent, f"> {first_m}", m
+    for row in table.rows:
+        elliptic = sum(lab.rank == rank for lab in row.classes)
+        yield "at-most-one-elliptic", elliptic <= 1, row.unipotent, "<=1", elliptic
 
 
 @lru_cache(maxsize=None)
 def _load(family: str, char: str) -> FiberTable:
-    filename = TABLE_FILES[(family, char)]
-    ctx = GroupContext(family, EXCEPTIONAL_RANK[family], char)
+    name = TABLE_FILES[(family, char)]
     rows = tuple(
-        FiberRow(tuple(parse_carter_label(c) for c in classes), unip)
-        for classes, unip in _parse_rows(filename)
+        FiberRow(tuple(parse_carter_label(c.strip()) for c in m["classes"].split("|")), m["unip"])
+        for m in read_rows(name, _ROW_RE)
     )
-    # structural checks: rows partition the class set, names are unique,
-    # the leading class of every row strictly minimizes the fixed-space dim
-    seen = {}
+    table = FiberTable(GroupContext(family, EXCEPTIONAL_RANK[family], char), rows)
     for row in rows:
         for lab in row.classes:
-            if lab in seen:
-                raise TableIntegrityError(f"{filename}: label {lab} occurs twice")
-            seen[lab] = row
             if parse_carter_label(str(lab)) != lab:
-                raise TableIntegrityError(f"{filename}: label {lab} does not round-trip")
-    total = sum(len(row.classes) for row in rows)
-    if total != EXPECTED_CLASS_COUNTS[family]:
-        raise TableIntegrityError(
-            f"{filename}: {total} classes listed, expected {EXPECTED_CLASS_COUNTS[family]}"
-        )
-    names = [row.unipotent for row in rows]
+                raise TableIntegrityError(f"{name}: label {lab} does not round-trip")
+    names = table.unipotent_names()
     if len(set(names)) != len(names):
-        raise TableIntegrityError(f"{filename}: duplicate unipotent names")
-    for row in rows:
-        first_m = _label_m(family, row.classes[0])
-        for other in row.classes[1:]:
-            if _label_m(family, other) <= first_m:
-                raise TableIntegrityError(
-                    f"{filename}: first class of fiber {row.unipotent} does not "
-                    f"strictly minimize the fixed-space dimension"
-                )
-    return FiberTable(ctx, rows)
+        raise TableIntegrityError(f"{name}: duplicate unipotent names")
+    good = table if char == "good" else _load(family, "good")
+    for assertion, holds, subject, expected, got in table_checks(table, good):
+        if not holds:
+            raise TableIntegrityError(
+                f"{name}: {assertion} fails at {subject}: expected {expected}, got {got}"
+            )
+    return table
 
 
 def load_table(ctx: GroupContext) -> FiberTable:

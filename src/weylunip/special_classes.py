@@ -11,11 +11,9 @@ tables keyed by class label.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 from typing import Iterator, Optional
 
 from .errors import (
@@ -25,6 +23,7 @@ from .errors import (
     TableIntegrityError,
     WrongFamily,
 )
+from .exceptional_tables import read_rows
 from .partitions import Partition, format_partition, parse_partition, partition
 from .weyl_classes import (
     CarterLabel,
@@ -527,15 +526,13 @@ TAU_FILES = {
     "E8": "tau_e8.tbl",
 }
 
-TAU_CHECKSUMS = {
-    "tau_e6.tbl": "1d9f27d60223f17971e898bdbe626d20cf41832ae72aa15ebb501c432a75f74b",
-    "tau_e7.tbl": "a48c9c2fef44427bea3e5621dff7f79dea870d518e1388b1575352d2132198e4",
-    "tau_e8.tbl": "5c80a8c6d3d925fda5de45d9a8af97722e3581c968cf1d68fcb53ff9ca553589",
-    "tau_f4.tbl": "e992c52f2d9e75963ae5c5b6650515dd86f42509972b07ab678a97b7bec84384",
-    "tau_g2.tbl": "49b5cb14942db255c2a055ae451127ac1f059717914193491759d506d6af6aa2",
-}
-
 _TAU_ROW_RE = re.compile(r"class\s*=\s*(?P<cls>\S+)\s*;\s*tau\s*=\s*(?P<rep>\S+)\s*$")
+
+
+def is_bijective_table(rows) -> bool:
+    """Whether no class label and no representation label repeats among the
+    (class label, representation label) rows of a special-class table."""
+    return len({lab for lab, _ in rows}) == len(rows) == len({rep for _, rep in rows})
 
 
 @lru_cache(maxsize=None)
@@ -544,23 +541,7 @@ def load_tau_table(family: str) -> tuple[tuple[CarterLabel, str], ...]:
     if family not in TAU_FILES:
         raise WrongFamily(f"no special-class table for family {family!r}")
     filename = TAU_FILES[family]
-    data = resources.files("weylunip.data").joinpath(filename).read_bytes()
-    digest = hashlib.sha256(data).hexdigest()
-    if digest != TAU_CHECKSUMS[filename]:
-        raise TableIntegrityError(
-            f"{filename}: checksum {digest} differs from pinned {TAU_CHECKSUMS[filename]}"
-        )
-    rows = []
-    for line in data.decode("utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        m = _TAU_ROW_RE.match(line)
-        if not m:
-            raise TableIntegrityError(f"{filename}: unparsable row {line!r}")
-        rows.append((parse_carter_label(m.group("cls")), m.group("rep")))
-    labels = [lab for lab, _ in rows]
-    reps = [rep for _, rep in rows]
-    if len(set(labels)) != len(labels) or len(set(reps)) != len(reps):
+    rows = tuple((parse_carter_label(m["cls"]), m["rep"]) for m in read_rows(filename, _TAU_ROW_RE))
+    if not is_bijective_table(rows):
         raise TableIntegrityError(f"{filename}: duplicate rows")
-    return tuple(rows)
+    return rows

@@ -1,15 +1,23 @@
+import hashlib
+from importlib import resources
+from types import SimpleNamespace
+
 import pytest
 
-from weylunip.errors import UnknownClass, UnknownContext, UnknownUnipotent
+from weylunip import exceptional_tables
+from weylunip.errors import TableIntegrityError, UnknownClass, UnknownContext, UnknownUnipotent
 from weylunip.exceptional_tables import (
+    CHECKSUMS,
     EXPECTED_CLASS_COUNTS,
     REPLACEMENTS,
     TABLE_FILES,
+    _load,
     fiber,
     load_table,
     phi_lookup,
     psi_lookup,
 )
+from weylunip.special_classes import TAU_FILES, load_tau_table
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
@@ -108,3 +116,109 @@ def test_rows_unchanged_by_reload():
     b = load_table(context("E8", char="p2"))
     assert a is b  # cached
     assert [row.unipotent for row in a.rows] == [row.unipotent for row in b.rows]
+
+
+def test_data_files_are_exactly_the_pinned_ones():
+    shipped = {f.name for f in resources.files("weylunip.data").iterdir() if f.is_file()}
+    derived = {TABLE_FILES[key] for key in REPLACEMENTS}
+    assert set(REPLACEMENTS) == {key for key in TABLE_FILES if key[1] != "good"}
+    assert set(CHECKSUMS) == set(TABLE_FILES.values()) | set(TAU_FILES.values())
+    assert shipped == set(CHECKSUMS) - derived
+    assert len(shipped) == 10
+
+
+# --- tampered data: every load must refuse it -----------------------------
+
+
+@pytest.fixture
+def fresh_caches():
+    _load.cache_clear()
+    load_tau_table.cache_clear()
+    yield
+    _load.cache_clear()
+    load_tau_table.cache_clear()
+
+
+@pytest.fixture
+def data_dir(tmp_path, monkeypatch, fresh_caches):
+    """A writable copy of the shipped data files, read in their place."""
+    for f in resources.files("weylunip.data").iterdir():
+        if f.is_file():
+            (tmp_path / f.name).write_bytes(f.read_bytes())
+    monkeypatch.setattr(exceptional_tables, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    return tmp_path
+
+
+def _flip_byte(path, anchor: str, offset: int = 0) -> None:
+    data = bytearray(path.read_bytes())
+    data[data.index(anchor.encode()) + offset] ^= 1
+    path.write_bytes(bytes(data))
+
+
+def _rewrite_pinned(path, monkeypatch, old: str, new: str) -> None:
+    """Edit a data file and re-pin its checksum, so only the edit is wrong."""
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    data = text.replace(old, new, 1).encode("utf-8")
+    path.write_bytes(data)
+    monkeypatch.setitem(CHECKSUMS, path.name, hashlib.sha256(data).hexdigest())
+
+
+@pytest.mark.parametrize("family", list(EXPECTED_CLASS_COUNTS))
+def test_flipped_byte_in_good_file_fails_table_and_variants(data_dir, family):
+    reps = [r for (fam, _), rs in REPLACEMENTS.items() if fam == family for r in rs]
+    if reps:
+        # the "|" of a row the variants replace: their derived text is
+        # unchanged, so only the good file's own checksum can catch it
+        classes = "|".join(c for row_classes, _ in reps[0][1] for c in row_classes)
+        _flip_byte(data_dir / TABLE_FILES[(family, "good")], classes, classes.index("|"))
+    else:
+        _flip_byte(data_dir / TABLE_FILES[(family, "good")], "unipotent = A_1")
+    for fam, char in TABLE_FILES:
+        if fam == family:
+            with pytest.raises(TableIntegrityError, match="checksum"):
+                load_table(context(fam, char=char))
+        else:
+            load_table(context(fam, char=char))
+
+
+def test_flipped_byte_in_tau_file_fails(data_dir):
+    _flip_byte(data_dir / TAU_FILES["E7"], "class = E_7 ;")
+    with pytest.raises(TableIntegrityError, match="checksum"):
+        load_tau_table("E7")
+    assert len(load_tau_table("E8")) == 46
+
+
+@pytest.mark.parametrize(
+    "filename,old,new,message",
+    [
+        ("fiber_g2_good.tbl", "G_2 ; unipotent", "G_2 unipotent", "unparsable row"),
+        ("tau_g2.tbl", "A_0 ; tau", "A_0 , tau", "unparsable row"),
+        ("fiber_g2_good.tbl", "A_1+~A_1|~A_1", "~A_1|A_1+~A_1", "first-strictly-minimal"),
+        ("tau_g2.tbl", "class = A_2 ;", "class = A_0 ;", "duplicate rows"),
+    ],
+    ids=["fiber-unparsable", "tau-unparsable", "fiber-not-minimal", "tau-duplicate"],
+)
+def test_pinned_bad_row_fails(data_dir, monkeypatch, filename, old, new, message):
+    _rewrite_pinned(data_dir / filename, monkeypatch, old, new)
+    with pytest.raises(TableIntegrityError, match=message):
+        if filename.startswith("tau"):
+            load_tau_table("G2")
+        else:
+            load_table(context("G2"))
+
+
+@pytest.mark.parametrize(
+    "replacements,message",
+    [
+        ([("~A_2", [(("A_1+~A_1",), "~A_1"), (("~A_1",), "(~A_1)_3")])], "not in the good table"),
+        ([("~A_1", [(("~A_1",), "(~A_1)_3"), (("A_1+~A_1",), "~A_1")])], "checksum"),
+        ([("~A_1", [(("A_1+~A_1",), "~A_1"), (("~A_1",), "(~A_1)_2")])], "checksum"),
+    ],
+    ids=["unknown-row", "rows-reordered", "row-renamed"],
+)
+def test_tampered_replacements_fail(fresh_caches, monkeypatch, replacements, message):
+    monkeypatch.setitem(REPLACEMENTS, ("G2", "p3"), replacements)
+    with pytest.raises(TableIntegrityError, match=message):
+        load_table(context("G2", char="p3"))
+    load_table(context("G2"))
