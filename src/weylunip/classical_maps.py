@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 from typing import Iterable, Optional
 
 from . import exceptional_tables
@@ -347,12 +348,60 @@ def pi(ctx_p: GroupContext, u0: UnipotentSymbol) -> UnipotentSymbol:
     return phi(ctx_p, psi(ctx_p.good(), u0))
 
 
+# --- fibers ----------------------------------------------------------------
+
+
+def splittings(c: Partition) -> list[tuple[Partition, Partition]]:
+    """Every way to move an even number of copies of each value of ``c``
+    into a paired record ``p``, leaving the rest as ``r``."""
+    values = sorted(set(c), reverse=True)
+    counts = [multiplicity(c, v) for v in values]
+    out = []
+    for picks in product(*[range(0, q // 2 + 1) for q in counts]):
+        p = []
+        r = []
+        for v, q, take in zip(values, counts, picks):
+            p += [v] * (2 * take)
+            r += [v] * (q - 2 * take)
+        out.append((partition(r), partition(p)))
+    return out
+
+
+def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
+    """The fiber of ``phi`` over ``u``: the section value first, then the
+    other classes in ``enumerate_classes`` order.
+
+    Every class over a classical ``u`` splits its Jordan type into a stable
+    and a paired record, so the fiber is found among ``splittings`` of it,
+    without enumerating the group.
+    """
+    first = psi(ctx, u)
+    if ctx.family == "A":
+        return [first]
+    if ctx.is_exceptional:
+        return [ClassSymbol.exceptional(lab) for lab in exceptional_tables.fiber(ctx, u.name)]
+    orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
+    rest = []
+    for r, p in splittings(u.marked.c if u.kind == "marked" else u.partition):
+        if orthogonal:
+            if not in_R(r):
+                continue
+            r = xi_inv(r, ctx.kappa)
+        if not in_S_kappa(r, ctx.kappa):
+            continue
+        C = ClassSymbol.classical(r, p)
+        if C != first and phi(ctx, C) == u:
+            rest.append(C)
+    # enumerate_classes order: |r| descending, then r, then p, each
+    # lexicographically descending
+    rest.sort(key=lambda C: (sum(C.r), C.r, C.p), reverse=True)
+    return [first] + rest
+
+
 # --- enumeration -----------------------------------------------------------
 
 
 def _marked_symbols(cs: Iterable[Partition], even_length_only: bool) -> list[UnipotentSymbol]:
-    from itertools import product
-
     out = []
     for c in cs:
         if even_length_only and len(c) % 2:

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import defaultdict
 
 from . import oracle
 from .classical_maps import (
     enumerate_unipotents,
+    fiber_of,
     parse_unipotent,
     phi,
     pi,
@@ -21,6 +23,7 @@ from .classical_maps import (
 )
 from .errors import WeylUnipError
 from .weyl_classes import (
+    DEFAULT_RANK_BOUND,
     EXCEPTIONAL_RANK,
     GroupContext,
     enumerate_classes,
@@ -91,16 +94,10 @@ def cmd_pi(args) -> int:
     return 0
 
 
-def _bound(args, ctx: GroupContext) -> int:
-    if args.bound is not None:
-        return max(args.bound, ctx.rank)
-    return max(ctx.rank, 12)
-
-
 def cmd_fiber(args) -> int:
     ctx = _context(args)
     u = parse_unipotent(ctx, args.payload)
-    for C in oracle.fiber_of(ctx, u, bound=_bound(args, ctx)):
+    for C in fiber_of(ctx, u):
         print(str(C) + _split_suffix(ctx, C))
     return 0
 
@@ -119,22 +116,20 @@ def cmd_special(args) -> int:
     return 0
 
 
-def atlas_lines(ctx: GroupContext, bound: int) -> list[str]:
+def atlas_lines(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[str]:
     """Full dump of the context: every class with its image and fixed-space
     dimension, every fiber in section-first order, the comparison maps for
     bad characteristic, and the special classes with their labels."""
     lines = [f"record=context family={ctx.family} rank={ctx.rank} char={ctx.char}"]
-    classes = enumerate_classes(ctx, bound=bound)
-    for C in classes:
+    fibers = defaultdict(list)
+    for C in enumerate_classes(ctx, bound=bound):
+        u = phi(ctx, C)
+        fibers[u].append(C)
         split = " split=1" if ctx.family == "D" and is_split_weyl_class(ctx, C) else ""
-        lines.append(
-            f"record=map class={C} m={m_of_class(ctx, C)} phi={phi(ctx, C)}{split}"
-        )
-    fibers = oracle.fiber_map(ctx, bound=bound)
+        lines.append(f"record=map class={C} m={m_of_class(ctx, C)} phi={u}{split}")
     for u in enumerate_unipotents(ctx, bound=bound):
         first = psi(ctx, u)
-        rest = [C for C in fibers[u] if C != first]
-        ordered = [first] + rest
+        ordered = [first] + [C for C in fibers[u] if C != first]
         lines.append(
             f"record=fiber unipotent={u} psi={first} "
             f"classes={'|'.join(str(C) for C in ordered)}"
@@ -151,24 +146,9 @@ def atlas_lines(ctx: GroupContext, bound: int) -> list[str]:
     return lines
 
 
-def parse_atlas(text: str) -> list[dict[str, str]]:
-    """Parse a dump back into per-line key/value records."""
-    records = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        rec = {}
-        for tok in line.split(" "):
-            key, _, value = tok.partition("=")
-            rec[key] = value
-        records.append(rec)
-    return records
-
-
 def cmd_atlas(args) -> int:
     ctx = _context(args)
-    for line in atlas_lines(ctx, _bound(args, ctx)):
+    for line in atlas_lines(ctx, DEFAULT_RANK_BOUND if args.bound is None else args.bound):
         print(line)
     return 0
 
@@ -188,12 +168,9 @@ def _run_suite(args) -> list:
         for fam in families:
             reports.append(oracle.verify_tables(fam))
     if suite in ("theorem02", "phipsi", "rhopi", "special", "all"):
-        if args.family:
-            ctxs = [_context(args)]
-        else:
-            ctxs = oracle.acceptance_contexts(args.bound or oracle.DEFAULT_FIBER_BOUND)
+        bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
+        ctxs = [_context(args)] if args.family else oracle.acceptance_contexts(bound)
         for ctx in ctxs:
-            bound = _bound(args, ctx)
             if suite in ("theorem02", "all"):
                 reports.append(oracle.verify_theorem_0_2(ctx, bound=bound))
             if suite in ("phipsi", "all"):

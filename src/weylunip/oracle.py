@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import product
 
 from .classical_maps import (
     UnipotentSymbol,
@@ -23,9 +22,11 @@ from .classical_maps import (
     pi,
     psi,
     rho,
+    splittings,
     xi,
     xi_inv,
 )
+from .errors import TableIntegrityError
 from .exceptional_tables import (
     REPLACEMENTS,
     SUBSCRIPTED_NAME_RE,
@@ -34,10 +35,8 @@ from .exceptional_tables import (
 )
 from .partitions import (
     even_partitions_of,
-    in_P_tilde,
     in_Q,
     in_R,
-    multiplicity,
     partition,
     partitions_of,
 )
@@ -142,13 +141,6 @@ def fiber_map(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND):
     for C in enumerate_classes(ctx, bound=bound):
         fibers[phi(ctx, C)].append(C)
     return fibers
-
-
-def fiber_of(ctx: GroupContext, u: UnipotentSymbol, bound: int = DEFAULT_FIBER_BOUND):
-    """The fiber over one unipotent class, section value first."""
-    first = psi(ctx, u)
-    rest = [C for C in fiber_map(ctx, bound)[u] if C != first]
-    return [first] + rest
 
 
 def _is_distinguished_good_char(ctx: GroupContext, u: UnipotentSymbol) -> bool:
@@ -262,26 +254,6 @@ def verify_xi_bijection(n_max: int = DEFAULT_XI_BOUND) -> VerificationReport:
     return report
 
 
-def _iota_tilde_fibers(c):
-    """All splittings of ``c`` into (mixed-parity record in the gap set,
-    paired record), found by trying every even sub-multiset for the paired
-    side."""
-    values = sorted(set(c), reverse=True)
-    counts = [multiplicity(c, v) for v in values]
-    fibers = []
-    for picks in product(*[range(0, q // 2 + 1) for q in counts]):
-        p = []
-        r = []
-        for v, q, take in zip(values, counts, picks):
-            p += [v] * (2 * take)
-            r += [v] * (q - 2 * take)
-        r = partition(r)
-        p = partition(p)
-        if in_P_tilde(p) and in_Q(r, sum(r)) and in_R(r):
-            fibers.append((r, p))
-    return fibers
-
-
 @_timed
 def verify_fiber_minimum(n_max: int = DEFAULT_MIN_BOUND) -> VerificationReport:
     """Uniqueness of the shortest-p splitting of every orthogonal Jordan
@@ -292,7 +264,7 @@ def verify_fiber_minimum(n_max: int = DEFAULT_MIN_BOUND) -> VerificationReport:
         for c in partitions_of(n_amb):
             if not in_Q(c, n_amb):
                 continue
-            fib = _iota_tilde_fibers(c)
+            fib = [(r, p) for r, p in splittings(c) if in_Q(r, sum(r)) and in_R(r)]
             best = min(len(p) for _, p in fib)
             minimizers = [(r, p) for r, p in fib if len(p) == best]
             report.count("unique-minimum")
@@ -363,14 +335,20 @@ def verify_tables(family: str) -> VerificationReport:
     invariants the loader enforces (``table_checks``), and the
     bad-characteristic tables differing from the good one exactly by the
     declared replacement rows, compared row by row as a check independent of
-    the line-level derivation of their text."""
+    the line-level derivation of their text.  A table the loader refuses is
+    a failure; the good table comes first, and a variant only loads once its
+    good table has."""
     report = VerificationReport("tables", family)
     rank = EXCEPTIONAL_RANK[family]
-    good_ctx = GroupContext(family, rank, "good")
-    good = load_table(good_ctx)
     for char in CHAR_VARIANTS[family]:
         ctx = GroupContext(family, rank, char)
-        table = load_table(ctx)
+        try:
+            table = load_table(ctx)
+        except TableIntegrityError as exc:
+            report.fail("table-loads", ctx, "a table that passes its load checks", exc)
+            continue
+        if char == "good":
+            good = table
         for assertion, holds, subject, expected, got in table_checks(table, good):
             report.count(assertion)
             if not holds:

@@ -9,14 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
-from .errors import BadInput, BoundExceeded, NotInQ, ParseError
+from .errors import BadInput, NotInQ, ParseError
 
 Partition = tuple[int, ...]
-
-#: Largest N accepted by ``enumerate_partitions`` unless overridden.
-DEFAULT_ENUMERATION_BOUND = 40
 
 
 def partition(parts: Iterable[int]) -> Partition:
@@ -166,12 +163,6 @@ class MarkedPartition:
     def eps_map(self) -> dict[int, int]:
         return dict(self.eps)
 
-    def eps_of(self, j: int) -> int:
-        for k, b in self.eps:
-            if k == j:
-                return b
-        raise BadInput(f"{j} not in marking domain of {self.c}")
-
 
 # --- enumeration -----------------------------------------------------------
 
@@ -217,20 +208,6 @@ def partition_count(n: int) -> int:
             total += sign * partition_count(n - g2)
         k += 1
     return total
-
-
-def enumerate_partitions(
-    n: int,
-    pred: Callable[[Partition], bool] | None = None,
-    bound: int = DEFAULT_ENUMERATION_BOUND,
-) -> list[Partition]:
-    """Partitions of ``n`` satisfying ``pred``, lexicographically decreasing."""
-    if n > bound:
-        raise BoundExceeded(f"partition enumeration of {n} exceeds bound {bound}")
-    items = partitions_of(n)
-    if pred is None:
-        return list(items)
-    return [p for p in items if pred(p)]
 
 
 def even_partitions_of(n: int) -> list[Partition]:

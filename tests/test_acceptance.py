@@ -7,8 +7,9 @@ group): G2 3, F4 11, E6 17, E7 35, E8 46.
 
 import time
 
+from conftest import parse_atlas
 from weylunip import oracle
-from weylunip.cli import atlas_lines, parse_atlas
+from weylunip.cli import atlas_lines
 from weylunip.classical_maps import phi, psi
 from weylunip.exceptional_tables import EXPECTED_CLASS_COUNTS, load_table
 from weylunip.special_classes import load_tau_table, special_classes

@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from weylunip import oracle
 from weylunip.classical_maps import (
     UnipotentSymbol,
     enumerate_unipotents,
+    fiber_of,
     iota,
     iota2,
     orthogonal_fiber_minimizer,
@@ -17,6 +19,7 @@ from weylunip.classical_maps import (
     psi_marked,
     psi_orthogonal,
     rho,
+    splittings,
     xi,
     xi_inv,
 )
@@ -30,7 +33,15 @@ from weylunip.partitions import (
     partition,
     partitions_of,
 )
-from weylunip.weyl_classes import ClassSymbol, context, enumerate_classes, m_of_class
+from weylunip.weyl_classes import (
+    CHAR_VARIANTS,
+    EXCEPTIONAL_RANK,
+    ClassSymbol,
+    GroupContext,
+    context,
+    enumerate_classes,
+    m_of_class,
+)
 
 
 def brute_min_fiber(c):
@@ -255,3 +266,41 @@ def test_enumerate_unipotents_counts():
         (2, 2, 1),
         (1, 1, 1, 1, 1),
     ]
+
+
+def test_splittings_move_even_copies():
+    assert splittings((2, 2, 1)) == [((2, 2, 1), ()), ((1,), (2, 2))]
+    assert splittings(()) == [((), ())]
+
+
+def test_fiber_of_puts_section_first():
+    ctx = context("C", 2)
+    fib = fiber_of(ctx, UnipotentSymbol.plain((2, 2)))
+    assert [str(C) for C in fib] == ["r=2,2;p=", "r=;p=2,2"]
+
+
+FIBER_CROSS_CHECK = (
+    [GroupContext("A", n) for n in range(1, 7)]
+    + [
+        GroupContext(family, n, char)
+        for family, lo in (("B", 2), ("C", 2), ("D", 3))
+        for n in range(lo, 9)
+        for char in CHAR_VARIANTS[family]
+    ]
+    + [
+        GroupContext(family, EXCEPTIONAL_RANK[family], char)
+        for family in EXCEPTIONAL_RANK
+        for char in CHAR_VARIANTS[family]
+    ]
+)
+
+
+@pytest.mark.parametrize("ctx", FIBER_CROSS_CHECK, ids=str)
+def test_fiber_of_matches_whole_group_scan(ctx):
+    # the oracle's scan of every class gives the same fibers, in the same order
+    fibers = oracle.fiber_map(ctx)
+    unipotents = enumerate_unipotents(ctx)
+    assert set(fibers) == set(unipotents)
+    for u in unipotents:
+        first = psi(ctx, u)
+        assert fiber_of(ctx, u) == [first] + [C for C in fibers[u] if C != first], u

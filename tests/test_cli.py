@@ -1,4 +1,5 @@
-from weylunip.cli import atlas_lines, main, parse_atlas
+from conftest import parse_atlas
+from weylunip.cli import atlas_lines, main
 from weylunip.weyl_classes import context
 
 
@@ -124,3 +125,21 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 0
     assert any(line.startswith("suite=xi") for line in out.splitlines())
+
+
+def test_fiber_needs_no_enumeration_bound(capsys):
+    code, out, _ = run(capsys, "fiber", "--family", "C", "--rank", "40", ",".join(["2"] * 40))
+    assert code == 0
+    assert len(out.splitlines()) == 21
+
+
+def test_atlas_honours_the_default_bound(capsys):
+    code, out, err = run(capsys, "atlas", "--family", "C", "--rank", "40")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_bound_is_never_raised_to_the_rank(capsys):
+    code, out, err = run(capsys, "atlas", "--family", "C", "--rank", "14", "--bound", "12")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "exceeds enumeration bound 12" in err

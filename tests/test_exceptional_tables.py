@@ -4,7 +4,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from weylunip import exceptional_tables
+from weylunip import exceptional_tables, oracle
+from weylunip.cli import main
 from weylunip.errors import TableIntegrityError, UnknownClass, UnknownContext, UnknownUnipotent
 from weylunip.exceptional_tables import (
     CHECKSUMS,
@@ -222,3 +223,12 @@ def test_tampered_replacements_fail(fresh_caches, monkeypatch, replacements, mes
     with pytest.raises(TableIntegrityError, match=message):
         load_table(context("G2", char="p3"))
     load_table(context("G2"))
+
+
+def test_tables_suite_reports_a_table_that_does_not_load(data_dir, capsys):
+    _flip_byte(data_dir / TABLE_FILES[("G2", "good")], "unipotent = G_2")
+    report = oracle.verify_tables("G2")
+    assert not report.passed
+    assert {a for a, *_ in report.failures} == {"table-loads"}
+    assert main(["verify", "--suite", "tables", "--family", "G2"]) == 1
+    assert "[FAIL] suite=tables context=G2" in capsys.readouterr().out

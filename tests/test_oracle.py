@@ -104,12 +104,6 @@ def test_failures_carry_minimal_counterexamples():
     ]
 
 
-def test_fiber_of_puts_section_first():
-    ctx = context("C", 2)
-    fib = oracle.fiber_of(ctx, UnipotentSymbol.plain((2, 2)))
-    assert [str(C) for C in fib] == ["r=2,2;p=", "r=;p=2,2"]
-
-
 def test_acceptance_contexts_cover_both_variants():
     ctxs = oracle.acceptance_contexts(4)
     names = {str(c) for c in ctxs}

@@ -2,10 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weylunip.errors import BadInput, BoundExceeded, NotInQ, ParseError
+from weylunip.errors import BadInput, NotInQ, ParseError
 from weylunip.partitions import (
     MarkedPartition,
-    enumerate_partitions,
     epsilon_domain,
     even_partitions_of,
     format_marked,
@@ -84,25 +83,19 @@ def test_in_r_gap_conditions():
 
 
 def test_enumerate_partitions_examples():
-    assert enumerate_partitions(4, lambda c: in_T(c, 4)) == [
+    assert [c for c in partitions_of(4) if in_T(c, 4)] == [
         (4,),
         (2, 2),
         (2, 1, 1),
         (1, 1, 1, 1),
     ]
-    assert enumerate_partitions(0) == [()]
-    assert enumerate_partitions(5, lambda c: in_Q(c, 5)) == [
+    assert partitions_of(0) == ((),)
+    assert [c for c in partitions_of(5) if in_Q(c, 5)] == [
         (5,),
         (3, 1, 1),
         (2, 2, 1),
         (1, 1, 1, 1, 1),
     ]
-
-
-def test_enumerate_bound():
-    with pytest.raises(BoundExceeded):
-        enumerate_partitions(41)
-    assert enumerate_partitions(41, bound=41)
 
 
 @pytest.mark.parametrize("n", range(0, 26))
