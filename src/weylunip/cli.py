@@ -111,7 +111,7 @@ def cmd_tau(args) -> int:
 
 def cmd_special(args) -> int:
     ctx = _context(args)
-    for C in special_classes(ctx):
+    for C in special_classes(ctx, DEFAULT_RANK_BOUND if args.bound is None else args.bound):
         print(str(C) + _split_suffix(ctx, C))
     return 0
 
@@ -140,7 +140,7 @@ def atlas_lines(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[str]
             lines.append(f"record=rho unipotent={u} rho={rho(ctx, u)}")
         for u0 in enumerate_unipotents(good, bound=bound):
             lines.append(f"record=pi unipotent0={u0} pi={pi(ctx, u0)}")
-    for C in special_classes(ctx):
+    for C in special_classes(ctx, bound=bound):
         split = " split=1" if ctx.family == "D" and is_split_weyl_class(ctx, C) else ""
         lines.append(f"record=special class={C} tau={tau(ctx, C)}{split}")
     return lines

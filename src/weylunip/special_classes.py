@@ -12,28 +12,44 @@ tables keyed by class label.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import (
     BadInput,
+    BoundExceeded,
     NotSpecial,
-    ParseError,
     TableIntegrityError,
     WrongFamily,
 )
 from .exceptional_tables import read_rows
-from .partitions import Partition, format_partition, parse_partition, partition
+from .partitions import Partition, format_partition, partition
 from .weyl_classes import (
+    DEFAULT_RANK_BOUND,
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    enumerate_classes,
     parse_carter_label,
     validate_class,
 )
 
 # --- value types -----------------------------------------------------------
+
+
+def _check_pair_shape(pairs: tuple) -> None:
+    """The two slots of every pair, read left to right, are non-negative and
+    weakly decreasing, and no trailing pair is all zero; a flag in a third
+    slot is not looked at."""
+    flat = [x for pair in pairs for x in pair[:2]]
+    if min(flat, default=0) < 0:
+        raise BadInput(f"negative entry: {pairs}")
+    if flat != sorted(flat, reverse=True):
+        raise BadInput(f"pair sequence must be weakly decreasing: {pairs}")
+    if pairs and pairs[-1][0] == 0:
+        raise BadInput("drop all-zero pairs")
 
 
 @dataclass(frozen=True)
@@ -44,13 +60,7 @@ class PairSequenceBC:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        flat = [x for ab in self.pairs for x in ab]
-        if any(x < 0 for x in flat):
-            raise BadInput(f"negative entry: {self.pairs}")
-        if any(flat[i] < flat[i + 1] for i in range(len(flat) - 1)):
-            raise BadInput(f"pair sequence must be weakly decreasing: {self.pairs}")
-        if self.pairs and self.pairs[-1][0] == 0:
-            raise BadInput("drop all-zero pairs")
+        _check_pair_shape(self.pairs)
 
     def total(self) -> int:
         return sum(a + b for a, b in self.pairs)
@@ -66,15 +76,9 @@ class PairSequenceD:
     pairs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        flat = [x for (a, b, _) in self.pairs for x in (a, b)]
-        if any(x < 0 for x in flat):
-            raise BadInput(f"negative entry: {self.pairs}")
-        if any(flat[i] < flat[i + 1] for i in range(len(flat) - 1)):
-            raise BadInput(f"pair sequence must be weakly decreasing: {self.pairs}")
+        _check_pair_shape(self.pairs)
         if any(e not in (0, 1) for (_, _, e) in self.pairs):
             raise BadInput(f"flags must be 0 or 1: {self.pairs}")
-        if self.pairs and self.pairs[-1][0] == 0:
-            raise BadInput("drop all-zero pairs")
 
     def total(self) -> int:
         return sum(a + b for a, b, _ in self.pairs)
@@ -95,39 +99,6 @@ class Bipartition:
 
     def __str__(self) -> str:
         return f"y={format_partition(self.y)};z={format_partition(self.z)}"
-
-
-def parse_pair_sequence_bc(text: str) -> PairSequenceBC:
-    text = text.strip()
-    if not text:
-        return PairSequenceBC(())
-    pairs = []
-    for tok in text.split("|"):
-        m = re.fullmatch(r"(\d+),(\d+)", tok.strip())
-        if not m:
-            raise ParseError(f"bad pair {tok!r}")
-        pairs.append((int(m.group(1)), int(m.group(2))))
-    return PairSequenceBC(tuple(pairs))
-
-
-def parse_pair_sequence_d(text: str) -> PairSequenceD:
-    text = text.strip()
-    if not text:
-        return PairSequenceD(())
-    pairs = []
-    for tok in text.split("|"):
-        m = re.fullmatch(r"(\d+),(\d+):([01])", tok.strip())
-        if not m:
-            raise ParseError(f"bad flagged pair {tok!r}")
-        pairs.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
-    return PairSequenceD(tuple(pairs))
-
-
-def parse_bipartition(text: str) -> Bipartition:
-    m = re.fullmatch(r"y=(?P<y>[\d,]*);z=(?P<z>[\d,]*)", text.strip())
-    if not m:
-        raise ParseError(f"bipartition must look like 'y=...;z=...': {text!r}")
-    return Bipartition(parse_partition(m.group("y")), parse_partition(m.group("z")))
 
 
 # --- membership predicates -------------------------------------------------
@@ -170,30 +141,23 @@ def in_C0(x: PairSequenceD) -> bool:
     return all(a == b and a % 2 == 0 and e == 0 for a, b, e in x.pairs)
 
 
-def _padded(p: Partition, k: int) -> int:
-    return p[k] if k < len(p) else 0
+def _columns(bp: Bipartition) -> Iterator[tuple[int, int, int]]:
+    """The zero-padded columns (y_i, z_i, y_{i+1}) of a bipartition, one for
+    each index at which y or z has a part."""
+    width = max(len(bp.y), len(bp.z))
+    y = bp.y + (0,) * (width + 1 - len(bp.y))
+    z = bp.z + (0,) * (width - len(bp.z))
+    return zip(y, z, y[1:])
 
 
 def in_A_prime(bp: Bipartition, n: int) -> bool:
     """|y|+|z| = n with the interlacing y_{i+1} <= z_i <= y_i + 1."""
-    if bp.total() != n:
-        return False
-    for i in range(max(len(bp.y), len(bp.z)) + 1):
-        z_i = _padded(bp.z, i)
-        if not (_padded(bp.y, i + 1) <= z_i <= _padded(bp.y, i) + 1):
-            return False
-    return True
+    return bp.total() == n and all(y1 <= z <= y + 1 for y, z, y1 in _columns(bp))
 
 
 def in_C_prime(bp: Bipartition, n: int) -> bool:
     """|y|+|z| = n with the interlacing y_{i+1} - 1 <= z_i <= y_i."""
-    if bp.total() != n:
-        return False
-    for i in range(max(len(bp.y), len(bp.z)) + 1):
-        z_i = _padded(bp.z, i)
-        if not (_padded(bp.y, i + 1) - 1 <= z_i <= _padded(bp.y, i)):
-            return False
-    return True
+    return bp.total() == n and all(y1 - 1 <= z <= y for y, z, y1 in _columns(bp))
 
 
 def in_C0_prime(bp: Bipartition, n: int) -> bool:
@@ -230,14 +194,11 @@ def h_inv(bp: Bipartition) -> PairSequenceBC:
     if not in_A_prime(bp, bp.total()):
         raise NotSpecial(f"bipartition fails the B/C interlacing: {bp}")
     pairs = []
-    for i in range(max(len(bp.y), len(bp.z))):
-        y_i, z_i = _padded(bp.y, i), _padded(bp.z, i)
-        if y_i == z_i == 0:
-            continue
-        if z_i <= y_i:
-            pairs.append((2 * y_i, 2 * z_i))
-        else:  # z_i == y_i + 1
-            pairs.append((2 * y_i + 1, 2 * y_i + 1))
+    for y, z, _ in _columns(bp):
+        if z <= y:
+            pairs.append((2 * y, 2 * z))
+        else:  # z == y + 1
+            pairs.append((2 * y + 1, 2 * y + 1))
     return PairSequenceBC(tuple(pairs))
 
 
@@ -266,16 +227,13 @@ def k_inv(bp: Bipartition) -> PairSequenceD:
     if not in_C_prime(bp, bp.total()):
         raise NotSpecial(f"bipartition fails the D interlacing: {bp}")
     pairs = []
-    for i in range(max(len(bp.y), len(bp.z))):
-        y_i, z_i = _padded(bp.y, i), _padded(bp.z, i)
-        if y_i == z_i == 0:
-            continue
-        if y_i == z_i:
-            pairs.append((2 * y_i, 2 * y_i, 0))
-        elif y_i == z_i + 1:
-            pairs.append((2 * y_i - 1, 2 * y_i - 1, 0))
+    for y, z, _ in _columns(bp):
+        if y == z:
+            pairs.append((2 * y, 2 * y, 0))
+        elif y == z + 1:
+            pairs.append((2 * y - 1, 2 * y - 1, 0))
         else:
-            pairs.append((2 * y_i - 2, 2 * z_i + 2, 1))
+            pairs.append((2 * y - 2, 2 * z + 2, 1))
     return PairSequenceD(tuple(pairs))
 
 
@@ -331,7 +289,7 @@ def enumerate_C(n: int) -> list[PairSequenceD]:
                     rec(remaining - a - b, b, b, 1, acc + ((a, b, 1),))
 
     rec(2 * n, 2 * n, None, 0, ())
-    return [x for x in out if in_C(x)]
+    return out
 
 
 def _interlaced(n: int, next_ymax, z_step) -> Iterator[tuple[tuple, tuple]]:
@@ -403,10 +361,7 @@ def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
     merged = partition(C.r + C.p)
     padded = merged + ((0,) if len(merged) % 2 else ())
     pairs = tuple((padded[i], padded[i + 1]) for i in range(0, len(padded), 2))
-    try:
-        x = PairSequenceBC(pairs)
-    except BadInput:
-        return None
+    x = PairSequenceBC(pairs)
     if not in_A(x):
         return None
     # the parity split of the merged sequence must reproduce (r, p)
@@ -417,44 +372,27 @@ def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
 def d_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceD]:
     """Recover the unique flagged pair sequence of a special D class, or None.
 
-    Pairs are consecutive entries of the merged record; the search assigns
-    each pair to the stable or swap side so that the multiset split matches
-    (r, p), subject to the flag constraints.
+    Pairs are consecutive entries of the merged record, and their flags are
+    forced: an odd pair carries 0, an unequal even pair 1, and an equal even
+    pair (v, v) carries 1 exactly when two copies of v are still unclaimed in
+    ``r``, which it then claims.  The result counts only if it lies in the D
+    special set and claims all of ``r``.
     """
     if C.kind != "classical":
         return None
     merged = partition(C.r + C.p)
     if len(merged) % 2:
         return None
-    pairs = tuple((merged[i], merged[i + 1]) for i in range(0, len(merged), 2))
-    from collections import Counter
-
-    want_r = Counter(C.r)
-
-    matches: list[PairSequenceD] = []
-
-    def rec(i: int, left: Counter, acc: tuple):
-        if i == len(pairs):
-            if not +left:
-                x = PairSequenceD(acc)
-                if in_C(x):
-                    matches.append(x)
-            return
-        a, b = pairs[i]
-        if a % 2 == 1:
-            if a == b:
-                rec(i + 1, left, acc + ((a, b, 0),))
-            return
-        if a == b:  # swap side, flag 0
-            rec(i + 1, left, acc + ((a, b, 0),))
-        if left[a] >= 1 and left[b] >= (2 if a == b else 1):  # stable side, flag 1
-            nxt = left.copy()
-            nxt[a] -= 1
-            nxt[b] -= 1
-            rec(i + 1, nxt, acc + ((a, b, 1),))
-
-    rec(0, want_r.copy(), ())
-    return matches[0] if matches else None
+    left = Counter(C.r)
+    pairs = []
+    for a, b in zip(merged[::2], merged[1::2]):
+        e = int(a % 2 == 0 and (a != b or left[a] >= 2))
+        if e:
+            left[a] -= 1
+            left[b] -= 1
+        pairs.append((a, b, e))
+    x = PairSequenceD(tuple(pairs))
+    return x if in_C(x) and not any(left.values()) else None
 
 
 def is_special_class(ctx: GroupContext, C: ClassSymbol) -> bool:
@@ -477,14 +415,15 @@ def is_special_class(ctx: GroupContext, C: ClassSymbol) -> bool:
     return d_pair_sequence_of(C) is not None
 
 
-def special_classes(ctx: GroupContext) -> list[ClassSymbol]:
-    """The special classes of the context, deterministically ordered."""
+def special_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[ClassSymbol]:
+    """The special classes of the context, deterministically ordered; a
+    classical rank above ``bound`` is refused before any enumeration."""
     if ctx.family == "A":
-        from .weyl_classes import enumerate_classes
-
-        return enumerate_classes(ctx)
+        return enumerate_classes(ctx, bound=bound)
     if ctx.is_exceptional:
         return [ClassSymbol.exceptional(lab) for lab, _ in load_tau_table(ctx.family)]
+    if ctx.rank > bound:
+        raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
     if ctx.family in ("B", "C"):
         return [special_class_of(ctx, x) for x in enumerate_A(ctx.rank)]
     return [special_class_of(ctx, x) for x in enumerate_C(ctx.rank)]

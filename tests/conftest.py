@@ -1,4 +1,10 @@
+import re
+
 from hypothesis import settings
+
+from weylunip.errors import ParseError
+from weylunip.partitions import parse_partition
+from weylunip.special_classes import Bipartition, PairSequenceBC, PairSequenceD
 
 settings.register_profile("ci", deadline=None)
 settings.load_profile("ci")
@@ -17,3 +23,39 @@ def parse_atlas(text: str) -> list[dict[str, str]]:
             rec[key] = value
         records.append(rec)
     return records
+
+
+def parse_pair_sequence_bc(text: str) -> PairSequenceBC:
+    """Parse ``a,b|a,b|...`` into a B/C pair sequence."""
+    text = text.strip()
+    if not text:
+        return PairSequenceBC(())
+    pairs = []
+    for tok in text.split("|"):
+        m = re.fullmatch(r"(\d+),(\d+)", tok.strip())
+        if not m:
+            raise ParseError(f"bad pair {tok!r}")
+        pairs.append((int(m.group(1)), int(m.group(2))))
+    return PairSequenceBC(tuple(pairs))
+
+
+def parse_pair_sequence_d(text: str) -> PairSequenceD:
+    """Parse ``a,b:e|a,b:e|...`` into a flagged type-D pair sequence."""
+    text = text.strip()
+    if not text:
+        return PairSequenceD(())
+    pairs = []
+    for tok in text.split("|"):
+        m = re.fullmatch(r"(\d+),(\d+):([01])", tok.strip())
+        if not m:
+            raise ParseError(f"bad flagged pair {tok!r}")
+        pairs.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
+    return PairSequenceD(tuple(pairs))
+
+
+def parse_bipartition(text: str) -> Bipartition:
+    """Parse ``y=...;z=...`` into a bipartition."""
+    m = re.fullmatch(r"y=(?P<y>[\d,]*);z=(?P<z>[\d,]*)", text.strip())
+    if not m:
+        raise ParseError(f"bipartition must look like 'y=...;z=...': {text!r}")
+    return Bipartition(parse_partition(m.group("y")), parse_partition(m.group("z")))

@@ -143,3 +143,15 @@ def test_bound_is_never_raised_to_the_rank(capsys):
     code, out, err = run(capsys, "atlas", "--family", "C", "--rank", "14", "--bound", "12")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "exceeds enumeration bound 12" in err
+
+
+def test_special_honours_the_default_bound(capsys):
+    code, out, err = run(capsys, "special", "--family", "C", "--rank", "30")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_special_bound_can_be_raised(capsys):
+    code, out, err = run(capsys, "special", "--family", "C", "--rank", "21", "--bound", "21")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 4274

@@ -1,7 +1,12 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
+from conftest import parse_bipartition, parse_pair_sequence_bc, parse_pair_sequence_d
 from weylunip.classical_maps import phi, psi
-from weylunip.errors import NotSpecial, ParseError
+from weylunip.errors import BoundExceeded, NotSpecial, ParseError
+from weylunip.partitions import partitions_of
 from weylunip.special_classes import (
     Bipartition,
     PairSequenceBC,
@@ -23,22 +28,17 @@ from weylunip.special_classes import (
     k,
     k_inv,
     load_tau_table,
-    parse_bipartition,
-    parse_pair_sequence_bc,
-    parse_pair_sequence_d,
     special_class_of,
     special_classes,
     tau,
 )
-from weylunip.weyl_classes import ClassSymbol, context, is_split_weyl_class
+from weylunip.weyl_classes import ClassSymbol, context, enumerate_classes, is_split_weyl_class
 
 
 def brute_A(n):
     """Independent recount of the B/C special set: pair up every partition of
     2n in place (padding odd length with one zero) and keep the pairings with
     equal pair parity and equal odd pairs."""
-    from weylunip.partitions import partitions_of
-
     kept = set()
     for lam in partitions_of(2 * n):
         padded = lam if len(lam) % 2 == 0 else lam + (0,)
@@ -57,6 +57,29 @@ def test_in_A_enumeration_n2():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_enumerate_A_against_independent_recount(n):
     assert {x.pairs for x in enumerate_A(n)} == brute_A(n)
+
+
+def brute_C(n):
+    """Independent recount of the D special set: pair up every even-length
+    partition of 2n in place, try every flag assignment, and keep the flagged
+    sequences that pass ``in_C``."""
+    kept = set()
+    for lam in partitions_of(2 * n):
+        if len(lam) % 2:
+            continue
+        pairs = tuple(zip(lam[::2], lam[1::2]))
+        for flags in product((0, 1), repeat=len(pairs)):
+            x = PairSequenceD(tuple((a, b, e) for (a, b), e in zip(pairs, flags)))
+            if in_C(x):
+                kept.add(x.pairs)
+    return kept
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_enumerate_C_against_independent_recount(n):
+    side = enumerate_C(n)
+    assert len({x.pairs for x in side}) == len(side)
+    assert {x.pairs for x in side} == brute_C(n)
 
 
 def test_in_C_examples():
@@ -161,6 +184,67 @@ def test_pair_sequence_recovery_is_faithful():
         ctxd = context("D", max(n, 3))
         for x in enumerate_C(max(n, 3)):
             assert d_pair_sequence_of(special_class_of(ctxd, x)) == x
+
+
+def searched_d_pair_sequence(C):
+    """Reference for ``d_pair_sequence_of``: a backtracking search over both
+    sides (stable with flag 1, swap with flag 0) for every pair of the merged
+    record, keeping the first assignment whose stable entries are exactly r
+    and which lies in the D special set."""
+    merged = tuple(sorted(C.r + C.p, reverse=True))
+    if len(merged) % 2:
+        return None
+    pairs = tuple(zip(merged[::2], merged[1::2]))
+    matches = []
+
+    def rec(i, left, acc):
+        if i == len(pairs):
+            if not +left:
+                x = PairSequenceD(acc)
+                if in_C(x):
+                    matches.append(x)
+            return
+        a, b = pairs[i]
+        if a % 2 == 1:
+            if a == b:
+                rec(i + 1, left, acc + ((a, b, 0),))
+            return
+        if a == b:
+            rec(i + 1, left, acc + ((a, b, 0),))
+        if left[a] >= 1 and left[b] >= (2 if a == b else 1):
+            nxt = left.copy()
+            nxt[a] -= 1
+            nxt[b] -= 1
+            rec(i + 1, nxt, acc + ((a, b, 1),))
+
+    rec(0, Counter(C.r), ())
+    return matches[0] if matches else None
+
+
+def test_forced_d_flags_agree_with_search():
+    checked = 0
+    for size in range(17):
+        for rsum in range(size + 1):
+            for r in partitions_of(rsum):
+                for p in partitions_of(size - rsum):
+                    C = ClassSymbol.classical(r, p)
+                    assert d_pair_sequence_of(C) == searched_d_pair_sequence(C), C
+                    checked += 1
+    assert checked == 17345
+
+
+@pytest.mark.parametrize("family", "BCD")
+def test_special_classes_are_the_special_members_of_the_group(family):
+    for n in range(3 if family == "D" else 2, 11):
+        ctx = context(family, n)
+        special = set(special_classes(ctx))
+        assert {C for C in enumerate_classes(ctx) if is_special_class(ctx, C)} == special
+
+
+def test_special_classes_honour_the_bound():
+    with pytest.raises(BoundExceeded):
+        special_classes(context("C", 21))
+    assert len(special_classes(context("C", 21), bound=21)) == 4274
 
 
 def test_tau_exceptional_spot_values():
