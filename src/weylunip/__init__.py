@@ -7,6 +7,14 @@ unipotent classes of a bad-characteristic group with those of its
 good-characteristic sibling; ``tau`` labels the special classes by special
 representations.  The ``oracle`` module re-proves all of this exhaustively
 at bounded rank.
+
+The package re-exports the function ``special_classes`` under the name of
+its submodule, so ``weylunip.special_classes`` is that function, and so is
+``import weylunip.special_classes as sc``.  To reach the module itself, use
+``importlib.import_module("weylunip.special_classes")`` (or
+``sys.modules["weylunip.special_classes"]`` once the package is imported);
+``from weylunip.special_classes import tau`` also works, since it reads the
+module.
 """
 
 from .errors import (

@@ -412,23 +412,25 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
     report.count("cardinalities-match")
     if len(side) != len(side_prime):
         report.fail("cardinalities-match", ctx, len(side), len(side_prime))
+    # each per-element assertion runs on every element and is counted once
+    # per loop
     images = []
     for x in side:
         bp = fwd(x)
         images.append(bp)
-        report.count("image-in-interlacing-set")
         if not member(bp, n):
             report.fail("image-in-interlacing-set", x, "interlacing", bp)
-        report.count("roundtrip-from-pairs")
         if back(bp) != x:
             report.fail("roundtrip-from-pairs", x, x, back(bp))
+    report.count("image-in-interlacing-set", len(side))
+    report.count("roundtrip-from-pairs", len(side))
     report.count("image-equals-interlacing-set")
     if Counter(images) != Counter(side_prime):
         report.fail("image-equals-interlacing-set", ctx, len(side_prime), len(set(images)))
     for bp in side_prime:
-        report.count("roundtrip-from-bipartitions")
         if fwd(back(bp)) != bp:
             report.fail("roundtrip-from-bipartitions", bp, bp, fwd(back(bp)))
+    report.count("roundtrip-from-bipartitions", len(side_prime))
     if ctx.family == "D":
         diag = [bp for bp in side_prime if in_C0_prime(bp, n)]
         diag_images = [k(x) for x in side if in_C0(x)]
@@ -439,14 +441,14 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
         good = ctx.good()
         for x in side:
             s = special_class_of(good, x)
-            report.count("section-fixes-special")
             back_s = psi(good, phi(good, s))
             if back_s != s:
                 report.fail("section-fixes-special", x, s, back_s)
-            if ctx.family == "D":
-                report.count("split-coherence")
-                if is_split_weyl_class(good, s) != in_C0(x):
-                    report.fail("split-coherence", x, in_C0(x), is_split_weyl_class(good, s))
+            if ctx.family == "D" and is_split_weyl_class(good, s) != in_C0(x):
+                report.fail("split-coherence", x, in_C0(x), is_split_weyl_class(good, s))
+        report.count("section-fixes-special", len(side))
+        if ctx.family == "D":
+            report.count("split-coherence", len(side))
     return report
 
 

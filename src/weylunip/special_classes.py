@@ -42,17 +42,26 @@ from .weyl_classes import (
 def _check_pair_shape(pairs: tuple) -> None:
     """The two slots of every pair, read left to right, are non-negative and
     weakly decreasing, and no trailing pair is all zero; a flag in a third
-    slot is not looked at."""
-    flat = [x for pair in pairs for x in pair[:2]]
-    if min(flat, default=0) < 0:
+    slot is not looked at.  A negative entry is reported before a fault of
+    order, and a fault of order before a trailing zero pair."""
+    negative = unordered = False
+    prev = pairs[0][0] if pairs else 0
+    for pair in pairs:
+        a, b = pair[0], pair[1]
+        if a < 0 or b < 0:
+            negative = True
+        if a > prev or b > a:
+            unordered = True
+        prev = b
+    if negative:
         raise BadInput(f"negative entry: {pairs}")
-    if flat != sorted(flat, reverse=True):
+    if unordered:
         raise BadInput(f"pair sequence must be weakly decreasing: {pairs}")
     if pairs and pairs[-1][0] == 0:
         raise BadInput("drop all-zero pairs")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSequenceBC:
     """Decreasing pairs (a >= b) covering a class of types B/C; the second
     slot of the last pair may be zero."""
@@ -69,7 +78,7 @@ class PairSequenceBC:
         return "|".join(f"{a},{b}" for a, b in self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSequenceD:
     """Decreasing flagged pairs (a >= b, e) covering a class of type D."""
 
@@ -77,8 +86,9 @@ class PairSequenceD:
 
     def __post_init__(self):
         _check_pair_shape(self.pairs)
-        if any(e not in (0, 1) for (_, _, e) in self.pairs):
-            raise BadInput(f"flags must be 0 or 1: {self.pairs}")
+        for _, _, e in self.pairs:
+            if e not in (0, 1):
+                raise BadInput(f"flags must be 0 or 1: {self.pairs}")
 
     def total(self) -> int:
         return sum(a + b for a, b, _ in self.pairs)
@@ -87,7 +97,7 @@ class PairSequenceD:
         return "|".join(f"{a},{b}:{e}" for a, b, e in self.pairs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bipartition:
     """A pair of partitions labelling an irreducible representation."""
 
@@ -152,12 +162,22 @@ def _columns(bp: Bipartition) -> Iterator[tuple[int, int, int]]:
 
 def in_A_prime(bp: Bipartition, n: int) -> bool:
     """|y|+|z| = n with the interlacing y_{i+1} <= z_i <= y_i + 1."""
-    return bp.total() == n and all(y1 <= z <= y + 1 for y, z, y1 in _columns(bp))
+    if bp.total() != n:
+        return False
+    for y, z, y1 in _columns(bp):
+        if not y1 <= z <= y + 1:
+            return False
+    return True
 
 
 def in_C_prime(bp: Bipartition, n: int) -> bool:
     """|y|+|z| = n with the interlacing y_{i+1} - 1 <= z_i <= y_i."""
-    return bp.total() == n and all(y1 - 1 <= z <= y for y, z, y1 in _columns(bp))
+    if bp.total() != n:
+        return False
+    for y, z, y1 in _columns(bp):
+        if not y1 - 1 <= z <= y:
+            return False
+    return True
 
 
 def in_C0_prime(bp: Bipartition, n: int) -> bool:
@@ -174,10 +194,10 @@ def h(x: PairSequenceBC) -> Bipartition:
     assignment under which ``h`` and ``h_inv`` are mutually inverse with
     image inside the interlacing set.
     """
-    if not in_A(x):
-        raise NotSpecial(f"pair sequence outside the B/C special set: {x}")
     ys, zs = [], []
     for a, b in x.pairs:
+        if (a - b) % 2 or (a % 2 == 1 and a != b):  # the condition of in_A
+            raise NotSpecial(f"pair sequence outside the B/C special set: {x}")
         if a % 2 == 0:
             ys.append(a // 2)
             zs.append(b // 2)
@@ -190,11 +210,12 @@ def h(x: PairSequenceBC) -> Bipartition:
 
 def h_inv(bp: Bipartition) -> PairSequenceBC:
     """Inverse of ``h``: z_i <= y_i gives the even pair (2y_i, 2z_i),
-    z_i = y_i + 1 the odd pair (2y_i+1, 2y_i+1)."""
-    if not in_A_prime(bp, bp.total()):
-        raise NotSpecial(f"bipartition fails the B/C interlacing: {bp}")
+    z_i = y_i + 1 the odd pair (2y_i+1, 2y_i+1); a column that breaks the
+    interlacing of ``in_A_prime`` is refused."""
     pairs = []
-    for y, z, _ in _columns(bp):
+    for y, z, y1 in _columns(bp):
+        if not y1 <= z <= y + 1:
+            raise NotSpecial(f"bipartition fails the B/C interlacing: {bp}")
         if z <= y:
             pairs.append((2 * y, 2 * z))
         else:  # z == y + 1
@@ -207,6 +228,12 @@ def k(x: PairSequenceD) -> Bipartition:
     even flag-1 pair (a, b) -> ((a+2)/2, (b-2)/2)."""
     if not in_C(x):
         raise NotSpecial(f"pair sequence outside the D special set: {x}")
+    return _k_image(x)
+
+
+def _k_image(x: PairSequenceD) -> Bipartition:
+    """The bipartition ``k`` assigns to a sequence already known to lie in
+    the D special set."""
     ys, zs = [], []
     for a, b, e in x.pairs:
         if a % 2 == 1:
@@ -223,11 +250,12 @@ def k(x: PairSequenceD) -> Bipartition:
 
 def k_inv(bp: Bipartition) -> PairSequenceD:
     """Inverse of ``k``: y=z gives the even flag-0 pair, y=z+1 the odd pair,
-    y>=z+2 the even flag-1 pair (2y-2, 2z+2)."""
-    if not in_C_prime(bp, bp.total()):
-        raise NotSpecial(f"bipartition fails the D interlacing: {bp}")
+    y>=z+2 the even flag-1 pair (2y-2, 2z+2); a column that breaks the
+    interlacing of ``in_C_prime`` is refused."""
     pairs = []
-    for y, z, _ in _columns(bp):
+    for y, z, y1 in _columns(bp):
+        if not y1 - 1 <= z <= y:
+            raise NotSpecial(f"bipartition fails the D interlacing: {bp}")
         if y == z:
             pairs.append((2 * y, 2 * y, 0))
         elif y == z + 1:
@@ -262,6 +290,7 @@ def enumerate_A(n: int) -> list[PairSequenceBC]:
                         rec(remaining - a - b, b, acc + ((a, b),))
 
     rec(2 * n, 2 * n, ())
+    del rec  # rec's closure holds rec and out; unbinding it frees that cycle now
     return out
 
 
@@ -289,39 +318,52 @@ def enumerate_C(n: int) -> list[PairSequenceD]:
                     rec(remaining - a - b, b, b, 1, acc + ((a, b, 1),))
 
     rec(2 * n, 2 * n, None, 0, ())
+    del rec  # rec's closure holds rec and out; unbinding it frees that cycle now
     return out
 
 
-def _interlaced(n: int, next_ymax, z_step) -> Iterator[tuple[tuple, tuple]]:
-    """Joint generation of interlacing bipartitions, column by column.
+def _interlaced(n: int, s: int) -> list[Bipartition]:
+    """All bipartitions of n with y_{i+1} - (1 - s) <= z_i <= y_i + s, in
+    depth-first order: column by column, y_i descending, then z_i.
 
-    ``z_step(y)`` bounds z_i in terms of y_i; ``next_ymax(y, z)`` bounds
-    y_{i+1} in terms of the current column.
+    ``s`` is 1 for the B/C set and 0 for the D set.  Both rules make y and z
+    weakly decreasing, so once a side reaches zero it stays there; only the
+    positive entries are kept on the two shared stacks, which are therefore
+    the finished partitions at every leaf.
     """
+    out = []
+    ys, zs = [], []
 
-    def rec(rem: int, ymax: int, zmax: int):
+    def rec(rem: int, ymax: int, zmax: int) -> None:
         for y in range(min(ymax, rem), -1, -1):
-            for z in range(min(zmax, z_step(y), rem - y), -1, -1):
+            for z in range(min(zmax, y + s, rem - y), -1, -1):
                 if y == 0 and z == 0:
                     if rem == 0:
-                        yield ((), ())
+                        out.append(Bipartition(tuple(ys), tuple(zs)))
                     continue
-                for ys, zs in rec(rem - y - z, next_ymax(y, z), z):
-                    yield ((y,) + ys, (z,) + zs)
+                if y:
+                    ys.append(y)
+                if z:
+                    zs.append(z)
+                rec(rem - y - z, min(y, z + 1 - s), z)
+                if y:
+                    ys.pop()
+                if z:
+                    zs.pop()
 
-    yield from rec(n, n, n + 2)
+    rec(n, n, n + 2)
+    del rec  # rec's closure holds rec and out; unbinding it frees that cycle now
+    return out
 
 
 def enumerate_A_prime(n: int) -> list[Bipartition]:
     """All bipartitions of n with y_{i+1} <= z_i <= y_i + 1."""
-    pairs = _interlaced(n, lambda y, z: min(y, z), lambda y: y + 1)
-    return [Bipartition(partition(ys), partition(zs)) for ys, zs in pairs]
+    return _interlaced(n, 1)
 
 
 def enumerate_C_prime(n: int) -> list[Bipartition]:
     """All bipartitions of n with y_{i+1} - 1 <= z_i <= y_i."""
-    pairs = _interlaced(n, lambda y, z: min(y, z + 1), lambda y: y)
-    return [Bipartition(partition(ys), partition(zs)) for ys, zs in pairs]
+    return _interlaced(n, 0)
 
 
 # --- classes and the representation bijection --------------------------------
@@ -452,7 +494,7 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
     x = d_pair_sequence_of(C)
     if x is None:
         raise NotSpecial(f"{C} is not special in {ctx}")
-    return str(k(x))
+    return str(_k_image(x))  # d_pair_sequence_of has checked in_C
 
 
 # --- exceptional tau tables --------------------------------------------------

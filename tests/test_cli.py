@@ -1,3 +1,5 @@
+import hashlib
+
 from conftest import parse_atlas
 from weylunip.cli import atlas_lines, main
 from weylunip.weyl_classes import context
@@ -155,3 +157,14 @@ def test_special_bound_can_be_raised(capsys):
     code, out, err = run(capsys, "special", "--family", "C", "--rank", "21", "--bound", "21")
     assert code == 0 and err == ""
     assert len(out.splitlines()) == 4274
+
+
+def test_special_records_are_byte_identical(capsys):
+    # SHA-256 of the record lines of `verify --suite special --format records`
+    # at the default bound, one newline after each line; summary lines carry
+    # timings and are left out
+    code, out, _ = run(capsys, "verify", "--suite", "special", "--format", "records")
+    lines = [line for line in out.splitlines() if line.startswith("suite=")]
+    assert code == 0 and len(lines) == 444
+    digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
+    assert digest == "04290fc85280a8d7508b6e720ad948cfd5d5e5581ffe4e6c6c3032e87e82196f"

@@ -1,12 +1,18 @@
+import importlib
+import sys
+import types
 from collections import Counter
 from itertools import product
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+import weylunip
 from conftest import parse_bipartition, parse_pair_sequence_bc, parse_pair_sequence_d
 from weylunip.classical_maps import phi, psi
-from weylunip.errors import BoundExceeded, NotSpecial, ParseError
-from weylunip.partitions import partitions_of
+from weylunip.errors import BadInput, BoundExceeded, NotSpecial, ParseError
+from weylunip.partitions import partition, partitions_of
 from weylunip.special_classes import (
     Bipartition,
     PairSequenceBC,
@@ -19,6 +25,7 @@ from weylunip.special_classes import (
     enumerate_C_prime,
     h,
     h_inv,
+    in_A,
     in_A_prime,
     in_C,
     in_C0,
@@ -306,3 +313,270 @@ def test_text_forms():
         parse_pair_sequence_d("4,4")
     with pytest.raises(ParseError):
         parse_bipartition("2,1;1")
+
+
+# --- independent recounts of the interlacing sets ----------------------------
+
+
+def _bipartitions(n):
+    """Every pair of partitions (y, z) with |y| + |z| = n."""
+    for size in range(n + 1):
+        for y in partitions_of(size):
+            for z in partitions_of(n - size):
+                yield y, z
+
+
+def _padded_columns(y, z):
+    """(y_i, z_i, y_{i+1}) with zeros past the end, for each index at which y
+    or z has a part."""
+    width = max(len(y), len(z))
+    yy = y + (0,) * (width + 1 - len(y))
+    zz = z + (0,) * (width - len(z))
+    return [(yy[i], zz[i], yy[i + 1]) for i in range(width)]
+
+
+def brute_A_prime(n):
+    """Bipartitions of n with y_{i+1} <= z_i <= y_i + 1 at every column."""
+    return Counter(
+        (y, z)
+        for y, z in _bipartitions(n)
+        if all(y1 <= zi <= yi + 1 for yi, zi, y1 in _padded_columns(y, z))
+    )
+
+
+def brute_C_prime(n):
+    """Bipartitions of n with y_{i+1} - 1 <= z_i <= y_i at every column."""
+    return Counter(
+        (y, z)
+        for y, z in _bipartitions(n)
+        if all(y1 - 1 <= zi <= yi for yi, zi, y1 in _padded_columns(y, z))
+    )
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_interlacing_enumerators_against_independent_recount(n):
+    assert Counter((bp.y, bp.z) for bp in enumerate_A_prime(n)) == brute_A_prime(n)
+    assert Counter((bp.y, bp.z) for bp in enumerate_C_prime(n)) == brute_C_prime(n)
+
+
+def reference_interlaced(n, next_ymax, z_step):
+    """The recursive column-by-column generator the enumerators replaced: it
+    yields every interlacing bipartition as two zero-padded sequences."""
+
+    def rec(rem, ymax, zmax):
+        for y in range(min(ymax, rem), -1, -1):
+            for z in range(min(zmax, z_step(y), rem - y), -1, -1):
+                if y == 0 and z == 0:
+                    if rem == 0:
+                        yield ((), ())
+                    continue
+                for ys, zs in rec(rem - y - z, next_ymax(y, z), z):
+                    yield ((y,) + ys, (z,) + zs)
+
+    yield from rec(n, n, n + 2)
+
+
+@pytest.mark.parametrize("n", range(0, 15))
+def test_interlacing_enumerators_keep_the_reference_order(n):
+    ref_a = reference_interlaced(n, lambda y, z: min(y, z), lambda y: y + 1)
+    ref_c = reference_interlaced(n, lambda y, z: min(y, z + 1), lambda y: y)
+    assert [(bp.y, bp.z) for bp in enumerate_A_prime(n)] == [
+        (partition(ys), partition(zs)) for ys, zs in ref_a
+    ]
+    assert [(bp.y, bp.z) for bp in enumerate_C_prime(n)] == [
+        (partition(ys), partition(zs)) for ys, zs in ref_c
+    ]
+
+
+# --- the checked constructors and maps against their previous form ----------
+
+
+def reference_pair_shape(pairs):
+    """Shape check by flattening and sorting; returns the pairs it accepts."""
+    flat = [x for pair in pairs for x in pair[:2]]
+    if min(flat, default=0) < 0:
+        raise BadInput(f"negative entry: {pairs}")
+    if flat != sorted(flat, reverse=True):
+        raise BadInput(f"pair sequence must be weakly decreasing: {pairs}")
+    if pairs and pairs[-1][0] == 0:
+        raise BadInput("drop all-zero pairs")
+    return pairs
+
+
+def reference_flagged_shape(pairs):
+    reference_pair_shape(pairs)
+    if any(e not in (0, 1) for (_, _, e) in pairs):
+        raise BadInput(f"flags must be 0 or 1: {pairs}")
+    return pairs
+
+
+def reference_h(x):
+    if not in_A(x):
+        raise NotSpecial(f"pair sequence outside the B/C special set: {x}")
+    ys, zs = [], []
+    for a, b in x.pairs:
+        if a % 2 == 0:
+            ys.append(a // 2)
+            zs.append(b // 2)
+        else:
+            c = (a - 1) // 2
+            ys.append(c)
+            zs.append(c + 1)
+    return partition(ys), partition(zs)
+
+
+def reference_h_inv(bp):
+    columns = _padded_columns(bp.y, bp.z)
+    if not all(y1 <= z <= y + 1 for y, z, y1 in columns):
+        raise NotSpecial(f"bipartition fails the B/C interlacing: {bp}")
+    pairs = []
+    for y, z, _ in columns:
+        if z <= y:
+            pairs.append((2 * y, 2 * z))
+        else:
+            pairs.append((2 * y + 1, 2 * y + 1))
+    return reference_pair_shape(tuple(pairs))
+
+
+def reference_k(x):
+    if not in_C(x):
+        raise NotSpecial(f"pair sequence outside the D special set: {x}")
+    ys, zs = [], []
+    for a, b, e in x.pairs:
+        if a % 2 == 1:
+            ys.append((a + 1) // 2)
+            zs.append((a - 1) // 2)
+        elif e == 0:
+            ys.append(a // 2)
+            zs.append(a // 2)
+        else:
+            ys.append((a + 2) // 2)
+            zs.append((b - 2) // 2)
+    return partition(ys), partition(zs)
+
+
+def reference_k_inv(bp):
+    columns = _padded_columns(bp.y, bp.z)
+    if not all(y1 - 1 <= z <= y for y, z, y1 in columns):
+        raise NotSpecial(f"bipartition fails the D interlacing: {bp}")
+    pairs = []
+    for y, z, _ in columns:
+        if y == z:
+            pairs.append((2 * y, 2 * y, 0))
+        elif y == z + 1:
+            pairs.append((2 * y - 1, 2 * y - 1, 0))
+        else:
+            pairs.append((2 * y - 2, 2 * z + 2, 1))
+    return reference_flagged_shape(tuple(pairs))
+
+
+def outcome(fn, arg):
+    """A value in comparable form (pair tuples, or (y, z)), or the type and
+    message of the exception raised."""
+    try:
+        value = fn(arg)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    if isinstance(value, (PairSequenceBC, PairSequenceD)):
+        return value.pairs
+    if isinstance(value, Bipartition):
+        return value.y, value.z
+    return value
+
+
+entries = st.integers(-1, 7)
+bc_pairs = st.lists(st.tuples(entries, entries), max_size=4).map(tuple)
+d_pairs = st.lists(st.tuples(entries, entries, st.integers(-1, 2)), max_size=4).map(tuple)
+parts = st.lists(st.integers(-1, 5), max_size=4).map(tuple)
+sorted_parts = st.lists(st.integers(1, 5), max_size=4).map(lambda p: tuple(sorted(p, reverse=True)))
+bipartitions = st.builds(Bipartition, st.one_of(parts, sorted_parts), st.one_of(parts, sorted_parts))
+
+
+@given(bc_pairs)
+@example(((1, 2), (-1, 0)))
+@example(((2, 4), (0, 0)))
+@example(((2, 2), (0, 0)))
+@example(((4, 2), (2, 2)))
+@example(((3, 3), (1, 1)))
+def test_bc_constructor_and_h_match_the_reference(pairs):
+    got = outcome(PairSequenceBC, pairs)
+    assert got == outcome(reference_pair_shape, pairs)
+    if got == pairs:
+        x = PairSequenceBC(pairs)
+        assert outcome(h, x) == outcome(reference_h, x)
+
+
+@given(d_pairs)
+@example(((1, 2, 0), (-1, 0, 5)))
+@example(((2, 4, 7),))
+@example(((4, 4, 1), (0, 0, 2)))
+@example(((4, 4, 1), (2, 2, 0)))
+@example(((4, 4, 1), (4, 4, 0)))
+@example(((6, 4, 1), (3, 3, 0)))
+def test_d_constructor_and_k_match_the_reference(pairs):
+    got = outcome(PairSequenceD, pairs)
+    assert got == outcome(reference_flagged_shape, pairs)
+    if got == pairs:
+        x = PairSequenceD(pairs)
+        assert outcome(k, x) == outcome(reference_k, x)
+
+
+@given(bipartitions)
+@example(Bipartition((2,), (3,)))
+@example(Bipartition((1, 2), ()))
+@example(Bipartition((2, -1), (1,)))
+@example(Bipartition((2, 1), (2, 1)))
+@example(Bipartition((3, 0, 1), (0, 1)))
+def test_inverse_maps_match_the_reference(bp):
+    assert outcome(h_inv, bp) == outcome(reference_h_inv, bp)
+    assert outcome(k_inv, bp) == outcome(reference_k_inv, bp)
+
+
+@pytest.mark.parametrize("n", range(0, 9))
+def test_maps_match_the_reference_on_the_special_sets(n):
+    for x in enumerate_A(n):
+        assert outcome(h, x) == reference_h(x)
+    for x in enumerate_C(n):
+        assert outcome(k, x) == reference_k(x)
+    for bp in enumerate_A_prime(n):
+        assert outcome(h_inv, bp) == reference_h_inv(bp)
+    for bp in enumerate_C_prime(n):
+        assert outcome(k_inv, bp) == reference_k_inv(bp)
+
+
+# --- tau on type D ------------------------------------------------------------
+
+
+def test_tau_checks_the_d_special_set_once(monkeypatch):
+    module = sys.modules["weylunip.special_classes"]
+    ctx = context("D", 8)
+    classes = enumerate_classes(ctx)
+    special = set(special_classes(ctx))
+    calls = []
+    real_in_C = module.in_C
+    monkeypatch.setattr(module, "in_C", lambda x: calls.append(x) or real_in_C(x))
+    for C in classes:
+        if C in special:
+            x = d_pair_sequence_of(C)
+            before = len(calls)
+            assert tau(ctx, C) == str(Bipartition(*reference_k(x)))
+            assert len(calls) - before == 1, C
+        else:
+            with pytest.raises(NotSpecial) as err:
+                tau(ctx, C)
+            assert str(err.value) == f"{C} is not special in {ctx}"
+    assert (len(special), len(classes)) == (55, 95)
+
+
+# --- the package-level name ---------------------------------------------------
+
+
+def test_special_classes_name_binds_the_function_in_the_package():
+    import weylunip.special_classes as bound
+
+    module = importlib.import_module("weylunip.special_classes")
+    assert bound is weylunip.special_classes is special_classes
+    assert not isinstance(bound, types.ModuleType)
+    assert isinstance(module, types.ModuleType)
+    assert module is sys.modules["weylunip.special_classes"]
+    assert module.special_classes is special_classes
