@@ -11,7 +11,6 @@ import argparse
 import sys
 from collections import defaultdict
 
-from . import oracle
 from .classical_maps import (
     enumerate_unipotents,
     fiber_of,
@@ -157,6 +156,8 @@ SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special"
 
 
 def _run_suite(args) -> list:
+    from . import oracle  # imported here: no other subcommand needs it
+
     reports = []
     suite = args.suite
     if suite in ("xi", "all"):

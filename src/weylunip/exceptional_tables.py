@@ -114,6 +114,14 @@ class FiberTable:
     context: GroupContext
     rows: tuple[FiberRow, ...]
 
+    def __hash__(self) -> int:
+        # Sound because the generated ``__eq__`` compares the context too, so
+        # equal tables have equal hashes; tables that differ only in their
+        # rows merely share a bucket, and ``_load`` builds one per context.
+        # It keeps the cached index methods below from hashing every row on
+        # each read.
+        return hash(self.context)
+
     @property
     def class_index(self) -> dict[CarterLabel, FiberRow]:
         return self._class_index()

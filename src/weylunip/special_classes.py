@@ -447,9 +447,7 @@ def is_special_class(ctx: GroupContext, C: ClassSymbol) -> bool:
     if ctx.family == "A":
         return C.kind == "A" and sum(C.cycle_type) == ctx.rank + 1
     if ctx.is_exceptional:
-        return C.kind == "exceptional" and C.label in {
-            lab for lab, _ in load_tau_table(ctx.family)
-        }
+        return C.kind == "exceptional" and C.label in _tau_index(ctx.family)
     if C.kind != "classical" or sum(C.r) + sum(C.p) != 2 * ctx.rank:
         return False
     if ctx.family in ("B", "C"):
@@ -482,10 +480,10 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
     if ctx.family == "A":
         return format_partition(C.cycle_type)
     if ctx.is_exceptional:
-        for lab, rep in load_tau_table(ctx.family):
-            if lab == C.label:
-                return rep
-        raise NotSpecial(f"{C} is not special in {ctx}")
+        rep = _tau_index(ctx.family).get(C.label)
+        if rep is None:
+            raise NotSpecial(f"{C} is not special in {ctx}")
+        return rep
     if ctx.family in ("B", "C"):
         x = bc_pair_sequence_of(C)
         if x is None:
@@ -526,3 +524,10 @@ def load_tau_table(family: str) -> tuple[tuple[CarterLabel, str], ...]:
     if not is_bijective_table(rows):
         raise TableIntegrityError(f"{filename}: duplicate rows")
     return rows
+
+
+@lru_cache(maxsize=None)
+def _tau_index(family: str) -> dict[CarterLabel, str]:
+    """The rows of ``load_tau_table(family)`` as {class label: representation
+    label}, built once per family."""
+    return dict(load_tau_table(family))

@@ -1,5 +1,10 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import weylunip
 from conftest import parse_atlas
 from weylunip.cli import atlas_lines, main
 from weylunip.weyl_classes import context
@@ -168,3 +173,18 @@ def test_special_records_are_byte_identical(capsys):
     assert code == 0 and len(lines) == 444
     digest = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     assert digest == "04290fc85280a8d7508b6e720ad948cfd5d5e5581ffe4e6c6c3032e87e82196f"
+
+
+def test_only_verify_imports_the_oracle():
+    code = (
+        "import sys\n"
+        "from weylunip.cli import main\n"
+        "assert main(['phi', '--family', 'E8', 'E_8']) == 0\n"
+        "assert 'weylunip.oracle' not in sys.modules\n"
+        "assert main(['verify', '--suite', 'tables', '--family', 'G2']) == 0\n"
+        "assert 'weylunip.oracle' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "E_8"

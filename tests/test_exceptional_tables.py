@@ -5,24 +5,38 @@ from types import SimpleNamespace
 import pytest
 
 from weylunip import exceptional_tables, oracle
+from weylunip.classical_maps import UnipotentSymbol, fiber_of, phi, psi
 from weylunip.cli import main
-from weylunip.errors import TableIntegrityError, UnknownClass, UnknownContext, UnknownUnipotent
+from weylunip.errors import (
+    InvalidClass,
+    NotSpecial,
+    TableIntegrityError,
+    UnknownClass,
+    UnknownContext,
+    UnknownUnipotent,
+)
 from weylunip.exceptional_tables import (
     CHECKSUMS,
     EXPECTED_CLASS_COUNTS,
     REPLACEMENTS,
     TABLE_FILES,
+    FiberRow,
+    FiberTable,
     _load,
     fiber,
     load_table,
     phi_lookup,
     psi_lookup,
 )
-from weylunip.special_classes import TAU_FILES, load_tau_table
+from weylunip.special_classes import TAU_FILES, _tau_index, is_special_class, load_tau_table, tau
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
+    ClassSymbol,
+    GroupContext,
     context,
+    m_of_class,
+    validate_class,
 )
 
 
@@ -128,16 +142,108 @@ def test_data_files_are_exactly_the_pinned_ones():
     assert len(shipped) == 10
 
 
+# --- indexed lookups against a plain scan of the rows ----------------------
+
+def _scan_class(table, label):
+    """The row holding ``label``, found by walking every row; None if absent."""
+    for row in table.rows:
+        for lab in row.classes:
+            if lab == label:
+                return row
+    return None
+
+
+def _scan_unipotent(table, name):
+    for row in table.rows:
+        if row.unipotent == name:
+            return row
+    return None
+
+
+def _message(exc_type, fn, *args) -> str:
+    with pytest.raises(exc_type) as err:
+        fn(*args)
+    return err.value.args[0]
+
+
+def _scan_tau(family, label):
+    for lab, rep in load_tau_table(family):
+        if lab == label:
+            return rep
+    return None
+
+
+@pytest.mark.parametrize("family,char", list(TABLE_FILES))
+def test_lookups_agree_with_a_row_scan(family, char):
+    ctx = context(family, char=char)
+    table = load_table(ctx)
+    all_rows = [row for f, c in TABLE_FILES for row in load_table(context(f, char=c)).rows]
+    for label in sorted({lab for row in all_rows for lab in row.classes}, key=str):
+        C = ClassSymbol.exceptional(label)
+        row = _scan_class(table, label)
+        if row is None:
+            message = _message(UnknownClass, phi_lookup, ctx, label)
+            assert message == f"label {label} not in the table for {ctx}"
+            for fn in (validate_class, phi, m_of_class, tau):
+                assert _message(InvalidClass, fn, ctx, C) == f"label {label} unknown in {ctx}"
+            assert not is_special_class(ctx, C)
+            continue
+        validate_class(ctx, C)
+        assert phi_lookup(ctx, label) == row.unipotent
+        assert phi(ctx, C) == UnipotentSymbol.named(row.unipotent)
+        assert m_of_class(ctx, C) == ctx.rank - label.rank
+        rep = _scan_tau(family, label)
+        assert is_special_class(ctx, C) == (rep is not None)
+        if rep is None:
+            assert _message(NotSpecial, tau, ctx, C) == f"{C} is not special in {ctx}"
+        else:
+            assert tau(ctx, C) == rep
+    for name in sorted({row.unipotent for row in all_rows}):
+        row = _scan_unipotent(table, name)
+        if row is None:
+            message = _message(UnknownUnipotent, fiber, ctx, name)
+            assert message == f"unipotent name {name!r} not in the table for {ctx}"
+            continue
+        u = UnipotentSymbol.named(name)
+        assert fiber(ctx, name) == row.classes
+        assert psi_lookup(ctx, name) == row.classes[0]
+        assert psi(ctx, u) == ClassSymbol.exceptional(row.classes[0])
+        assert fiber_of(ctx, u) == [ClassSymbol.exceptional(lab) for lab in row.classes]
+
+
+@pytest.mark.parametrize("family", list(TAU_FILES))
+def test_every_tau_row_is_found(family):
+    ctx = context(family)
+    rows = load_tau_table(family)
+    assert _tau_index(family) == dict(rows)
+    for label, rep in rows:
+        assert tau(ctx, ClassSymbol.exceptional(label)) == rep
+        assert is_special_class(ctx, ClassSymbol.exceptional(label))
+
+
+def test_equal_tables_hash_equal():
+    a = load_table(context("E8", char="p2"))
+    b = FiberTable(
+        GroupContext("E8", 8, "p2"),
+        tuple(FiberRow(tuple(row.classes), row.unipotent) for row in a.rows),
+    )
+    assert a is not b
+    assert a == b
+    assert hash(a) == hash(b)
+    assert b.class_index == a.class_index
+    assert b.unipotent_index == a.unipotent_index
+
+
 # --- tampered data: every load must refuse it -----------------------------
 
 
 @pytest.fixture
 def fresh_caches():
-    _load.cache_clear()
-    load_tau_table.cache_clear()
+    for cache in (_load, load_tau_table, _tau_index):
+        cache.cache_clear()
     yield
-    _load.cache_clear()
-    load_tau_table.cache_clear()
+    for cache in (_load, load_tau_table, _tau_index):
+        cache.cache_clear()
 
 
 @pytest.fixture
@@ -188,6 +294,17 @@ def test_flipped_byte_in_tau_file_fails(data_dir):
     with pytest.raises(TableIntegrityError, match="checksum"):
         load_tau_table("E7")
     assert len(load_tau_table("E8")) == 46
+
+
+def test_flipped_byte_in_tau_file_fails_tau(data_dir):
+    # tau reads its own index of the tau table: the fixture must drop that
+    # index too, or tau would answer from the table loaded before the flip
+    E7 = ClassSymbol.exceptional("E_7")
+    _flip_byte(data_dir / TAU_FILES["E7"], "class = E_7 ;")
+    with pytest.raises(TableIntegrityError, match="checksum"):
+        tau(context("E7"), E7)
+    with pytest.raises(TableIntegrityError, match="checksum"):
+        is_special_class(context("E7"), E7)
 
 
 @pytest.mark.parametrize(
