@@ -1,36 +1,43 @@
 """Command-line front end: one subcommand per map, plus fibers, special-class
 listings, full per-context dumps, and the verification suites.
 
-All output is deterministic; exit status is 2 on usage or parse errors and
-1 on verification failure.
+The front end only parses, dispatches and prints.  All output is
+deterministic; exit status is 2 with a one-line ``error:`` message on
+usage or parse errors, and 1 on verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
 
-from .classical_maps import (
-    enumerate_unipotents,
-    fiber_of,
-    parse_unipotent,
-    phi,
-    pi,
-    psi,
-    rho,
-)
+from .atlas import atlas_lines, split_tag
+from .classical_maps import fiber_of, parse_unipotent, phi, pi, psi, rho
 from .errors import WeylUnipError
+from .special_classes import special_classes, tau
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
     EXCEPTIONAL_RANK,
+    ClassSymbol,
     GroupContext,
-    enumerate_classes,
-    is_split_weyl_class,
     m_of_class,
     parse_class,
 )
-from .special_classes import special_classes, tau
+
+#: The point queries: name -> (payload parser, map, whether the class the
+#: query reads or returns carries the split tag, payload help).
+QUERIES = {
+    "phi": (parse_class, phi, False, "class text form, e.g. 'r=4,4;p=' or 'C_3(a_1)'"),
+    "psi": (parse_unipotent, psi, True, "unipotent text form, e.g. '5,3' or 'c=2,2;eps=2:1'"),
+    "m": (parse_class, m_of_class, False, "class text form"),
+    "rho": (parse_unipotent, rho, False, "bad-characteristic unipotent text form"),
+    "pi": (lambda ctx, text: parse_unipotent(ctx.good(), text), pi, False,
+           "good-characteristic unipotent text form"),
+    "tau": (parse_class, tau, True, "special class text form"),
+}
+
+FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
+SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
 
 
 def _context(args) -> GroupContext:
@@ -44,149 +51,75 @@ def _context(args) -> GroupContext:
     return GroupContext(family, rank, args.char)
 
 
-def _print(args, command: str, payload: str, value: str) -> None:
+def cmd_query(args) -> int:
+    ctx = _context(args)
+    parse, fn, tagged, _ = QUERIES[args.command]
+    x = parse(ctx, args.payload)
+    y = fn(ctx, x)
+    value = str(y) + (split_tag(ctx, x if isinstance(x, ClassSymbol) else y) if tagged else "")
     if args.format == "records":
-        print(f"command={command} input={payload} output={value}")
+        print(f"command={args.command} input={args.payload} output={value}")
     else:
         print(value)
-
-
-def _split_suffix(ctx, C) -> str:
-    if ctx.family == "D" and is_split_weyl_class(ctx, C):
-        return " [split]"
-    return ""
-
-
-def cmd_phi(args) -> int:
-    ctx = _context(args)
-    C = parse_class(ctx, args.payload)
-    _print(args, "phi", args.payload, str(phi(ctx, C)))
     return 0
 
 
-def cmd_psi(args) -> int:
-    ctx = _context(args)
-    u = parse_unipotent(ctx, args.payload)
-    C = psi(ctx, u)
-    _print(args, "psi", args.payload, str(C) + _split_suffix(ctx, C))
-    return 0
-
-
-def cmd_m(args) -> int:
-    ctx = _context(args)
-    C = parse_class(ctx, args.payload)
-    _print(args, "m", args.payload, str(m_of_class(ctx, C)))
-    return 0
-
-
-def cmd_rho(args) -> int:
-    ctx = _context(args)
-    u = parse_unipotent(ctx, args.payload)
-    _print(args, "rho", args.payload, str(rho(ctx, u)))
-    return 0
-
-
-def cmd_pi(args) -> int:
-    ctx = _context(args)
-    u0 = parse_unipotent(ctx.good(), args.payload)
-    _print(args, "pi", args.payload, str(pi(ctx, u0)))
+def _print_classes(ctx: GroupContext, classes) -> int:
+    for C in classes:
+        print(str(C) + split_tag(ctx, C))
     return 0
 
 
 def cmd_fiber(args) -> int:
     ctx = _context(args)
-    u = parse_unipotent(ctx, args.payload)
-    for C in fiber_of(ctx, u):
-        print(str(C) + _split_suffix(ctx, C))
-    return 0
-
-
-def cmd_tau(args) -> int:
-    ctx = _context(args)
-    C = parse_class(ctx, args.payload)
-    _print(args, "tau", args.payload, tau(ctx, C) + _split_suffix(ctx, C))
-    return 0
+    return _print_classes(ctx, fiber_of(ctx, parse_unipotent(ctx, args.payload)))
 
 
 def cmd_special(args) -> int:
     ctx = _context(args)
-    for C in special_classes(ctx, DEFAULT_RANK_BOUND if args.bound is None else args.bound):
-        print(str(C) + _split_suffix(ctx, C))
-    return 0
-
-
-def atlas_lines(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[str]:
-    """Full dump of the context: every class with its image and fixed-space
-    dimension, every fiber in section-first order, the comparison maps for
-    bad characteristic, and the special classes with their labels."""
-    lines = [f"record=context family={ctx.family} rank={ctx.rank} char={ctx.char}"]
-    fibers = defaultdict(list)
-    for C in enumerate_classes(ctx, bound=bound):
-        u = phi(ctx, C)
-        fibers[u].append(C)
-        split = " split=1" if ctx.family == "D" and is_split_weyl_class(ctx, C) else ""
-        lines.append(f"record=map class={C} m={m_of_class(ctx, C)} phi={u}{split}")
-    for u in enumerate_unipotents(ctx, bound=bound):
-        first = psi(ctx, u)
-        ordered = [first] + [C for C in fibers[u] if C != first]
-        lines.append(
-            f"record=fiber unipotent={u} psi={first} "
-            f"classes={'|'.join(str(C) for C in ordered)}"
-        )
-    if ctx.char != "good":
-        good = ctx.good()
-        for u in enumerate_unipotents(ctx, bound=bound):
-            lines.append(f"record=rho unipotent={u} rho={rho(ctx, u)}")
-        for u0 in enumerate_unipotents(good, bound=bound):
-            lines.append(f"record=pi unipotent0={u0} pi={pi(ctx, u0)}")
-    for C in special_classes(ctx, bound=bound):
-        split = " split=1" if ctx.family == "D" and is_split_weyl_class(ctx, C) else ""
-        lines.append(f"record=special class={C} tau={tau(ctx, C)}{split}")
-    return lines
+    return _print_classes(ctx, special_classes(ctx, args.bound))
 
 
 def cmd_atlas(args) -> int:
-    ctx = _context(args)
-    for line in atlas_lines(ctx, DEFAULT_RANK_BOUND if args.bound is None else args.bound):
+    for line in atlas_lines(_context(args), args.bound):
         print(line)
     return 0
-
-
-SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
 
 
 def _run_suite(args) -> list:
     from . import oracle  # imported here: no other subcommand needs it
 
+    def bound(default: int) -> int:
+        return default if args.bound is None else args.bound
+
     reports = []
     suite = args.suite
     if suite in ("xi", "all"):
-        reports.append(oracle.verify_xi_bijection(args.bound or oracle.DEFAULT_XI_BOUND))
+        reports.append(oracle.verify_xi_bijection(bound(oracle.DEFAULT_XI_BOUND)))
     if suite in ("fiber-min", "all"):
-        reports.append(oracle.verify_fiber_minimum(args.bound or oracle.DEFAULT_MIN_BOUND))
+        reports.append(oracle.verify_fiber_minimum(bound(oracle.DEFAULT_MIN_BOUND)))
     if suite in ("tables", "all"):
         families = [args.family] if args.family in EXCEPTIONAL_RANK else ["G2", "F4", "E6", "E7", "E8"]
         for fam in families:
             reports.append(oracle.verify_tables(fam))
     if suite in ("theorem02", "phipsi", "rhopi", "special", "all"):
-        bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
-        ctxs = [_context(args)] if args.family else oracle.acceptance_contexts(bound)
+        rank_bound = bound(oracle.DEFAULT_FIBER_BOUND)
+        ctxs = [_context(args)] if args.family else oracle.acceptance_contexts(rank_bound)
         for ctx in ctxs:
             if suite in ("theorem02", "all"):
-                reports.append(oracle.verify_theorem_0_2(ctx, bound=bound))
+                reports.append(oracle.verify_theorem_0_2(ctx, bound=rank_bound))
             if suite in ("phipsi", "all"):
-                reports.append(oracle.verify_phi_psi_identity(ctx, bound=bound))
+                reports.append(oracle.verify_phi_psi_identity(ctx, bound=rank_bound))
             if suite in ("rhopi", "all") and ctx.char != "good":
-                reports.append(oracle.verify_rho_pi(ctx, bound=bound))
+                reports.append(oracle.verify_rho_pi(ctx, bound=rank_bound))
             if suite in ("special", "all"):
                 reports.append(oracle.verify_special(ctx))
     return reports
 
 
 def cmd_verify(args) -> int:
-    reports = _run_suite(args)
     failed = False
-    for report in reports:
+    for report in _run_suite(args):
         if args.format == "records":
             for line in report.record_lines():
                 print(line)
@@ -195,8 +128,16 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Turns every usage error into a ``WeylUnipError``, so that it ends in
+    the same one-line message and exit status as any other bad input."""
+
+    def error(self, message):
+        raise WeylUnipError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylunip",
         description=(
             "Conjugacy classes of Weyl groups, unipotent classes, the maps "
@@ -205,41 +146,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, payload_help=None, needs_payload=True):
+    def add(name, fn, payload_help=None, bound=False, formats=False):
+        """A subcommand with the context options and only the others its
+        handler reads."""
         p = sub.add_parser(name)
-        p.add_argument("--family", choices=("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8"))
+        p.add_argument("--family", required=name != "verify", choices=FAMILIES)
         p.add_argument("--rank", type=int)
         p.add_argument("--char", default="good", choices=("good", "p2", "p3"))
-        p.add_argument("--bound", type=int, default=None)
-        p.add_argument("--format", default="plain", choices=("plain", "records"))
-        if needs_payload:
-            p.add_argument("payload", help=payload_help or "class or unipotent text form")
+        if bound:  # verify picks a default per suite
+            default = None if name == "verify" else DEFAULT_RANK_BOUND
+            p.add_argument("--bound", type=int, default=default)
+        if formats:
+            p.add_argument("--format", default="plain", choices=("plain", "records"))
+        if payload_help:
+            p.add_argument("payload", help=payload_help)
         p.set_defaults(fn=fn)
         return p
 
-    add("phi", cmd_phi, "class text form, e.g. 'r=4,4;p=' or 'C_3(a_1)'")
-    add("psi", cmd_psi, "unipotent text form, e.g. '5,3' or 'c=2,2;eps=2:1'")
-    add("m", cmd_m, "class text form")
-    add("rho", cmd_rho, "bad-characteristic unipotent text form")
-    add("pi", cmd_pi, "good-characteristic unipotent text form")
-    add("fiber", cmd_fiber, "unipotent text form")
-    add("tau", cmd_tau, "special class text form")
-    add("special", cmd_special, needs_payload=False)
-    add("atlas", cmd_atlas, needs_payload=False)
-    pv = add("verify", cmd_verify, needs_payload=False)
-    pv.add_argument("--suite", required=True, choices=SUITES)
+    for name, (_, _, _, payload_help) in QUERIES.items():
+        if name == "tau":  # the help lists fiber between pi and tau
+            add("fiber", cmd_fiber, "unipotent text form")
+        add(name, cmd_query, payload_help, formats=True)
+    add("special", cmd_special, bound=True)
+    add("atlas", cmd_atlas, bound=True)
+    add("verify", cmd_verify, bound=True, formats=True).add_argument("--suite", required=True, choices=SUITES)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        if args.command != "verify" and args.family is None:
-            raise WeylUnipError("--family is required")
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except WeylUnipError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -269,6 +269,8 @@ def parse_epsilon(text: str) -> tuple[tuple[int, int], ...]:
             pairs.append((int(j), int(b)))
         except ValueError:
             raise ParseError(f"bad marking pair {tok!r}") from None
+    if len({j for j, _ in pairs}) != len(pairs):
+        raise ParseError(f"marking repeats a value: {text!r}")
     return tuple(sorted(pairs, reverse=True))
 
 

@@ -198,14 +198,13 @@ def h(x: PairSequenceBC) -> Bipartition:
     for a, b in x.pairs:
         if (a - b) % 2 or (a % 2 == 1 and a != b):  # the condition of in_A
             raise NotSpecial(f"pair sequence outside the B/C special set: {x}")
-        if a % 2 == 0:
+        # a // 2 and (b + 1) // 2 cover both cases; zero entries are dropped,
+        # and the columns of a decreasing sequence are already decreasing
+        if a > 1:
             ys.append(a // 2)
-            zs.append(b // 2)
-        else:
-            c = (a - 1) // 2
-            ys.append(c)
-            zs.append(c + 1)
-    return Bipartition(partition(ys), partition(zs))
+        if b > 0:
+            zs.append((b + 1) // 2)
+    return Bipartition(tuple(ys), tuple(zs))
 
 
 def h_inv(bp: Bipartition) -> PairSequenceBC:
@@ -233,19 +232,22 @@ def k(x: PairSequenceD) -> Bipartition:
 
 def _k_image(x: PairSequenceD) -> Bipartition:
     """The bipartition ``k`` assigns to a sequence already known to lie in
-    the D special set."""
+    the D special set; on that set both columns are already decreasing, and
+    only ``z`` can reach zero (for the pairs (1, 1) and (a, 2) flagged 1)."""
     ys, zs = [], []
     for a, b, e in x.pairs:
         if a % 2 == 1:
             ys.append((a + 1) // 2)
-            zs.append((a - 1) // 2)
+            z = (a - 1) // 2
         elif e == 0:
             ys.append(a // 2)
-            zs.append(a // 2)
+            z = a // 2
         else:
             ys.append((a + 2) // 2)
-            zs.append((b - 2) // 2)
-    return Bipartition(partition(ys), partition(zs))
+            z = (b - 2) // 2
+        if z:
+            zs.append(z)
+    return Bipartition(tuple(ys), tuple(zs))
 
 
 def k_inv(bp: Bipartition) -> PairSequenceD:
@@ -369,46 +371,47 @@ def enumerate_C_prime(n: int) -> list[Bipartition]:
 # --- classes and the representation bijection --------------------------------
 
 
+def _class_of(x) -> ClassSymbol:
+    """The class carried by a pair sequence of a special set: an odd pair or
+    an even pair flagged 0 feeds the swap record ``p``, every other even
+    pair (all even B/C pairs) the stable record ``r``.  Both records are
+    subsequences of the decreasing sequence, so they need no sort."""
+    r, p = [], []
+    for pair in x.pairs:
+        a, b = pair[0], pair[1]
+        if a % 2 or pair[2:] == (0,):
+            p += (a, b)
+        elif b:
+            r += (a, b)
+        else:
+            r.append(a)
+    return ClassSymbol.classical(r, p)
+
+
 def special_class_of(ctx: GroupContext, x) -> ClassSymbol:
-    """The conjugacy class carried by a pair sequence: even pairs feed the
-    stable record and odd pairs the swap record for B/C; for D the flag
-    decides where an even pair goes."""
+    """The conjugacy class carried by a pair sequence of the context's
+    special set (see ``_class_of``)."""
     if ctx.family in ("B", "C"):
         if not isinstance(x, PairSequenceBC) or not in_A(x):
             raise NotSpecial(f"not in the B/C special set: {x}")
-        if x.total() != 2 * ctx.rank:
-            raise BadInput(f"total {x.total()} does not match {ctx}")
-        r = [v for ab in x.pairs for v in ab if v and v % 2 == 0]
-        p = [v for ab in x.pairs for v in ab if v % 2 == 1]
-        return ClassSymbol.classical(partition(r), partition(p))
-    if ctx.family == "D":
+    elif ctx.family == "D":
         if not isinstance(x, PairSequenceD) or not in_C(x):
             raise NotSpecial(f"not in the D special set: {x}")
-        if x.total() != 2 * ctx.rank:
-            raise BadInput(f"total {x.total()} does not match {ctx}")
-        r, p = [], []
-        for a, b, e in x.pairs:
-            if a % 2 == 1 or e == 0:
-                p += [a, b]
-            else:
-                r += [a, b]
-        return ClassSymbol.classical(partition(r), partition(p))
-    raise WrongFamily(f"pair sequences only describe B/C/D classes, not {ctx.family}")
+    else:
+        raise WrongFamily(f"pair sequences only describe B/C/D classes, not {ctx.family}")
+    if x.total() != 2 * ctx.rank:
+        raise BadInput(f"total {x.total()} does not match {ctx}")
+    return _class_of(x)
 
 
 def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
     """Recover the pair sequence of a special B/C class, or None."""
-    if C.kind != "classical" or any(v % 2 == 0 for v in C.p):
+    if C.kind != "classical":
         return None
     merged = partition(C.r + C.p)
     padded = merged + ((0,) if len(merged) % 2 else ())
-    pairs = tuple((padded[i], padded[i + 1]) for i in range(0, len(padded), 2))
-    x = PairSequenceBC(pairs)
-    if not in_A(x):
-        return None
-    # the parity split of the merged sequence must reproduce (r, p)
-    r = partition([v for ab in pairs for v in ab if v and v % 2 == 0])
-    return x if r == C.r else None
+    x = PairSequenceBC(tuple(zip(padded[::2], padded[1::2])))
+    return x if in_A(x) and _class_of(x) == C else None
 
 
 def d_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceD]:
@@ -465,8 +468,8 @@ def special_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[
     if ctx.rank > bound:
         raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
     if ctx.family in ("B", "C"):
-        return [special_class_of(ctx, x) for x in enumerate_A(ctx.rank)]
-    return [special_class_of(ctx, x) for x in enumerate_C(ctx.rank)]
+        return [_class_of(x) for x in enumerate_A(ctx.rank)]
+    return [_class_of(x) for x in enumerate_C(ctx.rank)]
 
 
 def tau(ctx: GroupContext, C: ClassSymbol) -> str:
@@ -474,7 +477,7 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
 
     For split type-D classes this is the common label of the two halves;
     which half corresponds to which of the two twin representations is not
-    fixed, so the side tag is deliberately ignored.
+    fixed.
     """
     validate_class(ctx, C)
     if ctx.family == "A":

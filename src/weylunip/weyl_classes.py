@@ -9,7 +9,7 @@ classes are cycle types, exceptional classes are admissible-diagram labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -236,16 +236,13 @@ class ClassSymbol:
     """A conjugacy class of a Weyl group, in one of three shapes.
 
     Exactly one of ``cycle_type`` (type A), the pair ``r``/``p`` (types
-    B/C/D) or ``label`` (exceptional types) is set.  ``side`` optionally
-    tags one of the two halves of a type-D class that splits in the index-2
-    subgroup; it never takes part in equality.
+    B/C/D) or ``label`` (exceptional types) is set.
     """
 
     cycle_type: Optional[Partition] = None
     r: Optional[Partition] = None
     p: Optional[Partition] = None
     label: Optional[CarterLabel] = None
-    side: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self):
         shapes = (
@@ -263,8 +260,8 @@ class ClassSymbol:
         return ClassSymbol(cycle_type=check_partition(cycle_type))
 
     @staticmethod
-    def classical(r, p, side: Optional[str] = None) -> "ClassSymbol":
-        return ClassSymbol(r=check_partition(r), p=check_partition(p), side=side)
+    def classical(r, p) -> "ClassSymbol":
+        return ClassSymbol(r=check_partition(r), p=check_partition(p))
 
     @staticmethod
     def exceptional(label) -> "ClassSymbol":

@@ -9,7 +9,7 @@ import time
 
 from conftest import parse_atlas
 from weylunip import oracle
-from weylunip.cli import atlas_lines
+from weylunip.atlas import atlas_lines
 from weylunip.classical_maps import phi, psi
 from weylunip.exceptional_tables import EXPECTED_CLASS_COUNTS, load_table
 from weylunip.special_classes import load_tau_table, special_classes

@@ -1,12 +1,16 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import weylunip
 from conftest import parse_atlas
-from weylunip.cli import atlas_lines, main
+from weylunip.atlas import atlas_lines
+from weylunip.cli import main
 from weylunip.weyl_classes import context
 
 
@@ -188,3 +192,115 @@ def test_only_verify_imports_the_oracle():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "E_8"
+
+
+# --- the command line's contract ------------------------------------------------
+
+#: SHA-256 of stdout, with the timings of verify summary lines masked, and the
+#: exit status of fixed invocations: the README examples, dumps, class
+#: listings and the ``--format records`` forms.  Any change to what the
+#: command line prints shows here.
+DIGESTS = [
+    ("phi --family D --rank 4 --char good r=4,4;p=", 0, "8aeee7f8482bfd072be69e23b8655dbc3f6499cf58eedb0d1f051bb7453391c8"),
+    ("psi --family F4 --char good C_3(a_1)", 0, "edc6713043189589333545ecc0385b9acaf3c142f4c5070a6e0d33288533054a"),
+    ("psi --family D --rank 4 4,4", 0, "b4c30988d5e705a4f3ce53f97e9c757c3bdddc86cb5bc24bf0113c7cb39062d1"),
+    ("m --family C --rank 3 r=4;p=1,1", 0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    ("rho --family C --rank 2 --char p2 c=2,2;eps=2:1", 0, "ce79c67f0ea4301ab72a59650165e42c93c03749cac697d6b416e6bf6a9c923b"),
+    ("pi --family C --rank 2 --char p2 2,2", 0, "97fe0b145ea86d0f337a550b3a5cdab4d41bcba7f931a858e6c3652b5b1a08d3"),
+    ("fiber --family E7 4A_1", 0, "c605cf07c91f18c57aa5cc047ab469ded5feb725901a96b2daaf4a86bc01fce4"),
+    ("tau --family G2 A_2", 0, "1143dca40b64c247cdf26a81719aec7a9ff05fc1827bfe6f96cd7ffe516dce2f"),
+    ("special --family C --rank 2", 0, "2a47e67d2a0a5ea5cbed0cf585415c8d6fadebadeba07f5ec912ccfcf6eead07"),
+    ("atlas --family C --rank 3 --char p2", 0, "a592c98bfec68ba23473259150e52575e2606efd60ef5641df084bd51b733a08"),
+    ("verify --suite theorem02 --family C --rank 6 --char p2", 0, "547a1319de4f5774c065cc0df315961804fdb0a27eab4a99cc3e633b1cdb27eb"),
+    ("verify --suite all", 0, "4cc8838de3e70e20fd466314cfc1f01c4e836b4134cac29406e7dd0861f109e3"),
+    ("atlas --family D --rank 7", 0, "7d1cf2dde7855da1187602a96356e14a20e9a480c89553aeaa2e018c48102ffb"),
+    ("atlas --family C --rank 6 --char p2", 0, "39010cc45e8bd93024522c5129fa6de870eb54b9272f03df59a5663baeb97724"),
+    ("atlas --family E8 --char p2", 0, "720b8ab9c4642534fe38f14947274a5b6521b11172740e8f4b1e2f92f445296b"),
+    ("atlas --family G2 --char p3", 0, "fa030ca877ad46c6ec3df8f739d219d3e900c31c7574f730ce100fd7446b8cea"),
+    ("fiber --family D --rank 6 3,2,2,2,2,1", 0, "c730841329f3351d544106daed9ea260f1c00a2b4e05d64f318d412d41fe26e6"),
+    ("fiber --family D --rank 6 4,4,2,2", 0, "3801fbd158791e693f227efd02ede819b4e43eaba5d84c4bc9c6f3707d539494"),
+    ("special --family D --rank 6", 0, "2690f62c9ee63dddf58910dc09c25616ab7eaa8cf1858c6625a6fe39fc2a1ccb"),
+    ("phi --family D --rank 4 --format records r=;p=4,4", 0, "9b7c2bc41e532480db2103ec48fa230f1d4abb7dc4e54dbef7ed7f7883707e54"),
+    ("psi --family D --rank 4 --format records 4,4", 0, "27de971f13b9c0fccb0cae052c3b0bf4779578183dfff96fa8516c52a35ed3b2"),
+    ("m --family E8 --char p2 --format records E_8", 0, "9927da96f6f91b2b98064b6771e658b4e5c08382a05192700cb5751663943836"),
+    ("rho --family C --rank 2 --char p2 --format records c=2,2;eps=2:0", 0, "1b01bfbfac466e3f97f5a62a26ff486b1ad6621cf3c41102e3919e86fd99922a"),
+    ("pi --family E8 --char p2 --format records E_8", 0, "e6fcd6a6eb653b1f487d3432e26d3093f2774f43804cdb27e4d2c597ffadb8c1"),
+    ("tau --family D --rank 4 --format records r=;p=4,4", 0, "32ce8b91fc5d3a5bc83b0e114c60cd52fdc113213cdf828ed65ff0d24525fab1"),
+    ("verify --suite theorem02 --family C --rank 6 --char p2 --format records", 0, "996b9f671e8bc53326f2c3f67e70b100e0d33ccb42cfdabda07a8f7743d2c811"),
+    ("verify --suite xi --format records", 0, "5eac937574c96c1697b05d9bc199b24b76d7ffbe2acbf79c0488997b8fb1ea4e"),
+    ("verify --suite tables --format records", 0, "afa3b99875ce8a1d7370b31f51e93255c72a59be6ba7d5813ef412b8b02e7911"),
+    ("atlas --family C --rank 40", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("psi --family C --rank 2 3,1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+@pytest.mark.parametrize("command, status, digest", DIGESTS, ids=[c for c, _, _ in DIGESTS])
+def test_stdout_digest(capsys, command, status, digest):
+    code, out, _ = run(capsys, *command.split(" "))
+    out = re.sub(r"elapsed=[0-9.]+s", "elapsed=*", out)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (status, digest)
+
+
+USAGE_ERRORS = [
+    "",
+    "nonsense",
+    "phi --rank 4 r=4,4;p=",
+    "phi --family X r=",
+    "phi --family D --rank x r=4,4;p=",
+    "phi --family D --rank 4",
+    "phi --family D r=4,4;p=",
+    "phi --family D --rank 4 --bound 3 r=4,4;p=",
+    "phi --family D --rank 4 not-a-class",
+    "psi --family C --rank 2 --char p2 c=2,2;eps=2:1;2:0",
+    "fiber --family C --rank 2 --bound 3 2,2",
+    "fiber --family C --rank 2 --format records 2,2",
+    "tau --family C --rank 2 r=;p=2,1,1",
+    "special --family C --rank 2 --format records",
+    "special --family C --rank 30",
+    "atlas --family C --rank 3 --format records",
+    "atlas --family C --rank 14 --bound 12",
+    "atlas --family G2 --char p2",
+    "verify --family C --rank 2",
+    "verify --suite nonsense",
+    "verify --suite xi --bound x",
+]
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_error_is_one_line(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n")
+
+
+def test_options_are_only_those_the_handler_reads(capsys):
+    for command in ("phi", "psi", "m", "rho", "pi", "tau", "fiber", "special", "atlas"):
+        _, _, err = run(capsys, command, "--rank", "2", "x")
+        assert "required: --family" in err, command
+    for command in ("phi", "psi", "m", "rho", "pi", "tau", "fiber"):
+        _, _, err = run(capsys, command, "--family", "C", "--rank", "2", "--bound", "3", "2,2")
+        assert "unrecognized arguments: --bound" in err, command
+    for command in ("fiber", "special", "atlas"):
+        _, _, err = run(capsys, command, "--family", "C", "--rank", "2", "--format", "records")
+        assert "unrecognized arguments: --format" in err, command
+
+
+def test_help_exits_0(capsys):
+    for argv in (["-h"], ["atlas", "-h"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: weylunip")
+
+
+def test_verify_bound_0_is_honoured_by_every_suite(capsys):
+    for suite, context_ in (("xi", "N<=0"), ("fiber-min", "n<=0")):
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--bound", "0", "--format", "records")
+        assert code == 0
+        assert set(re.findall(r" context=(\S+)", out)) == {context_}
+
+
+def test_repeated_marking_value_is_refused(capsys):
+    code, out, err = run(capsys, "psi", "--family", "C", "--rank", "2", "--char", "p2", "c=2,2;eps=2:1;2:0")
+    assert code == 2 and out == ""
+    assert err == "error: marking repeats a value: '2:1;2:0'\n"

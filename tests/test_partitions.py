@@ -161,6 +161,12 @@ def test_text_forms_round_trip():
         parse_marked("4,4")
 
 
+@pytest.mark.parametrize("eps", ["2:1;2:0", "2:0;2:0", "4:0;2:1;4:1"])
+def test_marking_refuses_a_repeated_value(eps):
+    with pytest.raises(ParseError, match="repeats a value"):
+        parse_marked(f"c=4,4,2,2;eps={eps}")
+
+
 @given(partitions_st)
 def test_partition_text_round_trip(p):
     assert parse_partition(format_partition(p)) == p

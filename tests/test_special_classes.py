@@ -1,4 +1,3 @@
-import importlib
 import sys
 import types
 from collections import Counter
@@ -568,15 +567,24 @@ def test_tau_checks_the_d_special_set_once(monkeypatch):
     assert (len(special), len(classes)) == (55, 95)
 
 
+def test_special_classes_runs_no_membership_predicate(monkeypatch):
+    # the enumerators only yield members of the special sets
+    module = weylunip.special_classes
+    calls = []
+    for name in ("in_A", "in_C"):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda x, real=real: calls.append(x) or real(x))
+    counts = [len(special_classes(context(family, 8))) for family in ("B", "C", "D")]
+    assert calls == [] and counts[0] == counts[1] and counts[2] == 55
+
+
 # --- the package-level name ---------------------------------------------------
 
 
-def test_special_classes_name_binds_the_function_in_the_package():
+def test_special_classes_name_binds_the_module_in_the_package():
     import weylunip.special_classes as bound
 
-    module = importlib.import_module("weylunip.special_classes")
-    assert bound is weylunip.special_classes is special_classes
-    assert not isinstance(bound, types.ModuleType)
-    assert isinstance(module, types.ModuleType)
-    assert module is sys.modules["weylunip.special_classes"]
-    assert module.special_classes is special_classes
+    assert isinstance(bound, types.ModuleType)
+    assert bound is weylunip.special_classes is sys.modules["weylunip.special_classes"]
+    assert bound.special_classes is special_classes
+    assert bound.in_C is in_C

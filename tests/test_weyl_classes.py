@@ -130,12 +130,6 @@ def test_m_bounded_by_rank_with_equality_only_at_identity(ctx):
                 assert C.r == () and C.p == (1, 1) * ctx.rank
 
 
-def test_split_side_tag_never_compares():
-    a = ClassSymbol.classical((), (4, 4), side="I")
-    b = ClassSymbol.classical((), (4, 4), side="II")
-    assert a == b and hash(a) == hash(b)
-
-
 def test_parse_class_dispatch():
     assert parse_class(context("A", 3), "2,1,1") == ClassSymbol.type_a((2, 1, 1))
     assert parse_class(context("D", 4), "r=4,4;p=") == ClassSymbol.classical((4, 4), ())
