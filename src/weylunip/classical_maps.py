@@ -21,10 +21,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import exceptional_tables
-from .errors import BadInput, BoundExceeded, NotInR, ParseError
+from .errors import BadInput, BoundExceeded, NotInR
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -93,16 +93,35 @@ class UnipotentSymbol:
 
 
 def _uses_marks(ctx: GroupContext) -> bool:
-    return ctx.family in ("B", "C", "D") and ctx.char == "p2"
+    return ctx.is_classical_bcd and ctx.char == "p2"
+
+
+def _jordan_size(ctx: GroupContext) -> int:
+    """The size of the Jordan types of an A/B/C/D context: rank+1 for A,
+    2n+1 for B in good characteristic, 2n otherwise."""
+    if ctx.family == "A":
+        return ctx.rank + 1
+    return 2 * ctx.rank + (ctx.family == "B" and ctx.char == "good")
+
+
+def _is_jordan_type(ctx: GroupContext, c: Partition) -> bool:
+    """Whether ``c`` is the Jordan type of a unipotent class of the A/B/C/D
+    context: orthogonal (even values paired) for B/D in good characteristic,
+    symplectic (odd values paired) otherwise, of even length for D in
+    characteristic 2."""
+    n = _jordan_size(ctx)
+    if ctx.family == "A":
+        return sum(c) == n
+    if ctx.family in ("B", "D") and ctx.char == "good":
+        return in_Q(c, n)
+    return in_T(c, n) and not (ctx.family == "D" and len(c) % 2)
 
 
 def parse_unipotent(ctx: GroupContext, text: str) -> UnipotentSymbol:
-    """Parse the text form of a unipotent class for the given context."""
+    """Parse the text form of a unipotent class for the given context;
+    ``validate_unipotent`` decides whether it is one."""
     text = text.strip()
     if ctx.is_exceptional:
-        table = exceptional_tables.load_table(ctx)
-        if text not in table.unipotent_index:
-            raise ParseError(f"unknown unipotent name {text!r} for {ctx}")
         return UnipotentSymbol.named(text)
     if _uses_marks(ctx):
         return UnipotentSymbol.with_marks(parse_marked(text))
@@ -111,30 +130,16 @@ def parse_unipotent(ctx: GroupContext, text: str) -> UnipotentSymbol:
 
 def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> None:
     """Raise BadInput unless ``u`` is a unipotent class of the context's group."""
-    if ctx.family == "A":
-        if u.kind != "plain" or sum(u.partition) != ctx.rank + 1:
-            raise BadInput(f"{u} is not a unipotent class of {ctx}")
-        return
     if ctx.is_exceptional:
         if u.kind != "named":
             raise BadInput(f"{u} is not a unipotent class of {ctx}")
-        table = exceptional_tables.load_table(ctx)
-        if u.name not in table.unipotent_index:
+        if u.name not in exceptional_tables.load_table(ctx).unipotent_index:
             raise BadInput(f"unknown unipotent name {u.name!r} for {ctx}")
         return
-    two_n = 2 * ctx.rank
     if _uses_marks(ctx):
-        if u.kind != "marked" or not in_T(u.marked.c, two_n):
-            raise BadInput(f"{u} is not a unipotent class of {ctx}")
-        if ctx.family == "D" and len(u.marked.c) % 2 != 0:
-            raise BadInput(f"{u} needs an even number of blocks in {ctx}")
-        return
-    if u.kind != "plain":
-        raise BadInput(f"{u} is not a unipotent class of {ctx}")
-    if ctx.family == "C":
-        ok = in_T(u.partition, two_n)
+        ok = u.kind == "marked" and _is_jordan_type(ctx, u.marked.c)
     else:
-        ok = in_Q(u.partition, two_n + ctx.kappa)
+        ok = u.kind == "plain" and _is_jordan_type(ctx, u.partition)
     if not ok:
         raise BadInput(f"{u} is not a unipotent class of {ctx}")
 
@@ -401,19 +406,6 @@ def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
 # --- enumeration -----------------------------------------------------------
 
 
-def _marked_symbols(cs: Iterable[Partition], even_length_only: bool) -> list[UnipotentSymbol]:
-    out = []
-    for c in cs:
-        if even_length_only and len(c) % 2:
-            continue
-        dom = epsilon_domain(c)
-        for bits in product((0, 1), repeat=len(dom)):
-            out.append(
-                UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(dom, bits))))
-            )
-    return out
-
-
 def enumerate_unipotents(
     ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND
 ) -> list[UnipotentSymbol]:
@@ -423,13 +415,12 @@ def enumerate_unipotents(
         return [UnipotentSymbol.named(n) for n in table.unipotent_names()]
     if ctx.rank > bound:
         raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
-    if ctx.family == "A":
-        return [UnipotentSymbol.plain(c) for c in partitions_of(ctx.rank + 1)]
-    two_n = 2 * ctx.rank
-    if ctx.char == "p2":
-        base = [c for c in partitions_of(two_n) if in_T(c, two_n)]
-        return _marked_symbols(base, even_length_only=(ctx.family == "D"))
-    if ctx.family == "C":
-        return [UnipotentSymbol.plain(c) for c in partitions_of(two_n) if in_T(c, two_n)]
-    n_amb = two_n + ctx.kappa
-    return [UnipotentSymbol.plain(c) for c in partitions_of(n_amb) if in_Q(c, n_amb)]
+    cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
+    if not _uses_marks(ctx):
+        return [UnipotentSymbol.plain(c) for c in cs]
+    out = []
+    for c in cs:
+        dom = epsilon_domain(c)
+        for bits in product((0, 1), repeat=len(dom)):
+            out.append(UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(dom, bits)))))
+    return out

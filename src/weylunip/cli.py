@@ -16,10 +16,13 @@ from .classical_maps import fiber_of, parse_unipotent, phi, pi, psi, rho
 from .errors import WeylUnipError
 from .special_classes import special_classes, tau
 from .weyl_classes import (
+    CHAR_VARIANTS,
     DEFAULT_RANK_BOUND,
     EXCEPTIONAL_RANK,
+    FAMILIES,
     ClassSymbol,
     GroupContext,
+    context,
     m_of_class,
     parse_class,
 )
@@ -36,19 +39,11 @@ QUERIES = {
     "tau": (parse_class, tau, True, "special class text form"),
 }
 
-FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
 SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
 
 
 def _context(args) -> GroupContext:
-    family = args.family
-    if family in EXCEPTIONAL_RANK:
-        rank = EXCEPTIONAL_RANK[family]
-    else:
-        if args.rank is None:
-            raise WeylUnipError(f"--rank is required for family {family}")
-        rank = args.rank
-    return GroupContext(family, rank, args.char)
+    return context(args.family, args.rank, args.char)
 
 
 def cmd_query(args) -> int:
@@ -99,7 +94,7 @@ def _run_suite(args) -> list:
     if suite in ("fiber-min", "all"):
         reports.append(oracle.verify_fiber_minimum(bound(oracle.DEFAULT_MIN_BOUND)))
     if suite in ("tables", "all"):
-        families = [args.family] if args.family in EXCEPTIONAL_RANK else ["G2", "F4", "E6", "E7", "E8"]
+        families = [args.family] if args.family in EXCEPTIONAL_RANK else list(EXCEPTIONAL_RANK)
         for fam in families:
             reports.append(oracle.verify_tables(fam))
     if suite in ("theorem02", "phipsi", "rhopi", "special", "all"):
@@ -145,6 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    chars = sorted({char for variants in CHAR_VARIANTS.values() for char in variants})
 
     def add(name, fn, payload_help=None, bound=False, formats=False):
         """A subcommand with the context options and only the others its
@@ -152,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--family", required=name != "verify", choices=FAMILIES)
         p.add_argument("--rank", type=int)
-        p.add_argument("--char", default="good", choices=("good", "p2", "p3"))
+        p.add_argument("--char", default="good", choices=chars)
         if bound:  # verify picks a default per suite
             default = None if name == "verify" else DEFAULT_RANK_BOUND
             p.add_argument("--bound", type=int, default=default)

@@ -25,25 +25,20 @@ from .errors import (
     UnknownUnipotent,
 )
 from .weyl_classes import (
+    CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
     CarterLabel,
     GroupContext,
     parse_carter_label,
 )
 
-#: The name each context's table text is pinned under in ``CHECKSUMS``.  The
-#: bad-characteristic names have no file; their text is derived.
+#: The name each context's table text is pinned under in ``CHECKSUMS``, in
+#: catalogue order.  The bad-characteristic names have no file; their text is
+#: derived.
 TABLE_FILES = {
-    ("G2", "good"): "fiber_g2_good.tbl",
-    ("G2", "p3"): "fiber_g2_p3.tbl",
-    ("F4", "good"): "fiber_f4_good.tbl",
-    ("F4", "p2"): "fiber_f4_p2.tbl",
-    ("E6", "good"): "fiber_e6_good.tbl",
-    ("E7", "good"): "fiber_e7_good.tbl",
-    ("E7", "p2"): "fiber_e7_p2.tbl",
-    ("E8", "good"): "fiber_e8_good.tbl",
-    ("E8", "p2"): "fiber_e8_p2.tbl",
-    ("E8", "p3"): "fiber_e8_p3.tbl",
+    (family, char): f"fiber_{family.lower()}_{char}.tbl"
+    for family in EXCEPTIONAL_RANK
+    for char in CHAR_VARIANTS[family]
 }
 
 #: SHA-256 of every table text: the shipped fiber and special-class files and

@@ -60,6 +60,7 @@ from .special_classes import (
 from .weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
+    MIN_RANK,
     GroupContext,
     enumerate_classes,
     is_split_weyl_class,
@@ -453,13 +454,16 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
 
 
 def acceptance_contexts(bound: int = DEFAULT_FIBER_BOUND) -> list[GroupContext]:
-    """All classical contexts up to the bound plus every exceptional variant."""
-    out = []
-    for family, lo in (("B", 2), ("C", 2), ("D", 3)):
-        for n in range(lo, bound + 1):
-            for char in CHAR_VARIANTS[family]:
-                out.append(GroupContext(family, n, char))
-    for family in ("G2", "F4", "E6", "E7", "E8"):
-        for char in CHAR_VARIANTS[family]:
-            out.append(GroupContext(family, EXCEPTIONAL_RANK[family], char))
-    return out
+    """All B/C/D contexts up to the bound plus every exceptional variant, in
+    catalogue order."""
+    return [
+        GroupContext(family, n, char)
+        for family, lo in MIN_RANK.items()
+        if family != "A"
+        for n in range(lo, bound + 1)
+        for char in CHAR_VARIANTS[family]
+    ] + [
+        GroupContext(family, rank, char)
+        for family, rank in EXCEPTIONAL_RANK.items()
+        for char in CHAR_VARIANTS[family]
+    ]

@@ -184,32 +184,6 @@ def partitions_of(n: int, max_part: Optional[int] = None) -> tuple[Partition, ..
     return tuple(_gen_partitions(n, max_part if max_part is not None else n))
 
 
-@lru_cache(maxsize=None)
-def partition_count(n: int) -> int:
-    """Number of partitions of ``n`` via the pentagonal-number recurrence.
-
-    Independent of ``partitions_of``; used to cross-check exhaustiveness.
-    """
-    if n < 0:
-        return 0
-    if n == 0:
-        return 1
-    total = 0
-    k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 > n and g2 > n:
-            break
-        sign = 1 if k % 2 == 1 else -1
-        if g1 <= n:
-            total += sign * partition_count(n - g1)
-        if g2 <= n:
-            total += sign * partition_count(n - g2)
-        k += 1
-    return total
-
-
 def even_partitions_of(n: int) -> list[Partition]:
     """Partitions of ``n`` with all parts even, lexicographically decreasing."""
     if n % 2:

@@ -28,6 +28,7 @@ from .exceptional_tables import read_rows
 from .partitions import Partition, format_partition, partition
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
+    EXCEPTIONAL_RANK,
     CarterLabel,
     ClassSymbol,
     GroupContext,
@@ -500,13 +501,8 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
 
 # --- exceptional tau tables --------------------------------------------------
 
-TAU_FILES = {
-    "G2": "tau_g2.tbl",
-    "F4": "tau_f4.tbl",
-    "E6": "tau_e6.tbl",
-    "E7": "tau_e7.tbl",
-    "E8": "tau_e8.tbl",
-}
+#: The data file of each exceptional family's special-class table.
+TAU_FILES = {family: f"tau_{family.lower()}.tbl" for family in EXCEPTIONAL_RANK}
 
 _TAU_ROW_RE = re.compile(r"class\s*=\s*(?P<cls>\S+)\s*;\s*tau\s*=\s*(?P<rep>\S+)\s*$")
 

@@ -31,8 +31,12 @@ from .partitions import (
     partitions_of,
 )
 
-FAMILIES = ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
+# The catalogue of simple types: the least rank of each classical family, the
+# fixed rank of each exceptional one, and the characteristic variants of
+# each.  The command line, the oracle and the table file names read it.
+MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 EXCEPTIONAL_RANK = {"G2": 2, "F4": 4, "E6": 6, "E7": 7, "E8": 8}
+FAMILIES = (*MIN_RANK, *EXCEPTIONAL_RANK)
 CHAR_VARIANTS = {
     "A": ("good",),
     "B": ("good", "p2"),
@@ -44,7 +48,6 @@ CHAR_VARIANTS = {
     "E7": ("good", "p2"),
     "E8": ("good", "p2", "p3"),
 }
-MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3}
 
 #: Safety bound for classical class/unipotent enumerations (rank).
 DEFAULT_RANK_BOUND = 20

@@ -12,6 +12,7 @@ from weylunip.classical_maps import (
     iota,
     iota2,
     orthogonal_fiber_minimizer,
+    parse_unipotent,
     phi,
     pi,
     psi,
@@ -20,12 +21,14 @@ from weylunip.classical_maps import (
     psi_orthogonal,
     rho,
     splittings,
+    validate_unipotent,
     xi,
     xi_inv,
 )
 from weylunip.errors import BadInput, NotInR
 from weylunip.partitions import (
     MarkedPartition,
+    epsilon_domain,
     in_P_tilde,
     in_Q,
     in_R,
@@ -36,6 +39,7 @@ from weylunip.partitions import (
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
+    MIN_RANK,
     ClassSymbol,
     GroupContext,
     context,
@@ -304,3 +308,76 @@ def test_fiber_of_matches_whole_group_scan(ctx):
     for u in unipotents:
         first = psi(ctx, u)
         assert fiber_of(ctx, u) == [first] + [C for C in fibers[u] if C != first], u
+
+
+def _is_jordan_type_reference(ctx, c):
+    """The Jordan types of the unipotent classes, written out: any partition
+    of rank+1 for A; of 2n+1 with every even value paired for B in good
+    characteristic; of 2n with every even value paired for D in good
+    characteristic; otherwise of 2n with every odd value paired, and of even
+    length for D in characteristic 2."""
+    n = ctx.rank
+    if ctx.family == "A":
+        return sum(c) == n + 1
+    if ctx.char == "good" and ctx.family in ("B", "D"):
+        size, paired = 2 * n + (ctx.family == "B"), 0
+    else:
+        size, paired = 2 * n, 1
+    if sum(c) != size:
+        return False
+    if any(multiplicity(c, j) % 2 for j in set(c) if j % 2 == paired):
+        return False
+    return not (ctx.family == "D" and ctx.char == "p2" and len(c) % 2)
+
+
+def _candidates(ctx, size):
+    """Every partition of ``size`` in the context's text shape: plain, or
+    with every marking of its marking domain in characteristic 2."""
+    for c in partitions_of(size):
+        if ctx.char == "good":
+            yield c, UnipotentSymbol.plain(c)
+            continue
+        dom = epsilon_domain(c)
+        for bits in product((0, 1), repeat=len(dom)):
+            yield c, UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(dom, bits))))
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        GroupContext(family, n, char)
+        for family, lo in MIN_RANK.items()
+        for n in range(lo, 7)
+        for char in CHAR_VARIANTS[family]
+    ],
+    ids=str,
+)
+def test_validate_accepts_exactly_the_enumerated_symbols(ctx):
+    # every partition of the sizes around the ambient one, with every
+    # marking in characteristic 2: validation accepts exactly the
+    # enumerated symbols, and exactly those the rule written out above allows
+    enumerated = enumerate_unipotents(ctx)
+    assert len(set(enumerated)) == len(enumerated)
+    top = ctx.rank + 1 if ctx.family == "A" else 2 * ctx.rank + 1
+    accepted = set()
+    for size in range(top - 2, top + 2):
+        for c, u in _candidates(ctx, size):
+            try:
+                validate_unipotent(ctx, u)
+            except BadInput:
+                assert not _is_jordan_type_reference(ctx, c), u
+            else:
+                assert _is_jordan_type_reference(ctx, c), u
+                accepted.add(u)
+    assert accepted == set(enumerated)
+
+
+@pytest.mark.parametrize("family", list(EXCEPTIONAL_RANK))
+def test_unknown_exceptional_name_is_refused_by_every_map(family):
+    ctx = context(family, char=CHAR_VARIANTS[family][-1])
+    u = parse_unipotent(ctx, " NOPE ")  # parsing only parses
+    assert u == UnipotentSymbol.named("NOPE")
+    for fn, checked_in in ((psi, ctx), (rho, ctx), (fiber_of, ctx), (pi, ctx.good())):
+        with pytest.raises(BadInput) as exc:
+            fn(ctx, u)
+        assert str(exc.value) == f"unknown unipotent name 'NOPE' for {checked_in}", fn.__name__

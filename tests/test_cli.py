@@ -263,6 +263,8 @@ USAGE_ERRORS = [
     "verify --family C --rank 2",
     "verify --suite nonsense",
     "verify --suite xi --bound x",
+    "phi --family E8 --rank 3 E_8",
+    "verify --suite theorem02 --family G2 --rank 5",
 ]
 
 
@@ -304,3 +306,29 @@ def test_repeated_marking_value_is_refused(capsys):
     code, out, err = run(capsys, "psi", "--family", "C", "--rank", "2", "--char", "p2", "c=2,2;eps=2:1;2:0")
     assert code == 2 and out == ""
     assert err == "error: marking repeats a value: '2:1;2:0'\n"
+
+
+def test_a_rank_that_agrees_with_the_family_is_accepted(capsys):
+    code, out, err = run(capsys, "phi", "--family", "E8", "--rank", "8", "E_8")
+    assert (code, out, err) == (0, "E_8\n", "")
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        ("psi --family E8 NOPE", "error: unknown unipotent name 'NOPE' for E8/good\n"),
+        ("rho --family E8 --char p2 NOPE", "error: unknown unipotent name 'NOPE' for E8/p2\n"),
+        ("pi --family E8 --char p2 NOPE", "error: unknown unipotent name 'NOPE' for E8/good\n"),
+        ("fiber --family E8 NOPE", "error: unknown unipotent name 'NOPE' for E8/good\n"),
+    ],
+)
+def test_unknown_unipotent_name_error_line(capsys, command, err):
+    assert run(capsys, *command.split()) == (2, "", err)
+
+
+def test_choices_come_from_the_catalogue(capsys):
+    _, _, err = run(capsys, "phi", "--family", "E9", "x")
+    assert err == "error: argument --family: invalid choice: 'E9' " \
+        "(choose from 'A', 'B', 'C', 'D', 'G2', 'F4', 'E6', 'E7', 'E8')\n"
+    _, _, err = run(capsys, "phi", "--family", "D", "--rank", "4", "--char", "p5", "x")
+    assert err == "error: argument --char: invalid choice: 'p5' (choose from 'good', 'p2', 'p3')\n"

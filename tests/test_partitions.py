@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,9 +21,33 @@ from weylunip.partitions import (
     parse_marked,
     parse_partition,
     partition,
-    partition_count,
     partitions_of,
 )
+
+
+@lru_cache(maxsize=None)
+def partition_count(n: int) -> int:
+    """Number of partitions of ``n`` via the pentagonal-number recurrence,
+    independent of ``partitions_of``: the cross-check of its exhaustiveness."""
+    if n < 0:
+        return 0
+    if n == 0:
+        return 1
+    total = 0
+    k = 1
+    while True:
+        g1 = k * (3 * k - 1) // 2
+        g2 = k * (3 * k + 1) // 2
+        if g1 > n and g2 > n:
+            break
+        sign = 1 if k % 2 == 1 else -1
+        if g1 <= n:
+            total += sign * partition_count(n - g1)
+        if g2 <= n:
+            total += sign * partition_count(n - g2)
+        k += 1
+    return total
+
 
 partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: tuple(sorted(xs, reverse=True))

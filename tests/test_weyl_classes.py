@@ -1,10 +1,14 @@
 import pytest
 
+from weylunip import oracle
 from weylunip.errors import BadInput, InvalidClass, ParseError, WrongFamily
-from weylunip.exceptional_tables import load_table
+from weylunip.exceptional_tables import TABLE_FILES, load_table
+from weylunip.special_classes import TAU_FILES
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
+    FAMILIES,
+    MIN_RANK,
     ClassSymbol,
     GroupContext,
     context,
@@ -29,6 +33,42 @@ def test_context_validation():
         GroupContext("G2", 2, "p2")
     with pytest.raises(BadInput):
         context("B")
+
+
+def test_one_catalogue():
+    assert FAMILIES == ("A", "B", "C", "D", "G2", "F4", "E6", "E7", "E8")
+    assert FAMILIES == (*MIN_RANK, *EXCEPTIONAL_RANK)
+    assert set(CHAR_VARIANTS) == set(FAMILIES)
+    # the file names follow from the catalogue, in its order
+    assert list(TABLE_FILES.items()) == [
+        (("G2", "good"), "fiber_g2_good.tbl"),
+        (("G2", "p3"), "fiber_g2_p3.tbl"),
+        (("F4", "good"), "fiber_f4_good.tbl"),
+        (("F4", "p2"), "fiber_f4_p2.tbl"),
+        (("E6", "good"), "fiber_e6_good.tbl"),
+        (("E7", "good"), "fiber_e7_good.tbl"),
+        (("E7", "p2"), "fiber_e7_p2.tbl"),
+        (("E8", "good"), "fiber_e8_good.tbl"),
+        (("E8", "p2"), "fiber_e8_p2.tbl"),
+        (("E8", "p3"), "fiber_e8_p3.tbl"),
+    ]
+    assert list(TAU_FILES.items()) == [
+        ("G2", "tau_g2.tbl"),
+        ("F4", "tau_f4.tbl"),
+        ("E6", "tau_e6.tbl"),
+        ("E7", "tau_e7.tbl"),
+        ("E8", "tau_e8.tbl"),
+    ]
+
+
+def test_acceptance_contexts_in_catalogue_order():
+    assert [str(ctx) for ctx in oracle.acceptance_contexts(3)] == [
+        "B_2/good", "B_2/p2", "B_3/good", "B_3/p2",
+        "C_2/good", "C_2/p2", "C_3/good", "C_3/p2",
+        "D_3/good", "D_3/p2",
+        "G2/good", "G2/p3", "F4/good", "F4/p2", "E6/good",
+        "E7/good", "E7/p2", "E8/good", "E8/p2", "E8/p3",
+    ]
 
 
 def test_parse_carter_label_examples():
