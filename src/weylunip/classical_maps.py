@@ -92,10 +92,6 @@ class UnipotentSymbol:
         return self.name
 
 
-def _uses_marks(ctx: GroupContext) -> bool:
-    return ctx.is_classical_bcd and ctx.char == "p2"
-
-
 def _jordan_size(ctx: GroupContext) -> int:
     """The size of the Jordan types of an A/B/C/D context: rank+1 for A,
     2n+1 for B in good characteristic, 2n otherwise."""
@@ -123,7 +119,7 @@ def parse_unipotent(ctx: GroupContext, text: str) -> UnipotentSymbol:
     text = text.strip()
     if ctx.is_exceptional:
         return UnipotentSymbol.named(text)
-    if _uses_marks(ctx):
+    if ctx.char == "p2":
         return UnipotentSymbol.with_marks(parse_marked(text))
     return UnipotentSymbol.plain(parse_partition(text))
 
@@ -136,7 +132,7 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> None:
         if u.name not in exceptional_tables.load_table(ctx).unipotent_index:
             raise BadInput(f"unknown unipotent name {u.name!r} for {ctx}")
         return
-    if _uses_marks(ctx):
+    if ctx.char == "p2":
         ok = u.kind == "marked" and _is_jordan_type(ctx, u.marked.c)
     else:
         ok = u.kind == "plain" and _is_jordan_type(ctx, u.partition)
@@ -416,7 +412,7 @@ def enumerate_unipotents(
     if ctx.rank > bound:
         raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
-    if not _uses_marks(ctx):
+    if ctx.char != "p2":
         return [UnipotentSymbol.plain(c) for c in cs]
     out = []
     for c in cs:

@@ -82,24 +82,24 @@ def cmd_atlas(args) -> int:
 
 
 def _run_suite(args) -> list:
+    """The context is checked before any suite runs.  For the rank bound R,
+    ``xi`` runs at size 2R and ``fiber-min`` at 2R+1 (see the oracle)."""
     from . import oracle  # imported here: no other subcommand needs it
 
-    def bound(default: int) -> int:
-        return default if args.bound is None else args.bound
-
+    ctx = _context(args) if args.family else None
+    rank_bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
     reports = []
     suite = args.suite
     if suite in ("xi", "all"):
-        reports.append(oracle.verify_xi_bijection(bound(oracle.DEFAULT_XI_BOUND)))
+        reports.append(oracle.verify_xi_bijection(2 * rank_bound))
     if suite in ("fiber-min", "all"):
-        reports.append(oracle.verify_fiber_minimum(bound(oracle.DEFAULT_MIN_BOUND)))
+        reports.append(oracle.verify_fiber_minimum(2 * rank_bound + 1))
     if suite in ("tables", "all"):
-        families = [args.family] if args.family in EXCEPTIONAL_RANK else list(EXCEPTIONAL_RANK)
+        families = [ctx.family] if ctx and ctx.is_exceptional else list(EXCEPTIONAL_RANK)
         for fam in families:
             reports.append(oracle.verify_tables(fam))
     if suite in ("theorem02", "phipsi", "rhopi", "special", "all"):
-        rank_bound = bound(oracle.DEFAULT_FIBER_BOUND)
-        ctxs = [_context(args)] if args.family else oracle.acceptance_contexts(rank_bound)
+        ctxs = [ctx] if ctx else oracle.acceptance_contexts(rank_bound)
         for ctx in ctxs:
             if suite in ("theorem02", "all"):
                 reports.append(oracle.verify_theorem_0_2(ctx, bound=rank_bound))

@@ -69,10 +69,6 @@ from .weyl_classes import (
 
 #: Default rank bound for exhaustive fiber scans.
 DEFAULT_FIBER_BOUND = 12
-#: Default size bound for the adjustment-map bijection check.
-DEFAULT_XI_BOUND = 24
-#: Default ambient-size bound for the fiber-minimum uniqueness check.
-DEFAULT_MIN_BOUND = 25
 
 
 @dataclass
@@ -176,6 +172,8 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
         )
     for u in unipotents:
         fib = fibers[u]
+        if not fib:  # a gap, reported by surjective-onto-enumeration
+            continue
         ms = [m_of_class(ctx, C) for C in fib]
         mmin = min(ms)
         report.count("unique-minimum")
@@ -223,28 +221,28 @@ def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND)
 
 
 @_timed
-def verify_xi_bijection(n_max: int = DEFAULT_XI_BOUND) -> VerificationReport:
+def verify_xi_bijection(n_max: int = 2 * DEFAULT_FIBER_BOUND) -> VerificationReport:
     """The adjustment map is a bijection from all-even records onto the
     gap-condition set, with the stated inverse; image membership is decided
-    by the predicate, never by the map."""
+    by the predicate, never by the map.  The records of the B/D contexts of
+    rank n have size at most 2n, hence the default."""
     report = VerificationReport("xi", f"N<={n_max}")
     for kappa in (0, 1):
         for n in range(0, n_max + 1, 2):
             source = even_partitions_of(n)
             if kappa == 0:
                 source = [r for r in source if len(r) % 2 == 0]
-            target = [
-                c for c in partitions_of(n + kappa) if in_Q(c, n + kappa) and in_R(c)
-            ]
+            target = {c for c in partitions_of(n + kappa) if in_Q(c, n + kappa) and in_R(c)}
             images = []
             for r in source:
                 img = xi(r, kappa)
                 images.append(img)
                 report.count("image-in-target")
-                if list(img) != sorted(img, reverse=True) or not in_R(img):
-                    report.fail("image-in-target", (r, kappa), "member of target set", img)
                 report.count("inverse-roundtrip")
-                if xi_inv(img, kappa) != r:
+                if img not in target:
+                    report.fail("image-in-target", (r, kappa), "member of target set", img)
+                    report.fail("inverse-roundtrip", (r, kappa), r, "no inverse outside the target set")
+                elif xi_inv(img, kappa) != r:
                     report.fail("inverse-roundtrip", (r, kappa), r, xi_inv(img, kappa))
             report.count("injective")
             if len(set(images)) != len(images):
@@ -256,10 +254,12 @@ def verify_xi_bijection(n_max: int = DEFAULT_XI_BOUND) -> VerificationReport:
 
 
 @_timed
-def verify_fiber_minimum(n_max: int = DEFAULT_MIN_BOUND) -> VerificationReport:
+def verify_fiber_minimum(n_max: int = 2 * DEFAULT_FIBER_BOUND + 1) -> VerificationReport:
     """Uniqueness of the shortest-p splitting of every orthogonal Jordan
     type, against full fiber enumeration, and agreement with the rule-based
-    minimizer; also checks that merging the minimizer back gives the input."""
+    minimizer; also checks that merging the minimizer back gives the input.
+    The Jordan types of the B/D contexts of rank n have size at most 2n+1,
+    hence the default."""
     report = VerificationReport("fiber-min", f"n<={n_max}")
     for n_amb in range(1, n_max + 1):
         for c in partitions_of(n_amb):

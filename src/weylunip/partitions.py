@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import BadInput, NotInQ, ParseError
 
@@ -177,11 +177,11 @@ def _gen_partitions(n: int, max_part: int) -> Iterator[Partition]:
 
 
 @lru_cache(maxsize=256)
-def partitions_of(n: int, max_part: Optional[int] = None) -> tuple[Partition, ...]:
-    """All partitions of ``n`` (parts <= max_part), lexicographically decreasing."""
+def partitions_of(n: int) -> tuple[Partition, ...]:
+    """All partitions of ``n``, lexicographically decreasing."""
     if n < 0:
         raise BadInput(f"cannot partition {n}")
-    return tuple(_gen_partitions(n, max_part if max_part is not None else n))
+    return tuple(_gen_partitions(n, n))
 
 
 def even_partitions_of(n: int) -> list[Partition]:
@@ -258,5 +258,8 @@ def parse_marked(text: str) -> MarkedPartition:
         raise ParseError(f"marked partition must look like 'c=...;eps=...': {text!r}")
     c_part, eps_part = text[2:].split(";eps=", 1)
     c = parse_partition(c_part)
-    eps = parse_epsilon(eps_part)
-    return MarkedPartition.build(c, dict(eps))
+    eps = dict(parse_epsilon(eps_part))
+    unmarked = [j for j in epsilon_domain(c) if j not in eps]
+    if unmarked:
+        raise ParseError(f"marking leaves {format_partition(unmarked)} unmarked: {text!r}")
+    return MarkedPartition.build(c, eps)

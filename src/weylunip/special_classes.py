@@ -441,24 +441,6 @@ def d_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceD]:
     return x if in_C(x) and not any(left.values()) else None
 
 
-def is_special_class(ctx: GroupContext, C: ClassSymbol) -> bool:
-    """Whether the class lies in the image of the canonical section of the
-    Coxeter-level retraction (trivially true in type A).
-
-    Total: anything that is not a special class of the context, including
-    symbols of the wrong shape, yields False rather than an error.
-    """
-    if ctx.family == "A":
-        return C.kind == "A" and sum(C.cycle_type) == ctx.rank + 1
-    if ctx.is_exceptional:
-        return C.kind == "exceptional" and C.label in _tau_index(ctx.family)
-    if C.kind != "classical" or sum(C.r) + sum(C.p) != 2 * ctx.rank:
-        return False
-    if ctx.family in ("B", "C"):
-        return bc_pair_sequence_of(C) is not None
-    return d_pair_sequence_of(C) is not None
-
-
 def special_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[ClassSymbol]:
     """The special classes of the context, deterministically ordered; a
     classical rank above ``bound`` is refused before any enumeration."""
@@ -497,6 +479,21 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
     if x is None:
         raise NotSpecial(f"{C} is not special in {ctx}")
     return str(_k_image(x))  # d_pair_sequence_of has checked in_C
+
+
+def is_special_class(ctx: GroupContext, C: ClassSymbol) -> bool:
+    """Whether ``tau`` attaches a special representation to the class
+    (every class in type A).
+
+    Total: anything that is not a special class of the context, including
+    symbols of the wrong shape, yields False rather than an error; a
+    corrupt table still raises ``TableIntegrityError``.
+    """
+    try:
+        tau(ctx, C)
+    except BadInput:
+        return False
+    return True
 
 
 # --- exceptional tau tables --------------------------------------------------

@@ -319,8 +319,6 @@ def validate_class(ctx: GroupContext, C: ClassSymbol) -> None:
         return
     if C.kind != "exceptional":
         raise InvalidClass(f"{C} is not a class of {ctx}")
-    from . import exceptional_tables
-
     table = exceptional_tables.load_table(ctx)
     if C.label not in table.class_index:
         raise InvalidClass(f"label {C.label} unknown in {ctx}")
@@ -352,8 +350,6 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     (split classes appear once; see ``is_split_weyl_class``).
     """
     if ctx.is_exceptional:
-        from . import exceptional_tables
-
         table = exceptional_tables.load_table(ctx)
         return [ClassSymbol.exceptional(lab) for row in table.rows for lab in row.classes]
     if ctx.rank > bound:
@@ -370,3 +366,7 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
             for p in paired_partitions_of(two_n - rsum):
                 out.append(ClassSymbol.classical(r, p))
     return out
+
+
+# imported last: the table reader itself reads the symbols defined above
+from . import exceptional_tables  # noqa: E402

@@ -265,6 +265,8 @@ USAGE_ERRORS = [
     "verify --suite xi --bound x",
     "phi --family E8 --rank 3 E_8",
     "verify --suite theorem02 --family G2 --rank 5",
+    "verify --suite tables --family G2 --rank 5",
+    "verify --suite xi --family E8 --rank 1 --bound 4",
 ]
 
 
@@ -296,10 +298,23 @@ def test_help_exits_0(capsys):
 
 
 def test_verify_bound_0_is_honoured_by_every_suite(capsys):
-    for suite, context_ in (("xi", "N<=0"), ("fiber-min", "n<=0")):
+    for suite, context_ in (("xi", "N<=0"), ("fiber-min", "n<=1")):
         code, out, _ = run(capsys, "verify", "--suite", suite, "--bound", "0", "--format", "records")
         assert code == 0
         assert set(re.findall(r" context=(\S+)", out)) == {context_}
+
+
+@pytest.mark.parametrize("suite, bound, context_", [("xi", "14", "N<=28"), ("fiber-min", "4", "n<=9")])
+def test_verify_bound_is_a_rank_bound(capsys, suite, bound, context_):
+    # xi and fiber-min run at the sizes the B/D contexts of rank R reach
+    code, out, _ = run(capsys, "verify", "--suite", suite, "--bound", bound)
+    assert code == 0 and f" context={context_} " in out
+
+
+def test_incomplete_marking_is_refused(capsys):
+    code, out, err = run(capsys, "psi", "--family", "C", "--rank", "2", "--char", "p2", "c=2,2;eps=")
+    assert code == 2 and out == ""
+    assert err == "error: marking leaves 2 unmarked: 'c=2,2;eps='\n"
 
 
 def test_repeated_marking_value_is_refused(capsys):

@@ -27,6 +27,39 @@ def test_theorem_and_identity_suites_pass(ctx):
     assert r.passed, r.failures[:3]
 
 
+def test_theorem_suite_reports_a_missed_unipotent_class(monkeypatch):
+    # a phi that never reaches one unipotent class leaves its fiber empty
+    ctx = context("C", 3)
+    real_phi = oracle.phi
+    missed, other = oracle.enumerate_unipotents(ctx)[:2]
+
+    def phi(ctx_, C):
+        u = real_phi(ctx_, C)
+        return other if u == missed else u
+
+    monkeypatch.setattr(oracle, "phi", phi)
+    r = oracle.verify_theorem_0_2(ctx)
+    assert not r.passed
+    assert ("surjective-onto-enumeration", str(ctx), "8 unipotent classes", "7 fiber images") in r.failures
+
+
+def test_xi_suite_reports_an_image_outside_the_target(monkeypatch):
+    # (2, 1) has an unpaired even value, so in_R would raise on it
+    counters = oracle.verify_xi_bijection(4).counters
+    real_xi, real_xi_inv, inverted = oracle.xi, oracle.xi_inv, []
+
+    def xi_inv(c, kappa):
+        inverted.append(c)
+        return real_xi_inv(c, kappa)
+
+    monkeypatch.setattr(oracle, "xi", lambda r, kappa: (2, 1) if r == (2, 2) else real_xi(r, kappa))
+    monkeypatch.setattr(oracle, "xi_inv", xi_inv)
+    r = oracle.verify_xi_bijection(4)
+    assert inverted and (2, 1) not in inverted
+    assert {a for a, *_ in r.failures} == {"image-in-target", "inverse-roundtrip", "image-equals-target"}
+    assert r.counters == counters
+
+
 def test_xi_suite_small():
     r = oracle.verify_xi_bijection(8)
     assert r.passed and r.counters["image-equals-target"] == 10

@@ -193,6 +193,12 @@ def test_marking_refuses_a_repeated_value(eps):
         parse_marked(f"c=4,4,2,2;eps={eps}")
 
 
+@pytest.mark.parametrize("eps, unmarked", [("", "4,2"), ("4:1", "2"), ("2:0", "4")])
+def test_marking_refuses_an_unmarked_value(eps, unmarked):
+    with pytest.raises(ParseError, match=f"marking leaves {unmarked} unmarked"):
+        parse_marked(f"c=4,4,2,2;eps={eps}")
+
+
 @given(partitions_st)
 def test_partition_text_round_trip(p):
     assert parse_partition(format_partition(p)) == p

@@ -1,6 +1,7 @@
 import sys
 import types
 from collections import Counter
+from functools import partial
 from itertools import product
 
 import pytest
@@ -38,7 +39,15 @@ from weylunip.special_classes import (
     special_classes,
     tau,
 )
-from weylunip.weyl_classes import ClassSymbol, context, enumerate_classes, is_split_weyl_class
+from weylunip.weyl_classes import (
+    CHAR_VARIANTS,
+    EXCEPTIONAL_RANK,
+    MIN_RANK,
+    ClassSymbol,
+    context,
+    enumerate_classes,
+    is_split_weyl_class,
+)
 
 
 def brute_A(n):
@@ -168,6 +177,36 @@ def test_is_special_class_examples():
     # repeated even stable entries interleave illegally
     assert not is_special_class(context("D", 8), ClassSymbol.classical((6, 4, 4, 2), ()))
     assert is_special_class(context("D", 8), ClassSymbol.classical((6, 4), (3, 3)))
+
+
+def _tau_succeeds(ctx, C):
+    try:
+        tau(ctx, C)
+    except BadInput:
+        return False
+    return True
+
+
+def test_is_special_class_is_whether_tau_succeeds():
+    ctxs = [
+        context(family, n, char)
+        for family, lo in MIN_RANK.items()
+        for n in range(lo, 7)
+        for char in CHAR_VARIANTS[family]
+    ] + [context(family, char=char) for family in EXCEPTIONAL_RANK for char in CHAR_VARIANTS[family]]
+    wrong_shapes = [
+        ClassSymbol.type_a((2, 1)),
+        ClassSymbol.classical((2,), ()),
+        ClassSymbol.classical((4, 2), (1, 1)),
+        ClassSymbol.classical((3,), (2, 1)),
+        ClassSymbol.exceptional("E_8"),
+        ClassSymbol.exceptional("G_2"),
+    ]
+    for ctx in ctxs:
+        classes = enumerate_classes(ctx)
+        for C in classes + wrong_shapes:
+            assert is_special_class(ctx, C) == _tau_succeeds(ctx, C), (ctx, C)
+        assert sum(map(partial(is_special_class, ctx), classes)) == len(special_classes(ctx))
 
 
 @pytest.mark.parametrize("n", range(3, 11))
