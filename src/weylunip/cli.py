@@ -82,11 +82,14 @@ def cmd_atlas(args) -> int:
 
 
 def _run_suite(args) -> list:
-    """The context is checked before any suite runs.  For the rank bound R,
+    """The context is checked before any suite runs, and ``--rank`` or
+    ``--char`` without ``--family`` is refused.  For the rank bound R,
     ``xi`` runs at size 2R and ``fiber-min`` at 2R+1 (see the oracle)."""
     from . import oracle  # imported here: no other subcommand needs it
 
-    ctx = _context(args) if args.family else None
+    if not args.family and (args.rank is not None or args.char is not None):
+        raise WeylUnipError("--rank and --char need --family")
+    ctx = context(args.family, args.rank, args.char or "good") if args.family else None
     rank_bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
     reports = []
     suite = args.suite
@@ -130,6 +133,16 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise WeylUnipError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        """As argparse's, but leftover arguments are reported by their
+        options alone: a misplaced ``--bound 3`` leaves its value behind as
+        the payload, and the word left over is not what was wrong."""
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            named = [a for a in extras if a.startswith("-")] or extras
+            self.error("unrecognized arguments: " + " ".join(named))
+        return args
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
@@ -148,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--family", required=name != "verify", choices=FAMILIES)
         p.add_argument("--rank", type=int)
-        p.add_argument("--char", default="good", choices=chars)
+        # verify without --family refuses --char, so it must see whether one was given
+        p.add_argument("--char", default=None if name == "verify" else "good", choices=chars)
         if bound:  # verify picks a default per suite
             default = None if name == "verify" else DEFAULT_RANK_BOUND
             p.add_argument("--bound", type=int, default=default)

@@ -62,6 +62,14 @@ def _check_pair_shape(pairs: tuple) -> None:
         raise BadInput("drop all-zero pairs")
 
 
+def _trusted(cls, pairs: tuple):
+    """A pair sequence built without the checks of its constructor, for
+    enumerator output that lies in its special set by construction."""
+    x = object.__new__(cls)
+    object.__setattr__(x, "pairs", pairs)
+    return x
+
+
 @dataclass(frozen=True, slots=True)
 class PairSequenceBC:
     """Decreasing pairs (a >= b) covering a class of types B/C; the second
@@ -277,7 +285,7 @@ def enumerate_A(n: int) -> list[PairSequenceBC]:
 
     def rec(remaining: int, max_a: int, acc: tuple):
         if remaining == 0:
-            out.append(PairSequenceBC(acc))
+            out.append(_trusted(PairSequenceBC, acc))
             return
         for a in range(min(max_a, remaining), 0, -1):
             if a % 2 == 1:
@@ -288,7 +296,7 @@ def enumerate_A(n: int) -> list[PairSequenceBC]:
                 for b in range(top - (top % 2), -1, -2):
                     if b == 0:
                         if remaining == a:
-                            out.append(PairSequenceBC(acc + ((a, 0),)))
+                            out.append(_trusted(PairSequenceBC, acc + ((a, 0),)))
                     else:
                         rec(remaining - a - b, b, acc + ((a, b),))
 
@@ -303,7 +311,7 @@ def enumerate_C(n: int) -> list[PairSequenceD]:
 
     def rec(remaining: int, max_a: int, prev_b: Optional[int], prev_e: int, acc: tuple):
         if remaining == 0:
-            out.append(PairSequenceD(acc))
+            out.append(_trusted(PairSequenceD, acc))
             return
         for a in range(min(max_a, remaining), 0, -1):
             # an even pair whose first slot touches the previous second slot
@@ -338,21 +346,27 @@ def _interlaced(n: int, s: int) -> list[Bipartition]:
     ys, zs = [], []
 
     def rec(rem: int, ymax: int, zmax: int) -> None:
-        for y in range(min(ymax, rem), -1, -1):
-            for z in range(min(zmax, y + s, rem - y), -1, -1):
-                if y == 0 and z == 0:
-                    if rem == 0:
-                        out.append(Bipartition(tuple(ys), tuple(zs)))
-                    continue
-                if y:
-                    ys.append(y)
+        # the bounds min(ymax, rem), min(zmax, y + s, rem - y) and
+        # min(y, z + 1 - s) are written as comparisons, which cost less
+        for y in range(ymax if ymax < rem else rem, -1, -1):
+            ztop = y + s if y + s < zmax else zmax
+            if rem - y < ztop:
+                ztop = rem - y
+            if y:
+                ys.append(y)
+            for z in range(ztop, -1, -1):
                 if z:
                     zs.append(z)
-                rec(rem - y - z, min(y, z + 1 - s), z)
-                if y:
-                    ys.pop()
+                left = rem - y - z
+                if left == 0:  # a leaf: the next column could only be (0, 0)
+                    out.append(Bipartition(tuple(ys), tuple(zs)))
+                elif y or z:
+                    c = z + 1 - s
+                    rec(left, y if y < c else c, z)
                 if z:
                     zs.pop()
+            if y:
+                ys.pop()
 
     rec(n, n, n + 2)
     del rec  # rec's closure holds rec and out; unbinding it frees that cycle now

@@ -267,6 +267,9 @@ USAGE_ERRORS = [
     "verify --suite theorem02 --family G2 --rank 5",
     "verify --suite tables --family G2 --rank 5",
     "verify --suite xi --family E8 --rank 1 --bound 4",
+    "verify --suite xi --rank 5 --char p2 --bound 2",
+    "verify --suite xi --rank 5",
+    "verify --suite xi --char good",
 ]
 
 
@@ -287,6 +290,18 @@ def test_options_are_only_those_the_handler_reads(capsys):
     for command in ("fiber", "special", "atlas"):
         _, _, err = run(capsys, command, "--family", "C", "--rank", "2", "--format", "records")
         assert "unrecognized arguments: --format" in err, command
+
+
+def test_a_misplaced_option_names_only_itself(capsys):
+    # --bound is no fiber option, so 3 is taken as the payload and 4,4 is left over
+    code, out, err = run(capsys, "fiber", "--family", "D", "--rank", "4", "--bound", "3", "4,4")
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --bound\n"
+
+
+def test_verify_with_a_family_takes_the_good_characteristic_by_default(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "special", "--family", "C", "--rank", "3")
+    assert code == 0 and out.startswith("[pass] suite=special context=C_3/good ")
 
 
 def test_help_exits_0(capsys):

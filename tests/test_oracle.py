@@ -2,6 +2,7 @@ import pytest
 
 from weylunip import oracle
 from weylunip.classical_maps import UnipotentSymbol
+from weylunip.special_classes import Bipartition, PairSequenceD
 from weylunip.weyl_classes import context
 
 
@@ -105,6 +106,76 @@ def test_tables_suite(family):
 def test_special_suite(ctx):
     r = oracle.verify_special(ctx)
     assert r.passed, r.failures[:3]
+
+
+def _failed(report):
+    return {a for a, *_ in report.failures}
+
+
+def test_special_suite_reports_a_wrong_inverse(monkeypatch):
+    # h_inv sends y=2,1;z=1 to the preimage of y=4;z= instead of its own
+    ctx = context("C", 4)
+    counters = oracle.verify_special(ctx).counters
+    real_h_inv = oracle.h_inv
+    wrong, other = Bipartition((2, 1), (1,)), Bipartition((4,), ())
+
+    def h_inv(bp):
+        return real_h_inv(other if bp == wrong else bp)
+
+    monkeypatch.setattr(oracle, "h_inv", h_inv)
+    r = oracle.verify_special(ctx)
+    assert _failed(r) == {"roundtrip-from-pairs", "roundtrip-from-bipartitions"}
+    assert ("roundtrip-from-bipartitions", str(wrong), str(wrong), str(other)) in r.failures
+    assert r.counters == counters
+
+
+def test_special_suite_reports_a_wrong_forward_map_on_the_diagonal(monkeypatch):
+    # k sends the flag-0 sequence 2,2:0|2,2:0|2,2:0 to the image of a
+    # sequence off the diagonal
+    ctx = context("D", 6)
+    counters = oracle.verify_special(ctx).counters
+    real_k = oracle.k
+    wrong = PairSequenceD(((2, 2, 0),) * 3)
+    other = PairSequenceD(((6, 4, 1), (1, 1, 0)))
+
+    def k(x):
+        return real_k(other if x == wrong else x)
+
+    monkeypatch.setattr(oracle, "k", k)
+    r = oracle.verify_special(ctx)
+    assert _failed(r) == {
+        "flag0-onto-diagonal",
+        "image-equals-interlacing-set",
+        "roundtrip-from-pairs",
+        "roundtrip-from-bipartitions",
+    }
+    assert ("image-equals-interlacing-set", str(ctx), "24", "23") in r.failures
+    assert r.counters == counters
+
+
+def test_special_suite_reports_a_bipartition_that_is_no_image(monkeypatch):
+    # y=7;z= has total 7, so it is no image at D_6, but k_inv and k still
+    # round-trip it; its round trip must be evaluated, not taken as proved
+    ctx = context("D", 6)
+    counters = oracle.verify_special(ctx).counters
+    real_enumerate, real_k_inv = oracle.enumerate_C_prime, oracle.k_inv
+    stray, inverted = Bipartition((7,), ()), []
+
+    def enumerate_C_prime(n):
+        side = real_enumerate(n)
+        assert side[0] == Bipartition((n,), ())  # off the diagonal
+        return [stray] + side[1:]
+
+    def k_inv(bp):
+        inverted.append(bp)
+        return real_k_inv(bp)
+
+    monkeypatch.setattr(oracle, "enumerate_C_prime", enumerate_C_prime)
+    monkeypatch.setattr(oracle, "k_inv", k_inv)
+    r = oracle.verify_special(ctx)
+    assert _failed(r) == {"image-equals-interlacing-set"}
+    assert stray in inverted
+    assert r.counters == counters
 
 
 def test_reports_are_deterministic():

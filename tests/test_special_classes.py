@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import types
 from collections import Counter
@@ -424,6 +425,32 @@ def test_interlacing_enumerators_keep_the_reference_order(n):
     assert [(bp.y, bp.z) for bp in enumerate_C_prime(n)] == [
         (partition(ys), partition(zs)) for ys, zs in ref_c
     ]
+
+
+#: SHA-256 of the lines str(bp) over n = 0..14, in enumerator order.
+INTERLACED_ORDER_DIGESTS = {
+    enumerate_A_prime: "d169e8cac1ec60b52bc62f322864d8968562c368f139d8eb52d141696c8006ce",
+    enumerate_C_prime: "deda813c80ccf940850681c52dbaa7e249fda6b55cf420d8b8c9e12c021741b4",
+}
+
+
+@pytest.mark.parametrize("enumerator", INTERLACED_ORDER_DIGESTS, ids=lambda f: f.__name__)
+def test_interlacing_enumerators_keep_their_pinned_order(enumerator):
+    digest = hashlib.sha256()
+    for n in range(15):
+        for bp in enumerator(n):
+            digest.update(f"{bp}\n".encode())
+    assert digest.hexdigest() == INTERLACED_ORDER_DIGESTS[enumerator]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_enumerated_pair_sequences_pass_the_public_constructors(n):
+    # the enumerators skip the constructor checks; rebuilding through them
+    # must accept every element and give it back unchanged
+    for x in enumerate_A(n):
+        assert PairSequenceBC(x.pairs) == x
+    for x in enumerate_C(n):
+        assert PairSequenceD(x.pairs) == x
 
 
 # --- the checked constructors and maps against their previous form ----------
