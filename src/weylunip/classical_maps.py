@@ -14,6 +14,14 @@ For the classical types everything is partition combinatorics:
 The section ``psi`` picks, in every fiber, the unique pair whose swap-cycle
 record is shortest; the per-case rules live in ``psi_even_r``,
 ``psi_marked`` and ``psi_orthogonal``.  Exceptional types are table lookups.
+
+Public maps check their input once.  Each public helper (``iota``, ``xi``,
+``psi_marked``, ...) checks its own input before it computes.  ``phi`` and
+``psi`` compute without those checks, through private cores such as ``_xi``,
+only after ``validate_class`` or ``validate_unipotent`` has proved, on the
+same value, a predicate that implies them.  In an exceptional context the
+validation is the table lookup, and the map reads its answer instead of
+looking again.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from itertools import product
 from typing import Optional
 
 from . import exceptional_tables
-from .errors import BadInput, BoundExceeded, NotInR
+from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -46,6 +54,7 @@ from .partitions import (
 )
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
+    CarterLabel,
     ClassSymbol,
     GroupContext,
     validate_class,
@@ -124,14 +133,19 @@ def parse_unipotent(ctx: GroupContext, text: str) -> UnipotentSymbol:
     return UnipotentSymbol.plain(parse_partition(text))
 
 
-def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> None:
-    """Raise BadInput unless ``u`` is a unipotent class of the context's group."""
+def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLabel, ...] | None:
+    """Raise BadInput unless ``u`` is a unipotent class of the context's group.
+
+    In an exceptional context the check is the table lookup itself, so its
+    result, the fiber over ``u`` (minimizer first), is returned for the map
+    to use; otherwise return None."""
     if ctx.is_exceptional:
         if u.kind != "named":
             raise BadInput(f"{u} is not a unipotent class of {ctx}")
-        if u.name not in exceptional_tables.load_table(ctx).unipotent_index:
-            raise BadInput(f"unknown unipotent name {u.name!r} for {ctx}")
-        return
+        try:
+            return exceptional_tables.fiber(ctx, u.name)
+        except UnknownUnipotent:
+            raise BadInput(f"unknown unipotent name {u.name!r} for {ctx}") from None
     if ctx.char == "p2":
         ok = u.kind == "marked" and _is_jordan_type(ctx, u.marked.c)
     else:
@@ -141,6 +155,10 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> None:
 
 
 # --- the elementary maps ---------------------------------------------------
+#
+# A public map checks its input, then runs its private core, if it has one.  A
+# core assumes that check; ``phi`` and ``psi`` prove it on the same value
+# before they call the core.
 
 
 def iota(r: Partition, p: Partition) -> Partition:
@@ -155,9 +173,14 @@ def iota(r: Partition, p: Partition) -> Partition:
 def iota2(r: Partition, p: Partition) -> MarkedPartition:
     """Merge and mark: an even value of even multiplicity gets bit 1 exactly
     when it occurs in the stable record ``r``."""
-    c = iota(r, p)
+    return _iota2(r, iota(r, p))
+
+
+def _iota2(r: Partition, c: Partition) -> MarkedPartition:
+    """The marking of ``iota2``, given ``c``, the merge of the stable record
+    ``r`` with a swap record; ``MarkedPartition`` still checks its domain."""
     r_values = set(r)
-    return MarkedPartition.build(c, {j: (1 if j in r_values else 0) for j in epsilon_domain(c)})
+    return MarkedPartition(c, tuple((j, int(j in r_values)) for j in epsilon_domain(c)))
 
 
 def xi(r: Partition, kappa: int) -> Partition:
@@ -170,6 +193,10 @@ def xi(r: Partition, kappa: int) -> Partition:
     """
     if not in_S_kappa(r, kappa):
         raise BadInput(f"not a valid stable cycle record for kappa={kappa}: {r}")
+    return _xi(r, kappa)
+
+
+def _xi(r: Partition, kappa: int) -> Partition:
     sigma = len(r)
     out = []
     for t in range(1, sigma + 1):
@@ -210,6 +237,10 @@ def psi_even_r(c: Partition) -> tuple[Partition, Partition]:
     stable record, odd values to the swap record."""
     if sum(c) % 2 or not in_T(c, sum(c)):
         raise BadInput(f"odd value with odd multiplicity: {c}")
+    return _psi_even_r(c)
+
+
+def _psi_even_r(c: Partition) -> tuple[Partition, Partition]:
     r = tuple(x for x in c if x % 2 == 0)
     p = tuple(x for x in c if x % 2 == 1)
     return r, p
@@ -223,6 +254,10 @@ def psi_marked(cm: MarkedPartition) -> tuple[Partition, Partition]:
     """
     if sum(cm.c) % 2 or not in_T(cm.c, sum(cm.c)):
         raise BadInput(f"invalid marked partition base: {cm.c}")
+    return _psi_marked(cm)
+
+
+def _psi_marked(cm: MarkedPartition) -> tuple[Partition, Partition]:
     eps = cm.eps_map()
     r, p = [], []
     for x in cm.c:
@@ -262,6 +297,10 @@ def orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
     """
     if not in_Q(c, sum(c)):
         raise BadInput(f"even value with odd multiplicity: {c}")
+    return _orthogonal_fiber_minimizer(c)
+
+
+def _orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
     odd_list = odd_entries(c)
     kept = Counter()
     start = 1
@@ -308,32 +347,39 @@ def psi_orthogonal(c: Partition, kappa: int) -> tuple[Partition, Partition]:
 
 def phi(ctx: GroupContext, C: ClassSymbol) -> UnipotentSymbol:
     """The surjection from classes of the Weyl group to unipotent classes."""
-    validate_class(ctx, C)
+    name = validate_class(ctx, C)
     if ctx.family == "A":
         return UnipotentSymbol.plain(C.cycle_type)
     if ctx.is_exceptional:
-        return UnipotentSymbol.named(exceptional_tables.phi_lookup(ctx, C.label))
+        return UnipotentSymbol.named(name)
+    # validate_class proved r in S_kappa and p paired: iota's checks (S_0 lies
+    # in S_1), so the merge is partition(r + p), and xi's
     if ctx.char == "p2":
-        return UnipotentSymbol.with_marks(iota2(C.r, C.p))
+        return UnipotentSymbol.with_marks(_iota2(C.r, partition(C.r + C.p)))
     if ctx.family == "C":
-        return UnipotentSymbol.plain(iota(C.r, C.p))
-    return UnipotentSymbol.plain(partition(xi(C.r, ctx.kappa) + C.p))
+        return UnipotentSymbol.plain(partition(C.r + C.p))
+    return UnipotentSymbol.plain(partition(_xi(C.r, ctx.kappa) + C.p))
 
 
 def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
     """The section of ``phi`` picking the fiber element with the smallest
     fixed space."""
-    validate_unipotent(ctx, u)
+    fiber = validate_unipotent(ctx, u)
     if ctx.family == "A":
         return ClassSymbol.type_a(u.partition)
     if ctx.is_exceptional:
-        return ClassSymbol.exceptional(exceptional_tables.psi_lookup(ctx, u.name))
+        return ClassSymbol.exceptional(fiber[0])
+    # validate_unipotent proved in_T(c, 2n) for the symplectic Jordan types,
+    # which is psi_marked's and psi_even_r's check, and in_Q(c, 2n + kappa)
+    # for the orthogonal ones, which is the minimizer's check and fixes
+    # psi_orthogonal's parity and size (at least 5 for B, 6 for D)
     if ctx.char == "p2":
-        r, p = psi_marked(u.marked)
+        r, p = _psi_marked(u.marked)
     elif ctx.family == "C":
-        r, p = psi_even_r(u.partition)
+        r, p = _psi_even_r(u.partition)
     else:
-        r, p = psi_orthogonal(u.partition, ctx.kappa)
+        r_mixed, p = _orthogonal_fiber_minimizer(u.partition)
+        r = xi_inv(r_mixed, ctx.kappa)
     return ClassSymbol.classical(r, p)
 
 
@@ -376,11 +422,11 @@ def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
     and a paired record, so the fiber is found among ``splittings`` of it,
     without enumerating the group.
     """
+    if ctx.is_exceptional:
+        return [ClassSymbol.exceptional(lab) for lab in validate_unipotent(ctx, u)]
     first = psi(ctx, u)
     if ctx.family == "A":
         return [first]
-    if ctx.is_exceptional:
-        return [ClassSymbol.exceptional(lab) for lab in exceptional_tables.fiber(ctx, u.name)]
     orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
     rest = []
     for r, p in splittings(u.marked.c if u.kind == "marked" else u.partition):
@@ -418,5 +464,5 @@ def enumerate_unipotents(
     for c in cs:
         dom = epsilon_domain(c)
         for bits in product((0, 1), repeat=len(dom)):
-            out.append(UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(dom, bits)))))
+            out.append(UnipotentSymbol.with_marks(MarkedPartition(c, tuple(zip(dom, bits)))))
     return out

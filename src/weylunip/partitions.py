@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import lt, mod
 from typing import Iterable, Iterator
 
 from .errors import BadInput, NotInQ, ParseError
@@ -29,16 +31,16 @@ def partition(parts: Iterable[int]) -> Partition:
 def check_partition(p) -> Partition:
     """Validate that ``p`` already is a canonical partition and return it."""
     p = tuple(p)
-    if any(not isinstance(x, int) or x <= 0 for x in p):
+    if p and (not all(map(isinstance, p, repeat(int))) or min(p) <= 0):
         raise BadInput(f"partition entries must be positive integers: {p}")
-    if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+    if any(map(lt, p, p[1:])):
         raise BadInput(f"partition entries must be weakly decreasing: {p}")
     return p
 
 
 def multiplicity(p: Partition, j: int) -> int:
     """Number of entries of ``p`` equal to ``j``."""
-    return sum(1 for x in p if x == j)
+    return p.count(j)
 
 
 def in_P_tilde(p: Partition) -> bool:
@@ -46,7 +48,7 @@ def in_P_tilde(p: Partition) -> bool:
 
     Equivalent to every value occurring an even number of times.
     """
-    return len(p) % 2 == 0 and all(p[i] == p[i + 1] for i in range(0, len(p), 2))
+    return p[::2] == p[1::2]
 
 
 def _check_kappa(kappa: int) -> None:
@@ -57,7 +59,7 @@ def _check_kappa(kappa: int) -> None:
 def in_S_kappa(r: Partition, kappa: int) -> bool:
     """All entries even; for kappa=0 additionally an even number of entries."""
     _check_kappa(kappa)
-    if any(x % 2 for x in r):
+    if any(map(mod, r, repeat(2))):
         return False
     return kappa == 1 or len(r) % 2 == 0
 
@@ -68,14 +70,14 @@ def in_T(c: Partition, two_n: int) -> bool:
         raise BadInput(f"two_n must be even, got {two_n}")
     if sum(c) != two_n:
         return False
-    return all(multiplicity(c, j) % 2 == 0 for j in set(c) if j % 2 == 1)
+    return not any(c.count(j) % 2 for j in set(c) if j % 2)
 
 
 def in_Q(c: Partition, N: int) -> bool:
     """|c| = N and every even value occurs an even number of times."""
     if sum(c) != N:
         return False
-    return all(multiplicity(c, j) % 2 == 0 for j in set(c) if j % 2 == 0)
+    return not any(c.count(j) % 2 for j in set(c) if j % 2 == 0)
 
 
 def odd_entries(p: Partition) -> Partition:
@@ -121,7 +123,7 @@ def epsilon_domain(c: Partition) -> tuple[int, ...]:
     """Even values of ``c`` with even positive multiplicity, decreasing."""
     return tuple(
         sorted(
-            (j for j in set(c) if j % 2 == 0 and multiplicity(c, j) % 2 == 0),
+            (j for j in set(c) if j % 2 == 0 and c.count(j) % 2 == 0),
             reverse=True,
         )
     )

@@ -17,6 +17,7 @@ from .errors import (
     BoundExceeded,
     InvalidClass,
     ParseError,
+    UnknownClass,
     WrongFamily,
 )
 from .partitions import (
@@ -301,8 +302,12 @@ def parse_class(ctx: GroupContext, text: str) -> ClassSymbol:
     return ClassSymbol.exceptional(parse_carter_label(text))
 
 
-def validate_class(ctx: GroupContext, C: ClassSymbol) -> None:
-    """Raise InvalidClass unless ``C`` is a class of the context's group."""
+def validate_class(ctx: GroupContext, C: ClassSymbol) -> str | None:
+    """Raise InvalidClass unless ``C`` is a class of the context's group.
+
+    In an exceptional context the check is the table lookup itself, so its
+    result, the name of the unipotent class of the fiber of ``C``, is
+    returned for the map to use; otherwise return None."""
     if ctx.family == "A":
         if C.kind != "A" or sum(C.cycle_type) != ctx.rank + 1:
             raise InvalidClass(f"{C} is not a class of {ctx}")
@@ -319,9 +324,10 @@ def validate_class(ctx: GroupContext, C: ClassSymbol) -> None:
         return
     if C.kind != "exceptional":
         raise InvalidClass(f"{C} is not a class of {ctx}")
-    table = exceptional_tables.load_table(ctx)
-    if C.label not in table.class_index:
-        raise InvalidClass(f"label {C.label} unknown in {ctx}")
+    try:
+        return exceptional_tables.phi_lookup(ctx, C.label)
+    except UnknownClass:
+        raise InvalidClass(f"label {C.label} unknown in {ctx}") from None
 
 
 def m_of_class(ctx: GroupContext, C: ClassSymbol) -> int:

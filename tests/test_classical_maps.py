@@ -381,3 +381,66 @@ def test_unknown_exceptional_name_is_refused_by_every_map(family):
         with pytest.raises(BadInput) as exc:
             fn(ctx, u)
         assert str(exc.value) == f"unknown unipotent name 'NOPE' for {checked_in}", fn.__name__
+
+
+# Each public helper checks its own input, whatever phi and psi prove first.
+HELPER_ERRORS = [
+    (iota, ((3,), ()), BadInput, "stable cycle record must have even entries: (3,)"),
+    (iota, ((2,), (2,)), BadInput, "swap-cycle record must pair up: (2,)"),
+    (iota, ((2,), (2, 1)), BadInput, "swap-cycle record must pair up: (2, 1)"),
+    (iota2, ((4, 1), ()), BadInput, "stable cycle record must have even entries: (4, 1)"),
+    (iota2, ((2,), (3, 1)), BadInput, "swap-cycle record must pair up: (3, 1)"),
+    (xi, ((4,), 0), BadInput, "not a valid stable cycle record for kappa=0: (4,)"),
+    (xi, ((3,), 1), BadInput, "not a valid stable cycle record for kappa=1: (3,)"),
+    (xi, ((2,), 2), BadInput, "kappa must be 0 or 1, got 2"),
+    (xi_inv, ((4, 4), 0), NotInR, "not in the image of the adjustment map: (4, 4)"),
+    (xi_inv, ((5, 3), 1), BadInput, "|c|=8 has wrong parity for kappa=1"),
+    (psi_even_r, ((3, 1),), BadInput, "odd value with odd multiplicity: (3, 1)"),
+    (psi_even_r, ((2, 1),), BadInput, "odd value with odd multiplicity: (2, 1)"),
+    (psi_marked, (MarkedPartition((3, 1), ()),), BadInput, "invalid marked partition base: (3, 1)"),
+    (psi_marked, (MarkedPartition((2, 1), ()),), BadInput, "invalid marked partition base: (2, 1)"),
+    (psi_orthogonal, ((4,), 1), BadInput, "|c|=4 has wrong parity for kappa=1"),
+    (psi_orthogonal, ((2,), 0), BadInput, "|c| must be at least 3: (2,)"),
+    (psi_orthogonal, ((2, 1, 1), 0), BadInput, "even value with odd multiplicity: (2, 1, 1)"),
+    (orthogonal_fiber_minimizer, ((2, 1),), BadInput, "even value with odd multiplicity: (2, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, error, message", HELPER_ERRORS, ids=[f"{fn.__name__}{args}" for fn, args, *_ in HELPER_ERRORS]
+)
+def test_public_helpers_keep_their_checks(fn, args, error, message):
+    with pytest.raises(BadInput) as exc:
+        fn(*args)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        GroupContext(family, n, char)
+        for family in ("B", "C", "D")
+        for n in range(MIN_RANK[family], 9)
+        for char in CHAR_VARIANTS[family]
+    ],
+    ids=str,
+)
+def test_phi_and_psi_are_the_checked_helpers_composed(ctx):
+    # the maps may skip checks their validation already made, never change a value
+    for C in enumerate_classes(ctx):
+        if ctx.char == "p2":
+            want = UnipotentSymbol.with_marks(iota2(C.r, C.p))
+        elif ctx.family == "C":
+            want = UnipotentSymbol.plain(iota(C.r, C.p))
+        else:
+            want = UnipotentSymbol.plain(partition(xi(C.r, ctx.kappa) + C.p))
+        assert phi(ctx, C) == want, C
+    for u in enumerate_unipotents(ctx):
+        if ctx.char == "p2":
+            want = ClassSymbol.classical(*psi_marked(u.marked))
+        elif ctx.family == "C":
+            want = ClassSymbol.classical(*psi_even_r(u.partition))
+        else:
+            want = ClassSymbol.classical(*psi_orthogonal(u.partition, ctx.kappa))
+        assert psi(ctx, u) == want, u

@@ -211,6 +211,25 @@ def test_lookups_agree_with_a_row_scan(family, char):
         assert fiber_of(ctx, u) == [ClassSymbol.exceptional(lab) for lab in row.classes]
 
 
+@pytest.mark.parametrize("family,char", list(TABLE_FILES))
+def test_each_map_reads_the_table_once(monkeypatch, family, char):
+    # validation is the table lookup, and the map reads its answer
+    ctx = context(family, char=char)
+    reads, real_load = [], exceptional_tables.load_table
+
+    def load_table_counted(ctx_):
+        reads.append(ctx_)
+        return real_load(ctx_)
+
+    monkeypatch.setattr(exceptional_tables, "load_table", load_table_counted)
+    for row in real_load(ctx).rows:
+        C, u = ClassSymbol.exceptional(row.classes[-1]), UnipotentSymbol.named(row.unipotent)
+        for fn, arg in ((phi, C), (m_of_class, C), (psi, u), (fiber_of, u)):
+            reads.clear()
+            fn(ctx, arg)
+            assert reads == [ctx], (fn.__name__, row.unipotent)
+
+
 @pytest.mark.parametrize("family", list(TAU_FILES))
 def test_every_tau_row_is_found(family):
     ctx = context(family)

@@ -1,9 +1,13 @@
+import re
+
 import pytest
 
-from weylunip import oracle
+from weylunip import classical_maps, oracle
 from weylunip.classical_maps import UnipotentSymbol
+from weylunip.errors import InvalidClass
+from weylunip.partitions import MarkedPartition
 from weylunip.special_classes import Bipartition, PairSequenceD
-from weylunip.weyl_classes import context
+from weylunip.weyl_classes import ClassSymbol, context
 
 
 @pytest.mark.parametrize(
@@ -85,6 +89,43 @@ def test_fiber_minimum_suite_small():
 def test_rho_pi_suite(ctx):
     r = oracle.verify_rho_pi(ctx)
     assert r.passed, r.failures[:3]
+
+
+def test_rho_validates_the_section_value(monkeypatch):
+    # rho applies the checked good-characteristic phi to what psi returns,
+    # so a section value with an odd stable record is refused, not mapped
+    ctx = context("C", 4, "p2")
+    real_psi = classical_maps.psi
+    wrong = UnipotentSymbol.with_marks(MarkedPartition.build((4, 4), {4: 1}))
+
+    def psi(ctx_, u):
+        return ClassSymbol.classical((3, 1), (2, 2)) if u == wrong else real_psi(ctx_, u)
+
+    monkeypatch.setattr(classical_maps, "psi", psi)
+    message = "invalid stable cycle record (3, 1) for C_4/good"
+    with pytest.raises(InvalidClass, match=re.escape(message)):
+        classical_maps.rho(ctx, wrong)
+    with pytest.raises(InvalidClass, match=re.escape(message)):
+        oracle.verify_rho_pi(ctx)
+
+
+def test_rho_pi_suite_reports_a_wrong_rho_on_one_marked_class(monkeypatch):
+    # rho sends c=4,4;eps=4:1 to 4,2,2 instead of 4,4: the marks check reads
+    # the same images as the surjectivity check and still sees it
+    ctx = context("C", 4, "p2")
+    counters = oracle.verify_rho_pi(ctx).counters
+    real_rho = oracle.rho
+    wrong = UnipotentSymbol.with_marks(MarkedPartition.build((4, 4), {4: 1}))
+    other = UnipotentSymbol.plain((4, 2, 2))
+
+    def rho(ctx_, u):
+        return other if u == wrong else real_rho(ctx_, u)
+
+    monkeypatch.setattr(oracle, "rho", rho)
+    r = oracle.verify_rho_pi(ctx)
+    assert _failed(r) == {"rho-factors-phi", "rho-pi-identity", "rho-forgets-marks"}
+    assert ("rho-forgets-marks", str(wrong), "(4, 4)", "4,2,2") in r.failures
+    assert r.counters == counters
 
 
 def test_rho_composition_spot_values():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from weylunip.errors import BadInput, NotInQ, ParseError
 from weylunip.partitions import (
     MarkedPartition,
+    check_partition,
     epsilon_domain,
     even_partitions_of,
     format_marked,
@@ -208,3 +209,31 @@ def test_partition_canonicalizer():
     assert partition([0, 3, 1, 3]) == (3, 3, 1)
     with pytest.raises(BadInput):
         partition([-1, 2])
+
+
+POSITIVE = "partition entries must be positive integers: {}"
+DECREASING = "partition entries must be weakly decreasing: {}"
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        ((3, "a"), POSITIVE),
+        ((2, 2.0), POSITIVE),
+        ((2, 0), POSITIVE),
+        ((2, -1), POSITIVE),
+        ((1, 2), DECREASING),
+        ((3, 1, 1, 2), DECREASING),
+        ((1, 2, 0), POSITIVE),  # both faults: the entry error comes first
+        (("a", 1, 2), POSITIVE),
+    ],
+)
+def test_check_partition_error_precedence_and_messages(p, message):
+    with pytest.raises(BadInput) as exc:
+        check_partition(list(p))
+    assert str(exc.value) == message.format(p)
+
+
+def test_check_partition_returns_the_tuple():
+    assert check_partition([3, 3, 1]) == (3, 3, 1)
+    assert check_partition(()) == ()
