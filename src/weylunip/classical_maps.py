@@ -26,9 +26,8 @@ looking again.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Optional
 
 from . import exceptional_tables
@@ -301,18 +300,15 @@ def orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
 
 
 def _orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
-    odd_list = odd_entries(c)
-    kept = Counter()
+    r_odd, p = [], []
     start = 1
-    for e in sorted(set(odd_list), reverse=True):
-        q = multiplicity(c, e)
-        if q % 2 == 1:
-            kept[e] = 1
-        else:
-            kept[e] = 2 if start % 2 == 0 else 0
+    for e, block in groupby(odd_entries(c)):
+        q = len(tuple(block))
+        keep = 1 if q % 2 == 1 else (2 if start % 2 == 0 else 0)
+        r_odd += [e] * keep
+        p += [e] * (q - keep)
         start += q
-    r_odd = tuple(sorted((e for e in kept for _ in range(kept[e])), reverse=True))
-    r, p = [], []
+    r = r_odd[:]
     for x in c:
         if x % 2 == 1:
             continue
@@ -320,13 +316,6 @@ def _orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
             p.append(x)
         else:
             r.append(x)
-    used = Counter()
-    for x in odd_list:
-        if used[x] < kept[x]:
-            r.append(x)
-            used[x] += 1
-        else:
-            p.append(x)
     return partition(r), partition(p)
 
 

@@ -15,6 +15,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Iterator, Optional
 
 from .errors import (
@@ -163,10 +164,7 @@ def in_C0(x: PairSequenceD) -> bool:
 def _columns(bp: Bipartition) -> Iterator[tuple[int, int, int]]:
     """The zero-padded columns (y_i, z_i, y_{i+1}) of a bipartition, one for
     each index at which y or z has a part."""
-    width = max(len(bp.y), len(bp.z))
-    y = bp.y + (0,) * (width + 1 - len(bp.y))
-    z = bp.z + (0,) * (width - len(bp.z))
-    return zip(y, z, y[1:])
+    return zip_longest(bp.y, bp.z, bp.y[1:], fillvalue=0)
 
 
 def in_A_prime(bp: Bipartition, n: int) -> bool:

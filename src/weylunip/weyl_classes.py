@@ -209,16 +209,9 @@ def parse_carter_label(text: str) -> CarterLabel:
     if not s:
         raise ParseError("empty class label", 0)
     if s.startswith("("):
-        depth = 0
-        close = -1
-        for i, ch in enumerate(s):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    close = i
-                    break
+        # only primes may follow the outer ")", and a body that parses has
+        # balanced (a_k) qualifiers, so the outer ")" is the last one
+        close = s.rfind(")")
         if close < 0:
             raise ParseError(f"unbalanced parenthesis in {s!r}", 0)
         tail = s[close + 1 :]

@@ -368,3 +368,17 @@ def test_tables_suite_reports_a_table_that_does_not_load(data_dir, capsys):
     assert {a for a, *_ in report.failures} == {"table-loads"}
     assert main(["verify", "--suite", "tables", "--family", "G2"]) == 1
     assert "[FAIL] suite=tables context=G2" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, anchor", [(TAU_FILES["G2"], "class = A_2 ;"), (TABLE_FILES[("G2", "good")], "unipotent = G_2")]
+)
+def test_special_suite_reports_a_table_that_does_not_load(data_dir, capsys, name, anchor):
+    _flip_byte(data_dir / name, anchor)
+    report = oracle.verify_special(context("G2"))
+    assert {a for a, *_ in report.failures} == {"table-loads"}
+    assert main(["verify", "--suite", "special"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] suite=special context=G2/good" in out
+    assert "[FAIL] suite=special context=G2/p3" in out
+    assert "[pass] suite=special context=F4/good" in out

@@ -128,6 +128,23 @@ def test_rho_pi_suite_reports_a_wrong_rho_on_one_marked_class(monkeypatch):
     assert r.counters == counters
 
 
+def test_rho_pi_suite_evaluates_rho_once_per_bad_class(monkeypatch):
+    # rho is pure: every check reads the one image of each bad class
+    ctx = context("C", 6, "p2")
+    counters = oracle.verify_rho_pi(ctx).counters
+    real_rho, calls = oracle.rho, []
+
+    def rho(ctx_, u):
+        calls.append(u)
+        return real_rho(ctx_, u)
+
+    monkeypatch.setattr(oracle, "rho", rho)
+    r = oracle.verify_rho_pi(ctx)
+    assert r.passed and r.counters == counters
+    assert len(calls) == len(set(calls))
+    assert set(calls) == set(oracle.enumerate_unipotents(ctx))
+
+
 def test_rho_composition_spot_values():
     g2p3 = context("G2", char="p3")
     assert oracle.rho(g2p3, UnipotentSymbol.named("(~A_1)_3")).name == "~A_1"

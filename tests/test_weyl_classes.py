@@ -82,6 +82,13 @@ def test_parse_carter_label_examples():
     assert [(c.series, c.subscript) for c in lab.components] == [("A", 3), ("A", 1)]
     lab = parse_carter_label("A_0")
     assert lab.components[0].subscript == 0 and lab.rank == 0
+    # the outer closing parenthesis is the last one, even after a qualifier
+    lab = parse_carter_label("(D_4(a_1)+A_1)'")
+    assert lab.parenthesized and lab.primes == 1
+    assert [(c.series, c.subscript, c.qualifier) for c in lab.components] == [
+        ("D", 4, "(a_1)"),
+        ("A", 1, None),
+    ]
 
 
 def test_carter_label_rank():
@@ -92,7 +99,19 @@ def test_carter_label_rank():
 
 
 def test_parse_carter_label_errors():
-    for bad in ("", "A_", "(A_1", "A_1)", "A_1+", "X_2", "A_1''+A_2", "A_1 +A_2"):
+    for bad in (
+        "",
+        "A_",
+        "(A_1",
+        "A_1)",
+        "A_1+",
+        "X_2",
+        "A_1''+A_2",
+        "A_1 +A_2",
+        "(A_1)+(A_2)",
+        "(A_1)(a_1)",
+        "(D_4(a_1)",
+    ):
         with pytest.raises(ParseError):
             parse_carter_label(bad)
 
