@@ -81,38 +81,37 @@ def cmd_atlas(args) -> int:
     return 0
 
 
-def _run_suite(args) -> list:
-    """The context is checked before any suite runs, and ``--rank`` or
-    ``--char`` without ``--family`` is refused.  For the rank bound R,
-    ``xi`` runs at size 2R and ``fiber-min`` at 2R+1 (see the oracle)."""
+def _run_suite(args):
+    """Yields each report as soon as it is made, so an error in a later suite
+    loses none before it.  The context is checked before any suite runs, and
+    ``--rank`` or ``--char`` without ``--family`` is refused.  For the rank
+    bound R, ``xi`` runs at size 2R and ``fiber-min`` at 2R+1 (see the oracle)."""
     from . import oracle  # imported here: no other subcommand needs it
 
     if not args.family and (args.rank is not None or args.char is not None):
         raise WeylUnipError("--rank and --char need --family")
     ctx = context(args.family, args.rank, args.char or "good") if args.family else None
     rank_bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
-    reports = []
     suite = args.suite
     if suite in ("xi", "all"):
-        reports.append(oracle.verify_xi_bijection(2 * rank_bound))
+        yield oracle.verify_xi_bijection(2 * rank_bound)
     if suite in ("fiber-min", "all"):
-        reports.append(oracle.verify_fiber_minimum(2 * rank_bound + 1))
+        yield oracle.verify_fiber_minimum(2 * rank_bound + 1)
     if suite in ("tables", "all"):
         families = [ctx.family] if ctx and ctx.is_exceptional else list(EXCEPTIONAL_RANK)
         for fam in families:
-            reports.append(oracle.verify_tables(fam))
+            yield oracle.verify_tables(fam)
     if suite in ("theorem02", "phipsi", "rhopi", "special", "all"):
         ctxs = [ctx] if ctx else oracle.acceptance_contexts(rank_bound)
         for ctx in ctxs:
             if suite in ("theorem02", "all"):
-                reports.append(oracle.verify_theorem_0_2(ctx, bound=rank_bound))
+                yield oracle.verify_theorem_0_2(ctx, bound=rank_bound)
             if suite in ("phipsi", "all"):
-                reports.append(oracle.verify_phi_psi_identity(ctx, bound=rank_bound))
+                yield oracle.verify_phi_psi_identity(ctx, bound=rank_bound)
             if suite in ("rhopi", "all") and ctx.char != "good":
-                reports.append(oracle.verify_rho_pi(ctx, bound=rank_bound))
+                yield oracle.verify_rho_pi(ctx, bound=rank_bound)
             if suite in ("special", "all"):
-                reports.append(oracle.verify_special(ctx))
-    return reports
+                yield oracle.verify_special(ctx)
 
 
 def cmd_verify(args) -> int:

@@ -10,6 +10,7 @@ machine-readable records).
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -74,7 +75,9 @@ DEFAULT_FIBER_BOUND = 12
 @dataclass
 class VerificationReport:
     """Outcome of one verifier on one context: instance counts per assertion
-    class and the failures, each a (input, expected, got) triple."""
+    class and the failures, each an (assertion, input, expected, got) tuple of
+    strings.  Each check instance is one ``check``; a hot loop may ``count``
+    itself once and ``fail`` each element that breaks its assertion."""
 
     suite: str
     context: str
@@ -95,6 +98,15 @@ class VerificationReport:
 
     def fail(self, assertion: str, inp, expected, got) -> None:
         self.failures.append((assertion, str(inp), str(expected), str(got)))
+
+    def check(self, assertion: str, holds: bool, inp, expected, got) -> bool:
+        """Count one instance of ``assertion``, record it as failed at
+        ``inp`` unless it ``holds``, and return ``holds``.  It counts inline,
+        not through ``count``: it runs once per check in every sweep."""
+        self.counters[assertion] = self.counters.get(assertion, 0) + 1
+        if not holds:
+            self.fail(assertion, inp, expected, got)
+        return holds
 
     def record_lines(self) -> list[str]:
         """One machine-readable line per assertion class; timing excluded so
@@ -121,15 +133,25 @@ class VerificationReport:
 
 
 def _timed(fn):
+    @functools.wraps(fn)
     def wrap(*args, **kwargs):
         t0 = time.perf_counter()
         report = fn(*args, **kwargs)
         report.elapsed = time.perf_counter() - t0
         return report
 
-    wrap.__name__ = fn.__name__
-    wrap.__doc__ = fn.__doc__
     return wrap
+
+
+def _loaded(report: VerificationReport, ctx: GroupContext, load):
+    """``load()``, or None with a ``table-loads`` failure at ``ctx`` when a
+    table it reads fails its load checks.  A verifier's first table read goes
+    through here; a table that loads is cached, so later reads succeed."""
+    try:
+        return load()
+    except TableIntegrityError as exc:
+        report.fail("table-loads", ctx, "a table that passes its load checks", exc)
+        return None
 
 
 def fiber_map(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND):
@@ -160,44 +182,39 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
     singleton fibers.
     """
     report = VerificationReport("theorem02", str(ctx))
-    fibers = fiber_map(ctx, bound)
+    fibers = _loaded(report, ctx, lambda: fiber_map(ctx, bound))
+    if fibers is None:
+        return report
     unipotents = enumerate_unipotents(ctx, bound=bound)
-    report.count("surjective-onto-enumeration")
-    if set(fibers) != set(unipotents) or len(unipotents) != len(set(unipotents)):
-        report.fail(
-            "surjective-onto-enumeration",
-            ctx,
-            f"{len(unipotents)} unipotent classes",
-            f"{len(fibers)} fiber images",
-        )
+    onto = set(fibers) == set(unipotents) and len(unipotents) == len(set(unipotents))
+    report.check(
+        "surjective-onto-enumeration", onto, ctx,
+        f"{len(unipotents)} unipotent classes", f"{len(fibers)} fiber images",
+    )
     for u in unipotents:
         fib = fibers[u]
         if not fib:  # a gap, reported by surjective-onto-enumeration
             continue
         ms = [m_of_class(ctx, C) for C in fib]
         mmin = min(ms)
-        report.count("unique-minimum")
-        if ms.count(mmin) != 1:
-            report.fail("unique-minimum", u, "one minimizer", f"{ms.count(mmin)} of {len(fib)}")
+        n = ms.count(mmin)
+        if not report.check("unique-minimum", n == 1, u, "one minimizer", f"{n} of {len(fib)}"):
             continue
-        report.count("section-is-minimizer")
         argmin = fib[ms.index(mmin)]
-        if psi(ctx, u) != argmin:
-            report.fail("section-is-minimizer", u, argmin, psi(ctx, u))
+        section = psi(ctx, u)
+        report.check("section-is-minimizer", section == argmin, u, argmin, section)
         if ctx.family == "D":
             split = [C for C in fib if is_split_weyl_class(ctx, C)]
-            report.count("split-fibers-singleton")
-            if split and len(fib) != 1:
-                report.fail("split-fibers-singleton", u, "singleton fiber", f"{len(fib)} classes")
+            report.check(
+                "split-fibers-singleton", not split or len(fib) == 1, u, "singleton fiber", f"{len(fib)} classes"
+            )
         if (
             not ctx.is_exceptional
             and ctx.family != "A"
             and ctx.char == "good"
             and _is_distinguished_good_char(ctx, u)
         ):
-            report.count("distinguished-fiber-singleton")
-            if len(fib) != 1:
-                report.fail("distinguished-fiber-singleton", u, 1, len(fib))
+            report.check("distinguished-fiber-singleton", len(fib) == 1, u, 1, len(fib))
     return report
 
 
@@ -205,18 +222,17 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
 def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> VerificationReport:
     """The surjection composed with its section is the identity."""
     report = VerificationReport("phipsi", str(ctx))
-    for u in enumerate_unipotents(ctx, bound=bound):
-        report.count("phi-psi-identity")
+    unipotents = _loaded(report, ctx, lambda: enumerate_unipotents(ctx, bound=bound))
+    if unipotents is None:
+        return report
+    for u in unipotents:
         back = phi(ctx, psi(ctx, u))
-        if back != u:
-            report.fail("phi-psi-identity", u, u, back)
+        report.check("phi-psi-identity", back == u, u, u, back)
     # elliptic classes are fixed points of the section composed the other way
     for C in enumerate_classes(ctx, bound=bound):
         if m_of_class(ctx, C) == 0:
-            report.count("elliptic-fixed-point")
             back = psi(ctx, phi(ctx, C))
-            if back != C:
-                report.fail("elliptic-fixed-point", C, C, back)
+            report.check("elliptic-fixed-point", back == C, C, C, back)
     return report
 
 
@@ -237,19 +253,15 @@ def verify_xi_bijection(n_max: int = 2 * DEFAULT_FIBER_BOUND) -> VerificationRep
             for r in source:
                 img = xi(r, kappa)
                 images.append(img)
-                report.count("image-in-target")
-                report.count("inverse-roundtrip")
-                if img not in target:
-                    report.fail("image-in-target", (r, kappa), "member of target set", img)
-                    report.fail("inverse-roundtrip", (r, kappa), r, "no inverse outside the target set")
-                elif xi_inv(img, kappa) != r:
-                    report.fail("inverse-roundtrip", (r, kappa), r, xi_inv(img, kappa))
-            report.count("injective")
-            if len(set(images)) != len(images):
-                report.fail("injective", (n, kappa), len(images), len(set(images)))
-            report.count("image-equals-target")
-            if sorted(images) != sorted(target):
-                report.fail("image-equals-target", (n, kappa), len(target), len(set(images)))
+                inp = (r, kappa)
+                if report.check("image-in-target", img in target, inp, "member of target set", img):
+                    back = xi_inv(img, kappa)
+                    report.check("inverse-roundtrip", back == r, inp, r, back)
+                else:
+                    report.check("inverse-roundtrip", False, inp, r, "no inverse outside the target set")
+            distinct = len(set(images))
+            report.check("injective", distinct == len(images), (n, kappa), len(images), distinct)
+            report.check("image-equals-target", sorted(images) == sorted(target), (n, kappa), len(target), distinct)
     return report
 
 
@@ -268,17 +280,12 @@ def verify_fiber_minimum(n_max: int = 2 * DEFAULT_FIBER_BOUND + 1) -> Verificati
             fib = [(r, p) for r, p in splittings(c) if in_Q(r, sum(r)) and in_R(r)]
             best = min(len(p) for _, p in fib)
             minimizers = [(r, p) for r, p in fib if len(p) == best]
-            report.count("unique-minimum")
-            if len(minimizers) != 1:
-                report.fail("unique-minimum", c, 1, len(minimizers))
+            if not report.check("unique-minimum", len(minimizers) == 1, c, 1, len(minimizers)):
                 continue
-            report.count("rules-match-minimum")
             computed = orthogonal_fiber_minimizer(c)
-            if computed != minimizers[0]:
-                report.fail("rules-match-minimum", c, minimizers[0], computed)
-            report.count("merge-roundtrip")
-            if partition(computed[0] + computed[1]) != c:
-                report.fail("merge-roundtrip", c, c, partition(computed[0] + computed[1]))
+            report.check("rules-match-minimum", computed == minimizers[0], c, minimizers[0], computed)
+            merged = partition(computed[0] + computed[1])
+            report.check("merge-roundtrip", merged == c, c, c, merged)
     return report
 
 
@@ -290,7 +297,9 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
     characteristic 2, rho forgets the marking."""
     report = VerificationReport("rhopi", str(ctx))
     good = ctx.good()
-    bads = enumerate_unipotents(ctx, bound=bound)
+    bads = _loaded(report, ctx, lambda: enumerate_unipotents(ctx, bound=bound))
+    if bads is None:
+        return report
     # rho is pure, so each bad class's image is evaluated once and read by
     # every check below; a class outside the enumeration is evaluated anew
     image = {u: rho(ctx, u) for u in bads}
@@ -299,40 +308,30 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
         return image[u] if u in image else rho(ctx, u)
 
     for C in enumerate_classes(ctx, bound=bound):
-        report.count("rho-factors-phi")
         left = rho_of(phi(ctx, C))
         right = phi(good, C)
-        if left != right:
-            report.fail("rho-factors-phi", C, right, left)
+        report.check("rho-factors-phi", left == right, C, right, left)
     goods = enumerate_unipotents(good, bound=bound)
     pis = []
     for u0 in goods:
         img = pi(ctx, u0)
         pis.append(img)
-        report.count("psi-factors-pi")
-        if psi(ctx, img) != psi(good, u0):
-            report.fail("psi-factors-pi", u0, psi(good, u0), psi(ctx, img))
-        report.count("rho-pi-identity")
-        if rho_of(img) != u0:
-            report.fail("rho-pi-identity", u0, u0, rho_of(img))
-    report.count("pi-injective")
-    if len(set(pis)) != len(pis):
-        report.fail("pi-injective", ctx, len(pis), len(set(pis)))
-    report.count("rho-surjective")
-    if set(image.values()) != set(goods):
-        report.fail("rho-surjective", ctx, len(goods), len(set(image.values())))
+        got, want = psi(ctx, img), psi(good, u0)
+        report.check("psi-factors-pi", got == want, u0, want, got)
+        back = rho_of(img)
+        report.check("rho-pi-identity", back == u0, u0, u0, back)
+    distinct = len(set(pis))
+    report.check("pi-injective", distinct == len(pis), ctx, len(pis), distinct)
+    reached = set(image.values())
+    report.check("rho-surjective", reached == set(goods), ctx, len(goods), len(reached))
     if ctx.family == "C" and ctx.char == "p2":
         for u, img in image.items():
-            report.count("rho-forgets-marks")
-            if img.partition != u.marked.c:
-                report.fail("rho-forgets-marks", u, u.marked.c, img)
+            report.check("rho-forgets-marks", img.partition == u.marked.c, u, u.marked.c, img)
     if ctx.is_exceptional:
         for u, img in image.items():
             m = SUBSCRIPTED_NAME_RE.match(u.name)
             expected = m.group("base") if m else u.name
-            report.count("rho-strips-subscript")
-            if img.name != expected:
-                report.fail("rho-strips-subscript", u, expected, img.name)
+            report.check("rho-strips-subscript", img.name == expected, u, expected, img.name)
     return report
 
 
@@ -349,17 +348,13 @@ def verify_tables(family: str) -> VerificationReport:
     rank = EXCEPTIONAL_RANK[family]
     for char in CHAR_VARIANTS[family]:
         ctx = GroupContext(family, rank, char)
-        try:
-            table = load_table(ctx)
-        except TableIntegrityError as exc:
-            report.fail("table-loads", ctx, "a table that passes its load checks", exc)
+        table = _loaded(report, ctx, lambda: load_table(ctx))
+        if table is None:
             continue
         if char == "good":
             good = table
-        for assertion, holds, subject, expected, got in table_checks(table, good):
-            report.count(assertion)
-            if not holds:
-                report.fail(assertion, subject, expected, got)
+        for c in table_checks(table, good):
+            report.check(*c)
         if char == "good":
             continue
         reps = dict(REPLACEMENTS[(family, char)])
@@ -370,11 +365,10 @@ def verify_tables(family: str) -> VerificationReport:
             else:
                 expected_rows.append((tuple(str(l) for l in row.classes), row.unipotent))
         actual_rows = [(tuple(str(l) for l in row.classes), row.unipotent) for row in table.rows]
-        report.count("variant-is-good-plus-replacements")
-        if actual_rows != expected_rows:
-            report.fail(
-                "variant-is-good-plus-replacements", ctx, f"{len(expected_rows)} rows", f"{len(actual_rows)} rows"
-            )
+        same = actual_rows == expected_rows
+        report.check(
+            "variant-is-good-plus-replacements", same, ctx, f"{len(expected_rows)} rows", f"{len(actual_rows)} rows"
+        )
     return report
 
 
@@ -385,32 +379,29 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
     Classical contexts: the two translation maps are mutually inverse
     bijections between independently enumerated sides, the all-even-flag-0
     part maps onto the diagonal bipartitions, special classes are fixed by
-    section-after-surjection (good characteristic), and type-D specialness
-    of the split kind coincides with the split predicate.  Exceptional
-    contexts: the table is a bijection whose classes are section images,
-    and a tau or fiber table that fails its load is a ``table-loads`` failure.
+    section-after-surjection (good characteristic; skipped when
+    ``check_maps`` is false), and type-D specialness of the split kind
+    coincides with the split predicate.  Exceptional contexts: the table is
+    a bijection whose classes are section images, and a tau or fiber table
+    that fails its load is a ``table-loads`` failure.
 
-    If nothing has failed once every ``x`` is mapped and the image multiset
+    The per-element assertions of the classical sweep are counted once per
+    loop, with a failure recorded for each element that breaks them.  If
+    nothing has failed once every ``x`` is mapped and the image multiset
     is compared, every ``bp`` is some ``fwd(x)`` with ``back(bp) == x``, so
     ``fwd(back(bp)) == bp`` is proved; otherwise it is evaluated for every
     ``bp``.  The type-D diagonal check reads the same images.
     """
     report = VerificationReport("special", str(ctx))
     if ctx.is_exceptional:
-        try:
-            rows = load_tau_table(ctx.family)
-            good = load_table(ctx.good())
-        except TableIntegrityError as exc:
-            report.fail("table-loads", ctx, "a table that passes its load checks", exc)
+        tables = _loaded(report, ctx, lambda: (load_tau_table(ctx.family), load_table(ctx.good())))
+        if tables is None:
             return report
+        rows, good = tables
         section_images = {row.classes[0] for row in good.rows}
-        report.count("bijective-table")
-        if not is_bijective_table(rows):
-            report.fail("bijective-table", ctx.family, "distinct rows", "duplicates")
+        report.check("bijective-table", is_bijective_table(rows), ctx.family, "distinct rows", "duplicates")
         for lab, _ in rows:
-            report.count("classes-are-section-images")
-            if lab not in section_images:
-                report.fail("classes-are-section-images", lab, "section image", "not an image")
+            report.check("classes-are-section-images", lab in section_images, lab, "section image", "not an image")
         return report
     if ctx.family == "A":
         report.count("type-a-trivial")
@@ -424,36 +415,32 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
         side = enumerate_C(n)
         side_prime = enumerate_C_prime(n)
         fwd, back, member = k, k_inv, in_C_prime
-    report.count("cardinalities-match")
-    if len(side) != len(side_prime):
-        report.fail("cardinalities-match", ctx, len(side), len(side_prime))
-    # each per-element assertion runs on every element and is counted once
-    # per loop; a bipartition is compared by its (y, z) key
+    report.check("cardinalities-match", len(side) == len(side_prime), ctx, len(side), len(side_prime))
+    # a bipartition is compared by its (y, z) key
     images = []
     for x in side:
         bp = fwd(x)
         images.append((bp.y, bp.z))
         if not member(bp, n):
             report.fail("image-in-interlacing-set", x, "interlacing", bp)
-        if back(bp) != x:
-            report.fail("roundtrip-from-pairs", x, x, back(bp))
+        x_back = back(bp)
+        if x_back != x:
+            report.fail("roundtrip-from-pairs", x, x, x_back)
     report.count("image-in-interlacing-set", len(side))
     report.count("roundtrip-from-pairs", len(side))
-    report.count("image-equals-interlacing-set")
     image_counts = Counter(images)
-    if image_counts != Counter((bp.y, bp.z) for bp in side_prime):
-        report.fail("image-equals-interlacing-set", ctx, len(side_prime), len(image_counts))
+    onto = image_counts == Counter((bp.y, bp.z) for bp in side_prime)
+    report.check("image-equals-interlacing-set", onto, ctx, len(side_prime), len(image_counts))
     if report.failures:
         for bp in side_prime:
-            if fwd(back(bp)) != bp:
-                report.fail("roundtrip-from-bipartitions", bp, bp, fwd(back(bp)))
+            bp_back = fwd(back(bp))
+            if bp_back != bp:
+                report.fail("roundtrip-from-bipartitions", bp, bp, bp_back)
     report.count("roundtrip-from-bipartitions", len(side_prime))
     if ctx.family == "D":
         diag = [(bp.y, bp.z) for bp in side_prime if in_C0_prime(bp, n)]
         diag_images = [key for x, key in zip(side, images) if in_C0(x)]
-        report.count("flag0-onto-diagonal")
-        if Counter(diag_images) != Counter(diag):
-            report.fail("flag0-onto-diagonal", ctx, len(diag), len(diag_images))
+        report.check("flag0-onto-diagonal", Counter(diag_images) == Counter(diag), ctx, len(diag), len(diag_images))
     if check_maps:
         good = ctx.good()
         for x in side:
@@ -461,8 +448,10 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
             back_s = psi(good, phi(good, s))
             if back_s != s:
                 report.fail("section-fixes-special", x, s, back_s)
-            if ctx.family == "D" and is_split_weyl_class(good, s) != in_C0(x):
-                report.fail("split-coherence", x, in_C0(x), is_split_weyl_class(good, s))
+            if ctx.family == "D":
+                split, flag0 = is_split_weyl_class(good, s), in_C0(x)
+                if split != flag0:
+                    report.fail("split-coherence", x, flag0, split)
         report.count("section-fixes-special", len(side))
         if ctx.family == "D":
             report.count("split-coherence", len(side))

@@ -138,6 +138,20 @@ def test_verify_failure_exit_code(capsys):
     assert any(line.startswith("suite=xi") for line in out.splitlines())
 
 
+def test_verify_prints_each_report_before_a_later_error(capsys, monkeypatch):
+    from weylunip import oracle
+    from weylunip.errors import WeylUnipError
+
+    def boom(family):
+        raise WeylUnipError("boom")
+
+    monkeypatch.setattr(oracle, "verify_tables", boom)
+    code, out, err = run(capsys, "verify", "--suite", "all")
+    assert code == 2 and err == "error: boom\n"
+    assert "[pass] suite=xi context=N<=24 " in out
+    assert "[pass] suite=fiber-min context=n<=25 " in out
+
+
 def test_fiber_needs_no_enumeration_bound(capsys):
     code, out, _ = run(capsys, "fiber", "--family", "C", "--rank", "40", ",".join(["2"] * 40))
     assert code == 0

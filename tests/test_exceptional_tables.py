@@ -382,3 +382,27 @@ def test_special_suite_reports_a_table_that_does_not_load(data_dir, capsys, name
     assert "[FAIL] suite=special context=G2/good" in out
     assert "[FAIL] suite=special context=G2/p3" in out
     assert "[pass] suite=special context=F4/good" in out
+
+
+@pytest.mark.parametrize(
+    "verify, ctx",
+    [
+        (oracle.verify_theorem_0_2, context("G2")),
+        (oracle.verify_phi_psi_identity, context("G2")),
+        (oracle.verify_rho_pi, context("G2", char="p3")),
+    ],
+    ids=["theorem02", "phipsi", "rhopi"],
+)
+def test_every_suite_reports_a_table_that_does_not_load(data_dir, verify, ctx):
+    _flip_byte(data_dir / TABLE_FILES[("G2", "good")], "unipotent = G_2")
+    report = verify(ctx)
+    assert {a for a, *_ in report.failures} == {"table-loads"}
+
+
+def test_verify_all_reports_a_table_that_does_not_load(data_dir, capsys):
+    # rank bound 4 keeps every exceptional context; CI runs the full default
+    _flip_byte(data_dir / TABLE_FILES[("G2", "good")], "unipotent = G_2")
+    assert main(["verify", "--suite", "all", "--bound", "4"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] suite=theorem02 context=G2/good" in out
+    assert "[pass] suite=theorem02 context=F4/good" in out

@@ -1,3 +1,4 @@
+import inspect
 import re
 
 import pytest
@@ -264,6 +265,19 @@ def test_failures_carry_minimal_counterexamples():
     assert r.record_lines() == [
         "suite=demo context=ctx assertion=law checked=1 failures=1 status=fail"
     ]
+    # check counts one instance, records the same failure tuple and says
+    # whether the claim holds
+    c = oracle.VerificationReport("demo", "ctx")
+    assert c.check("law", True, (1, 2), "x", "y") is True
+    assert c.check("law", False, (1, 2), "x", "y") is False
+    assert c.counters == {"law": 2}
+    assert c.failures == r.failures == [("law", "(1, 2)", "x", "y")]
+
+
+def test_verifiers_keep_their_signatures():
+    sig = inspect.signature(oracle.verify_special)
+    assert list(sig.parameters) == ["ctx", "check_maps"]
+    assert oracle.verify_special.__qualname__ == "verify_special"
 
 
 def test_acceptance_contexts_cover_both_variants():
