@@ -125,6 +125,14 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _bound(text: str) -> int:
+    """A rank bound: a non-negative integer.  A negative one would verify
+    nothing and still pass."""
+    if not text.isdigit():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Turns every usage error into a ``WeylUnipError``, so that it ends in
     the same one-line message and exit status as any other bad input."""
@@ -164,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--char", default=None if name == "verify" else "good", choices=chars)
         if bound:  # verify picks a default per suite
             default = None if name == "verify" else DEFAULT_RANK_BOUND
-            p.add_argument("--bound", type=int, default=default)
+            p.add_argument("--bound", type=_bound, default=default)
         if formats:
             p.add_argument("--format", default="plain", choices=("plain", "records"))
         if payload_help:

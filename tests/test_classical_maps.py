@@ -1,3 +1,4 @@
+import hashlib
 from itertools import product
 
 import pytest
@@ -25,7 +26,7 @@ from weylunip.classical_maps import (
     xi,
     xi_inv,
 )
-from weylunip.errors import BadInput, NotInR
+from weylunip.errors import BadInput, BoundExceeded, NotInR
 from weylunip.partitions import (
     MarkedPartition,
     epsilon_domain,
@@ -270,6 +271,74 @@ def test_enumerate_unipotents_counts():
         (2, 2, 1),
         (1, 1, 1, 1, 1),
     ]
+
+
+def rebuild_unipotents(ctx):
+    """The B/C/D unipotent classes from scratch: the partitions of the
+    Jordan size in which every even value (orthogonal: B and D in good
+    characteristic) or every odd value (symplectic: otherwise) occurs an
+    even number of times, of even length for D in characteristic 2; in
+    characteristic 2 each carries every marking of its even values of even
+    multiplicity, the bits counted up from all zeros."""
+    orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
+    size = 2 * ctx.rank + (ctx.family == "B" and orthogonal)
+    out = []
+    for c in partitions_of(size):
+        paired = [v for v in set(c) if v % 2 == (0 if orthogonal else 1)]
+        if any(c.count(v) % 2 for v in paired):
+            continue
+        if ctx.char != "p2":
+            out.append(UnipotentSymbol.plain(c))
+            continue
+        if ctx.family == "D" and len(c) % 2:
+            continue
+        marked = sorted({v for v in c if v % 2 == 0 and c.count(v) % 2 == 0}, reverse=True)
+        for bits in product((0, 1), repeat=len(marked)):
+            out.append(UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(marked, bits)))))
+    return out
+
+
+@pytest.mark.parametrize(
+    "ctx",
+    [
+        GroupContext(family, n, char)
+        for family in ("B", "C", "D")
+        for n in range(MIN_RANK[family], 9)
+        for char in CHAR_VARIANTS[family]
+    ],
+    ids=str,
+)
+def test_enumerate_unipotents_matches_a_rebuild(ctx):
+    assert enumerate_unipotents(ctx) == rebuild_unipotents(ctx)
+
+
+def test_classical_enumerations_keep_their_text():
+    """SHA-256 of the text of both enumerations of every B/C/D context up
+    to rank 12, as first recorded: their order and text form are fixed."""
+    digest = hashlib.sha256()
+    for family in ("B", "C", "D"):
+        for n in range(MIN_RANK[family], 13):
+            for char in CHAR_VARIANTS[family]:
+                ctx = GroupContext(family, n, char)
+                for x in [*enumerate_classes(ctx), *enumerate_unipotents(ctx)]:
+                    digest.update(str(x).encode() + b"\n")
+    assert digest.hexdigest() == "4cfcb7d6614d54d7911430f2ff9f3645b8386ec2d7083e8fd2c01e26f3bed7a6"
+
+
+def test_enumerate_unipotents_returns_a_fresh_list():
+    ctx = context("B", 5, "p2")
+    first = enumerate_unipotents(ctx)
+    assert enumerate_unipotents(ctx) is not first
+    first.reverse()
+    first.pop()
+    assert enumerate_unipotents(ctx) == rebuild_unipotents(ctx)
+
+
+def test_enumerate_unipotents_checks_the_bound_on_every_call():
+    ctx = context("C", 12, "p2")
+    enumerate_unipotents(ctx)
+    with pytest.raises(BoundExceeded):
+        enumerate_unipotents(ctx, bound=4)
 
 
 def test_splittings_move_even_copies():

@@ -277,6 +277,9 @@ USAGE_ERRORS = [
     "verify --family C --rank 2",
     "verify --suite nonsense",
     "verify --suite xi --bound x",
+    "verify --suite xi --bound -1",
+    "verify --suite fiber-min --bound -1",
+    "atlas --family C --rank 3 --bound -1",
     "phi --family E8 --rank 3 E_8",
     "verify --suite theorem02 --family G2 --rank 5",
     "verify --suite tables --family G2 --rank 5",

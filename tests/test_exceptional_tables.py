@@ -370,6 +370,15 @@ def test_tables_suite_reports_a_table_that_does_not_load(data_dir, capsys):
     assert "[FAIL] suite=tables context=G2" in capsys.readouterr().out
 
 
+def test_a_table_that_does_not_load_is_a_checked_instance(data_dir, capsys):
+    # the good table fails its load, and its variant, which loads only
+    # once the good table has, fails too: two checked, two failed
+    _flip_byte(data_dir / TABLE_FILES[("G2", "good")], "unipotent = G_2")
+    assert main(["verify", "--suite", "tables", "--family", "G2", "--format", "records"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "suite=tables context=G2 assertion=table-loads checked=2 failures=2 status=fail" in lines
+
+
 @pytest.mark.parametrize(
     "name, anchor", [(TAU_FILES["G2"], "class = A_2 ;"), (TABLE_FILES[("G2", "good")], "unipotent = G_2")]
 )
@@ -397,6 +406,7 @@ def test_every_suite_reports_a_table_that_does_not_load(data_dir, verify, ctx):
     _flip_byte(data_dir / TABLE_FILES[("G2", "good")], "unipotent = G_2")
     report = verify(ctx)
     assert {a for a, *_ in report.failures} == {"table-loads"}
+    assert report.checked == len(report.failures)
 
 
 def test_verify_all_reports_a_table_that_does_not_load(data_dir, capsys):

@@ -1,8 +1,9 @@
 import pytest
 
 from weylunip import oracle
-from weylunip.errors import BadInput, InvalidClass, ParseError, WrongFamily
+from weylunip.errors import BadInput, BoundExceeded, InvalidClass, ParseError, WrongFamily
 from weylunip.exceptional_tables import TABLE_FILES, load_table
+from weylunip.partitions import partitions_of
 from weylunip.special_classes import TAU_FILES
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
@@ -170,6 +171,53 @@ def test_class_sets_agree_across_variants():
         good = set(enumerate_classes(context(family)))
         for char in CHAR_VARIANTS[family][1:]:
             assert set(enumerate_classes(context(family, char=char))) == good
+
+
+CLASSICAL_CONTEXTS = [
+    GroupContext(family, n, char)
+    for family in ("B", "C", "D")
+    for n in range(MIN_RANK[family], 9)
+    for char in CHAR_VARIANTS[family]
+]
+
+
+def rebuild_classes(ctx):
+    """The B/C/D classes from scratch: every pair of an all-even record
+    (of even length in type D) and a record that pairs up in place, with
+    sizes adding up to 2n, ordered by |r|, then r, then p, each descending."""
+    out = []
+    for rsum in range(2 * ctx.rank, -1, -1):
+        for r in partitions_of(rsum):
+            if any(x % 2 for x in r) or (ctx.family == "D" and len(r) % 2):
+                continue
+            for p in partitions_of(2 * ctx.rank - rsum):
+                if p[::2] == p[1::2]:
+                    out.append(ClassSymbol.classical(r, p))
+    return out
+
+
+@pytest.mark.parametrize("ctx", CLASSICAL_CONTEXTS, ids=str)
+def test_enumerate_classes_matches_a_rebuild(ctx):
+    assert enumerate_classes(ctx) == rebuild_classes(ctx)
+
+
+def test_enumerate_classes_returns_a_fresh_list():
+    ctx = context("D", 5, "p2")
+    first = enumerate_classes(ctx)
+    assert enumerate_classes(ctx) is not first
+    first.reverse()
+    first.append(ClassSymbol.classical((), ()))
+    # the good context reads the same build as its characteristic-2 sibling
+    assert enumerate_classes(context("D", 5)) == rebuild_classes(ctx)
+
+
+def test_enumerate_classes_checks_the_bound_on_every_call():
+    ctx = context("C", 12)
+    enumerate_classes(ctx)
+    with pytest.raises(BoundExceeded):
+        enumerate_classes(ctx, bound=4)
+    with pytest.raises(BoundExceeded):
+        enumerate_classes(context("C", 12, "p2"), bound=11)
 
 
 @pytest.mark.parametrize(
