@@ -9,6 +9,8 @@ representations.  The ``oracle`` module re-proves all of this exhaustively
 at bounded rank.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BadInput,
     BoundExceeded,
@@ -79,66 +81,7 @@ from .special_classes import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BadInput",
-    "Bipartition",
-    "BoundExceeded",
-    "CarterLabel",
-    "ClassSymbol",
-    "FiberTable",
-    "GroupContext",
-    "InvalidClass",
-    "MarkedPartition",
-    "NotInQ",
-    "NotInR",
-    "NotSpecial",
-    "PairSequenceBC",
-    "PairSequenceD",
-    "ParseError",
-    "Partition",
-    "TableIntegrityError",
-    "UnipotentSymbol",
-    "UnknownClass",
-    "UnknownContext",
-    "UnknownUnipotent",
-    "WeylUnipError",
-    "WrongFamily",
-    "context",
-    "enumerate_classes",
-    "enumerate_unipotents",
-    "fiber",
-    "fiber_of",
-    "h",
-    "h_inv",
-    "in_A",
-    "in_C",
-    "in_C0",
-    "in_P_tilde",
-    "in_Q",
-    "in_R",
-    "in_S_kappa",
-    "in_T",
-    "iota",
-    "iota2",
-    "is_special_class",
-    "is_split_weyl_class",
-    "k",
-    "k_inv",
-    "load_table",
-    "m_of_class",
-    "multiplicity",
-    "parse_carter_label",
-    "phi",
-    "phi_lookup",
-    "pi",
-    "psi",
-    "psi_even_r",
-    "psi_lookup",
-    "psi_marked",
-    "psi_orthogonal",
-    "rho",
-    "special_class_of",
-    "tau",
-    "xi",
-    "xi_inv",
-]
+#: Every name imported above, the submodules aside.
+__all__ = sorted(
+    name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -3,12 +3,14 @@ listings, full per-context dumps, and the verification suites.
 
 The front end only parses, dispatches and prints.  All output is
 deterministic; exit status is 2 with a one-line ``error:`` message on
-usage or parse errors, and 1 on verification failure.
+usage or parse errors, 1 on verification failure, and 141 with nothing on
+stderr when the reader closes stdout early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .atlas import atlas_lines, split_tag
@@ -193,10 +195,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()  # a reader gone before the last write is seen here
+        return status
     except WeylUnipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout early: stop quietly with 128 + SIGPIPE, as
+        # a shell reports it, and point stdout at the null device so the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

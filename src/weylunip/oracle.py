@@ -6,6 +6,14 @@ list, membership in the adjusted-image set comes from its own predicate and
 never from the image of the adjustment map, and counts are recomputed from
 scratch.  Reports are deterministic (timing is kept out of the
 machine-readable records).
+
+The pure maps the suites check (``phi``, ``psi``, ``m_of_class``, ``rho``)
+are evaluated once per context and argument: every check reads the value
+the map gave the first time, kept in a small memo of the contexts in use.
+The memo is keyed on the map object, read from this module's globals at
+call time, so patching ``oracle.phi`` starts a fresh memo; a patch inside
+a map (say ``classical_maps.psi`` under ``rho``) or a rewritten table is
+not seen until ``_values.cache_clear()`` empties it.
 """
 
 from __future__ import annotations
@@ -156,11 +164,27 @@ def _loaded(report: VerificationReport, ctx: GroupContext, load):
         return None
 
 
+@functools.lru_cache(maxsize=12)
+def _values(fn, ctx: GroupContext) -> dict:
+    """The values of the map ``fn`` at ``ctx`` evaluated so far.  The sweep
+    runs context by context, each bad context after its good sibling, so
+    twelve entries hold both contexts' maps, E8's three variants too."""
+    return {}
+
+
+def _at(fn, ctx: GroupContext, x):
+    """``fn(ctx, x)``, evaluated the first time it is asked for."""
+    values = _values(fn, ctx)
+    if x not in values:
+        values[x] = fn(ctx, x)
+    return values[x]
+
+
 def fiber_map(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND):
     """Full fibers of the surjection, computed by scanning every class."""
     fibers = defaultdict(list)
     for C in enumerate_classes(ctx, bound=bound):
-        fibers[phi(ctx, C)].append(C)
+        fibers[_at(phi, ctx, C)].append(C)
     return fibers
 
 
@@ -197,13 +221,13 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
         fib = fibers[u]
         if not fib:  # a gap, reported by surjective-onto-enumeration
             continue
-        ms = [m_of_class(ctx, C) for C in fib]
+        ms = [_at(m_of_class, ctx, C) for C in fib]
         mmin = min(ms)
         n = ms.count(mmin)
         if not report.check("unique-minimum", n == 1, u, "one minimizer", f"{n} of {len(fib)}"):
             continue
         argmin = fib[ms.index(mmin)]
-        section = psi(ctx, u)
+        section = _at(psi, ctx, u)
         report.check("section-is-minimizer", section == argmin, u, argmin, section)
         if ctx.family == "D":
             split = [C for C in fib if is_split_weyl_class(ctx, C)]
@@ -228,12 +252,12 @@ def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND)
     if unipotents is None:
         return report
     for u in unipotents:
-        back = phi(ctx, psi(ctx, u))
+        back = _at(phi, ctx, _at(psi, ctx, u))
         report.check("phi-psi-identity", back == u, u, u, back)
     # elliptic classes are fixed points of the section composed the other way
     for C in enumerate_classes(ctx, bound=bound):
-        if m_of_class(ctx, C) == 0:
-            back = psi(ctx, phi(ctx, C))
+        if _at(m_of_class, ctx, C) == 0:
+            back = _at(psi, ctx, _at(phi, ctx, C))
             report.check("elliptic-fixed-point", back == C, C, C, back)
     return report
 
@@ -302,25 +326,19 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
     bads = _loaded(report, ctx, lambda: enumerate_unipotents(ctx, bound=bound))
     if bads is None:
         return report
-    # rho is pure, so each bad class's image is evaluated once and read by
-    # every check below; a class outside the enumeration is evaluated anew
-    image = {u: rho(ctx, u) for u in bads}
-
-    def rho_of(u: UnipotentSymbol) -> UnipotentSymbol:
-        return image[u] if u in image else rho(ctx, u)
-
+    image = {u: _at(rho, ctx, u) for u in bads}
     for C in enumerate_classes(ctx, bound=bound):
-        left = rho_of(phi(ctx, C))
-        right = phi(good, C)
+        left = _at(rho, ctx, _at(phi, ctx, C))
+        right = _at(phi, good, C)
         report.check("rho-factors-phi", left == right, C, right, left)
     goods = enumerate_unipotents(good, bound=bound)
     pis = []
     for u0 in goods:
         img = pi(ctx, u0)
         pis.append(img)
-        got, want = psi(ctx, img), psi(good, u0)
+        got, want = _at(psi, ctx, img), _at(psi, good, u0)
         report.check("psi-factors-pi", got == want, u0, want, got)
-        back = rho_of(img)
+        back = _at(rho, ctx, img)
         report.check("rho-pi-identity", back == u0, u0, u0, back)
     distinct = len(set(pis))
     report.check("pi-injective", distinct == len(pis), ctx, len(pis), distinct)

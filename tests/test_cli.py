@@ -208,6 +208,37 @@ def test_only_verify_imports_the_oracle():
     assert proc.stdout.splitlines()[0] == "E_8"
 
 
+def _cli(*argv, stdout) -> subprocess.Popen:
+    """``weylunip`` from this checkout in its own process, stderr piped."""
+    env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "weylunip.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_a_reader_that_closes_stdout_after_one_line_ends_the_dump_quietly():
+    # the B_16 dump is far more than a pipe holds, so a later write meets the
+    # closed pipe; this is `atlas ... | head -1`
+    with _cli("atlas", "--family", "B", "--rank", "16", stdout=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"record=context family=B rank=16 char=good\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+    assert proc.returncode == 141
+
+
+def test_a_reader_gone_before_the_first_write_ends_verify_quietly():
+    # the output is small enough to sit in stdout's buffer until the flush at
+    # the end; this is `verify --suite xi | head -0`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        with _cli("verify", "--suite", "xi", "--bound", "2", stdout=write_end) as proc:
+            assert proc.stderr.read() == b""
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+
+
 # --- the command line's contract ------------------------------------------------
 
 #: SHA-256 of stdout, with the timings of verify summary lines masked, and the

@@ -258,10 +258,13 @@ def test_equal_tables_hash_equal():
 
 @pytest.fixture
 def fresh_caches():
-    for cache in (_load, load_tau_table, _tau_index):
+    # the oracle's memo too: a map value kept from the shipped tables would
+    # answer for a table rewritten under data_dir
+    caches = (_load, load_tau_table, _tau_index, oracle._values)
+    for cache in caches:
         cache.cache_clear()
     yield
-    for cache in (_load, load_tau_table, _tau_index):
+    for cache in caches:
         cache.cache_clear()
 
 

@@ -106,6 +106,8 @@ def test_rho_validates_the_section_value(monkeypatch):
     message = "invalid stable cycle record (3, 1) for C_4/good"
     with pytest.raises(InvalidClass, match=re.escape(message)):
         classical_maps.rho(ctx, wrong)
+    # the oracle's memo is keyed on rho itself, which cannot see the patch inside it
+    oracle._values.cache_clear()
     with pytest.raises(InvalidClass, match=re.escape(message)):
         oracle.verify_rho_pi(ctx)
 
@@ -144,6 +146,57 @@ def test_rho_pi_suite_evaluates_rho_once_per_bad_class(monkeypatch):
     assert r.passed and r.counters == counters
     assert len(calls) == len(set(calls))
     assert set(calls) == set(oracle.enumerate_unipotents(ctx))
+
+
+def test_suites_evaluate_each_map_once_per_context_and_argument(monkeypatch):
+    # a pass in the order verify runs the suites evaluates no argument twice,
+    # and the same arguments as when each suite evaluated its own
+    calls = {}
+    for name in ("phi", "psi", "m_of_class"):
+        real, seen = getattr(oracle, name), calls.setdefault(name, [])
+
+        def counted(ctx_, x, real=real, seen=seen):
+            seen.append((ctx_, x))
+            return real(ctx_, x)
+
+        monkeypatch.setattr(oracle, name, counted)
+    for ctx in oracle.acceptance_contexts(6):
+        assert oracle.verify_theorem_0_2(ctx).passed and oracle.verify_phi_psi_identity(ctx).passed
+        assert ctx.char == "good" or oracle.verify_rho_pi(ctx).passed
+    counts = {name: (len(seen), len(set(seen))) for name, seen in calls.items()}
+    assert counts == {"phi": (1223, 1223), "psi": (897, 897), "m_of_class": (1223, 1223)}
+
+
+def test_a_patched_phi_is_not_answered_from_the_memo(monkeypatch):
+    # the memo is keyed on the map object: once the real phi has filled it,
+    # a phi that is wrong on one elliptic class of C_6/p2 is still evaluated
+    # on every argument, and fails exactly as when no suite shared a value
+    ctx = context("C", 6, "p2")
+    suites = (oracle.verify_theorem_0_2, oracle.verify_phi_psi_identity, oracle.verify_rho_pi)
+    assert all(suite(ctx).passed for suite in suites)
+    real_phi = oracle.phi
+    wrong, other = ClassSymbol.classical((6, 6), ()), ClassSymbol.classical((8, 4), ())
+
+    def phi(ctx_, C):
+        return real_phi(ctx_, other if (ctx_, C) == (ctx, wrong) else C)
+
+    monkeypatch.setattr(oracle, "phi", phi)
+    theorem, identity, rhopi = (suite(ctx) for suite in suites)
+    assert theorem.counters == {"surjective-onto-enumeration": 1, "unique-minimum": 53, "section-is-minimizer": 52}
+    assert theorem.failures == [
+        ("surjective-onto-enumeration", "C_6/p2", "54 unipotent classes", "53 fiber images"),
+        ("unique-minimum", "c=8,4;eps=", "one minimizer", "2 of 2"),
+    ]
+    assert identity.counters == {"phi-psi-identity": 54, "elliptic-fixed-point": 11}
+    assert identity.failures == [
+        ("phi-psi-identity", "c=6,6;eps=6:1", "c=6,6;eps=6:1", "c=8,4;eps="),
+        ("elliptic-fixed-point", "r=6,6;p=", "r=6,6;p=", "r=8,4;p="),
+    ]
+    assert rhopi.counters == {
+        "rho-factors-phi": 65, "psi-factors-pi": 40, "rho-pi-identity": 40,
+        "pi-injective": 1, "rho-surjective": 1, "rho-forgets-marks": 54,
+    }
+    assert rhopi.failures == [("rho-factors-phi", "r=6,6;p=", "6,6", "8,4")]
 
 
 def test_rho_composition_spot_values():
