@@ -36,7 +36,8 @@ def atlas_lines(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[str]
         fibers[u].append(C)
         split = split_tag(ctx, C, " split=1")
         lines.append(f"record=map class={C} m={m_of_class(ctx, C)} phi={u}{split}")
-    for u in enumerate_unipotents(ctx, bound=bound):
+    unipotents = enumerate_unipotents(ctx, bound=bound)
+    for u in unipotents:
         first = psi(ctx, u)
         ordered = [first] + [C for C in fibers[u] if C != first]
         lines.append(
@@ -44,7 +45,7 @@ def atlas_lines(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[str]
             f"classes={'|'.join(str(C) for C in ordered)}"
         )
     if ctx.char != "good":
-        for u in enumerate_unipotents(ctx, bound=bound):
+        for u in unipotents:
             lines.append(f"record=rho unipotent={u} rho={rho(ctx, u)}")
         for u0 in enumerate_unipotents(ctx.good(), bound=bound):
             lines.append(f"record=pi unipotent0={u0} pi={pi(ctx, u0)}")

@@ -27,7 +27,6 @@ looking again.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import groupby, product
 from typing import Optional
 
@@ -443,31 +442,20 @@ def enumerate_unipotents(
 ) -> list[UnipotentSymbol]:
     """All unipotent classes of the context, in a fixed deterministic order.
 
-    Each call returns a fresh list and refuses a classical rank above
-    ``bound``.  The B/C/D list is built once per context, through
-    ``UnipotentSymbol.plain`` or ``MarkedPartition``, while it is in use.
+    Each call builds a fresh list, through ``UnipotentSymbol.plain`` or
+    ``MarkedPartition``, and refuses a classical rank above ``bound``.
     """
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
         return [UnipotentSymbol.named(n) for n in table.unipotent_names()]
     if ctx.rank > bound:
         raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
-    if ctx.family == "A":
-        return [UnipotentSymbol.plain(c) for c in partitions_of(ctx.rank + 1)]
-    return list(_classical_unipotents(ctx))
-
-
-@lru_cache(maxsize=4)
-def _classical_unipotents(ctx: GroupContext) -> tuple[UnipotentSymbol, ...]:
-    """The B/C/D classes of ``enumerate_unipotents``.  The sweeps come back
-    only to the context in use and its good sibling, so a few builds are
-    kept."""
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
     if ctx.char != "p2":
-        return tuple(UnipotentSymbol.plain(c) for c in cs)
+        return [UnipotentSymbol.plain(c) for c in cs]
     out = []
     for c in cs:
         dom = epsilon_domain(c)
         for bits in product((0, 1), repeat=len(dom)):
             out.append(UnipotentSymbol.with_marks(MarkedPartition(c, tuple(zip(dom, bits)))))
-    return tuple(out)
+    return out

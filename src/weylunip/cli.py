@@ -85,14 +85,17 @@ def cmd_atlas(args) -> int:
 
 def _run_suite(args):
     """Yields each report as soon as it is made, so an error in a later suite
-    loses none before it.  The context is checked before any suite runs, and
-    ``--rank`` or ``--char`` without ``--family`` is refused.  For the rank
+    loses none before it.  The context is checked before any suite runs;
+    ``--rank`` or ``--char`` without ``--family`` is refused, and so is
+    ``rhopi`` at good characteristic, where it checks nothing.  For the rank
     bound R, ``xi`` runs at size 2R and ``fiber-min`` at 2R+1 (see the oracle)."""
     from . import oracle  # imported here: no other subcommand needs it
 
     if not args.family and (args.rank is not None or args.char is not None):
         raise WeylUnipError("--rank and --char need --family")
     ctx = context(args.family, args.rank, args.char or "good") if args.family else None
+    if args.suite == "rhopi" and ctx and ctx.char == "good":
+        raise WeylUnipError(f"--suite rhopi needs a bad-characteristic context, not {ctx}")
     rank_bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
     suite = args.suite
     if suite in ("xi", "all"):

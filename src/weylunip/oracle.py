@@ -7,9 +7,10 @@ never from the image of the adjustment map, and counts are recomputed from
 scratch.  Reports are deterministic (timing is kept out of the
 machine-readable records).
 
-The pure maps the suites check (``phi``, ``psi``, ``m_of_class``, ``rho``)
-are evaluated once per context and argument: every check reads the value
-the map gave the first time, kept in a small memo of the contexts in use.
+The pure maps the suites check (``phi``, ``psi``, ``m_of_class``, ``rho``,
+and ``enumerate_unipotents`` on a bound) are evaluated once per context and
+argument: every check reads the value the map gave the first time, kept in a
+small memo of the contexts in use.
 The memo is keyed on the map object, read from this module's globals at
 call time, so patching ``oracle.phi`` starts a fresh memo; a patch inside
 a map (say ``classical_maps.psi`` under ``rho``) or a rewritten table is
@@ -166,9 +167,9 @@ def _loaded(report: VerificationReport, ctx: GroupContext, load):
 
 @functools.lru_cache(maxsize=12)
 def _values(fn, ctx: GroupContext) -> dict:
-    """The values of the map ``fn`` at ``ctx`` evaluated so far.  The sweep
-    runs context by context, each bad context after its good sibling, so
-    twelve entries hold both contexts' maps, E8's three variants too."""
+    """The values of ``fn`` at ``ctx`` so far (unipotent lists by bound).  The
+    sweep runs context by context, each bad context after its good sibling,
+    so twelve entries hold both contexts' maps and lists, E8's three too."""
     return {}
 
 
@@ -211,7 +212,7 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
     fibers = _loaded(report, ctx, lambda: fiber_map(ctx, bound))
     if fibers is None:
         return report
-    unipotents = enumerate_unipotents(ctx, bound=bound)
+    unipotents = _at(enumerate_unipotents, ctx, bound)
     onto = set(fibers) == set(unipotents) and len(unipotents) == len(set(unipotents))
     report.check(
         "surjective-onto-enumeration", onto, ctx,
@@ -248,7 +249,7 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
 def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> VerificationReport:
     """The surjection composed with its section is the identity."""
     report = VerificationReport("phipsi", str(ctx))
-    unipotents = _loaded(report, ctx, lambda: enumerate_unipotents(ctx, bound=bound))
+    unipotents = _loaded(report, ctx, lambda: _at(enumerate_unipotents, ctx, bound))
     if unipotents is None:
         return report
     for u in unipotents:
@@ -323,7 +324,7 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
     characteristic 2, rho forgets the marking."""
     report = VerificationReport("rhopi", str(ctx))
     good = ctx.good()
-    bads = _loaded(report, ctx, lambda: enumerate_unipotents(ctx, bound=bound))
+    bads = _loaded(report, ctx, lambda: _at(enumerate_unipotents, ctx, bound))
     if bads is None:
         return report
     image = {u: _at(rho, ctx, u) for u in bads}
@@ -331,7 +332,7 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
         left = _at(rho, ctx, _at(phi, ctx, C))
         right = _at(phi, good, C)
         report.check("rho-factors-phi", left == right, C, right, left)
-    goods = enumerate_unipotents(good, bound=bound)
+    goods = _at(enumerate_unipotents, good, bound)
     pis = []
     for u0 in goods:
         img = pi(ctx, u0)

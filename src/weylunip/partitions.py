@@ -214,12 +214,20 @@ def format_partition(p: Partition) -> str:
     return ",".join(str(x) for x in p)
 
 
+def _digits(tok: str) -> int:
+    """``int(tok)`` for a run of ASCII digits only: no sign, ``_`` or other script's digits."""
+    run = tok.strip()
+    if not (run.isascii() and run.isdigit()):
+        raise ValueError(f"not a run of digits: {tok!r}")
+    return int(run)
+
+
 def parse_partition(text: str) -> Partition:
     text = text.strip()
     if not text:
         return ()
     try:
-        parts = [int(tok) for tok in text.split(",")]
+        parts = [_digits(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ParseError(f"bad partition text {text!r}: {exc}") from None
     if any(x <= 0 for x in parts):
@@ -238,11 +246,9 @@ def parse_epsilon(text: str) -> tuple[tuple[int, int], ...]:
         return ()
     pairs = []
     for tok in text.split(";"):
-        if ":" not in tok:
-            raise ParseError(f"bad marking pair {tok!r}")
-        j, b = tok.split(":", 1)
         try:
-            pairs.append((int(j), int(b)))
+            j, b = tok.split(":")
+            pairs.append((_digits(j), _digits(b)))
         except ValueError:
             raise ParseError(f"bad marking pair {tok!r}") from None
     if len({j for j, _ in pairs}) != len(pairs):

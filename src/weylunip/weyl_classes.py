@@ -121,8 +121,8 @@ def context(family: str, rank: Optional[int] = None, char: str = "good") -> Grou
 # --- Carter labels ---------------------------------------------------------
 
 _COMPONENT_RE = re.compile(
-    r"(?P<mult>\d+)?(?P<tilde>~)?(?P<letter>[A-G])(?P<primes>'{0,2})_(?P<sub>\d+)"
-    r"(?P<qual>\((a_\d+)\))?"
+    r"(?P<mult>[0-9]+)?(?P<tilde>~)?(?P<letter>[A-G])(?P<primes>'{0,2})_(?P<sub>[0-9]+)"
+    r"(?P<qual>\((a_[0-9]+)\))?"
 )
 
 
@@ -289,7 +289,7 @@ def parse_class(ctx: GroupContext, text: str) -> ClassSymbol:
     if ctx.family == "A":
         return ClassSymbol.type_a(parse_partition(text))
     if ctx.is_classical_bcd:
-        m = re.fullmatch(r"r=(?P<r>[\d,]*);p=(?P<p>[\d,]*)", text)
+        m = re.fullmatch(r"r=(?P<r>[0-9,]*);p=(?P<p>[0-9,]*)", text)
         if not m:
             raise ParseError(f"classical class must look like 'r=...;p=...': {text!r}")
         return ClassSymbol.classical(parse_partition(m.group("r")), parse_partition(m.group("p")))

@@ -32,7 +32,7 @@ def parse_pair_sequence_bc(text: str) -> PairSequenceBC:
         return PairSequenceBC(())
     pairs = []
     for tok in text.split("|"):
-        m = re.fullmatch(r"(\d+),(\d+)", tok.strip())
+        m = re.fullmatch(r"([0-9]+),([0-9]+)", tok.strip())
         if not m:
             raise ParseError(f"bad pair {tok!r}")
         pairs.append((int(m.group(1)), int(m.group(2))))
@@ -46,7 +46,7 @@ def parse_pair_sequence_d(text: str) -> PairSequenceD:
         return PairSequenceD(())
     pairs = []
     for tok in text.split("|"):
-        m = re.fullmatch(r"(\d+),(\d+):([01])", tok.strip())
+        m = re.fullmatch(r"([0-9]+),([0-9]+):([01])", tok.strip())
         if not m:
             raise ParseError(f"bad flagged pair {tok!r}")
         pairs.append((int(m.group(1)), int(m.group(2)), int(m.group(3))))
@@ -55,7 +55,7 @@ def parse_pair_sequence_d(text: str) -> PairSequenceD:
 
 def parse_bipartition(text: str) -> Bipartition:
     """Parse ``y=...;z=...`` into a bipartition."""
-    m = re.fullmatch(r"y=(?P<y>[\d,]*);z=(?P<z>[\d,]*)", text.strip())
+    m = re.fullmatch(r"y=(?P<y>[0-9,]*);z=(?P<z>[0-9,]*)", text.strip())
     if not m:
         raise ParseError(f"bipartition must look like 'y=...;z=...': {text!r}")
     return Bipartition(parse_partition(m.group("y")), parse_partition(m.group("z")))

@@ -129,6 +129,23 @@ def test_atlas_contains_all_record_kinds():
     }
 
 
+def test_atlas_enumerates_each_unipotent_list_once(monkeypatch):
+    # the fiber and rho records read one list, the pi records the good one
+    from weylunip import atlas
+
+    ctx = context("C", 4, "p2")
+    lines = atlas_lines(ctx)
+    real, asked = atlas.enumerate_unipotents, []
+
+    def enumerate_unipotents(ctx_, bound):
+        asked.append(ctx_)
+        return real(ctx_, bound)
+
+    monkeypatch.setattr(atlas, "enumerate_unipotents", enumerate_unipotents)
+    assert atlas_lines(ctx) == lines
+    assert asked == [ctx, ctx.good()]
+
+
 def test_verify_failure_exit_code(capsys):
     # a passing suite exits 0; the records format emits one line per assertion
     code, out, _ = run(
@@ -318,6 +335,11 @@ USAGE_ERRORS = [
     "verify --suite xi --rank 5 --char p2 --bound 2",
     "verify --suite xi --rank 5",
     "verify --suite xi --char good",
+    "verify --suite rhopi --family C --rank 3",
+    "verify --suite rhopi --family E6",
+    "verify --suite rhopi --family A --rank 3",
+    "psi --family C --rank 5 1_0",
+    "phi --family G2 A_٢",
 ]
 
 
@@ -345,6 +367,19 @@ def test_a_misplaced_option_names_only_itself(capsys):
     code, out, err = run(capsys, "fiber", "--family", "D", "--rank", "4", "--bound", "3", "4,4")
     assert code == 2 and out == ""
     assert err == "error: unrecognized arguments: --bound\n"
+
+
+def test_rhopi_is_refused_only_where_it_checks_nothing(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "rhopi", "--family", "E6")
+    assert (code, out) == (2, "")
+    assert err == "error: --suite rhopi needs a bad-characteristic context, not E6/good\n"
+    code, out, _ = run(capsys, "verify", "--suite", "rhopi", "--family", "C", "--rank", "3", "--char", "p2")
+    assert code == 0 and out.startswith("[pass] suite=rhopi context=C_3/p2 ")
+    # all runs the suites that check something there, and skips rhopi as before
+    code, out, _ = run(capsys, "verify", "--suite", "all", "--family", "C", "--rank", "3", "--bound", "3")
+    suites = [line.split()[1] for line in out.splitlines()]
+    assert code == 0
+    assert suites == ["suite=xi", "suite=fiber-min", *["suite=tables"] * 5, "suite=theorem02", "suite=phipsi", "suite=special"]
 
 
 def test_verify_with_a_family_takes_the_good_characteristic_by_default(capsys):

@@ -167,6 +167,23 @@ def test_suites_evaluate_each_map_once_per_context_and_argument(monkeypatch):
     assert counts == {"phi": (1223, 1223), "psi": (897, 897), "m_of_class": (1223, 1223)}
 
 
+def test_suites_enumerate_each_context_once(monkeypatch):
+    # the memo keeps each context's unipotent list for every suite that reads
+    # it, and rhopi finds its good sibling's list there
+    real, asked = oracle.enumerate_unipotents, []
+
+    def enumerate_unipotents(ctx_, bound):
+        asked.append((ctx_, bound))
+        return real(ctx_, bound)
+
+    monkeypatch.setattr(oracle, "enumerate_unipotents", enumerate_unipotents)
+    contexts = oracle.acceptance_contexts(6)
+    for ctx in contexts:
+        assert oracle.verify_theorem_0_2(ctx).passed and oracle.verify_phi_psi_identity(ctx).passed
+        assert ctx.char == "good" or oracle.verify_rho_pi(ctx).passed
+    assert asked == [(ctx, oracle.DEFAULT_FIBER_BOUND) for ctx in contexts]
+
+
 def test_a_patched_phi_is_not_answered_from_the_memo(monkeypatch):
     # the memo is keyed on the map object: once the real phi has filled it,
     # a phi that is wrong on one elliptic class of C_6/p2 is still evaluated

@@ -188,6 +188,25 @@ def test_text_forms_round_trip():
         parse_marked("4,4")
 
 
+@pytest.mark.parametrize("text", ["1_0", "+6,+4", "٦,٤", "6,-4", "6,,4", "0x6", "²"])
+def test_partition_text_is_ascii_digit_runs(text):
+    # int() alone would read the first four as 10, 6,4, 6,4 and 6,4
+    with pytest.raises(ParseError, match="bad partition text"):
+        parse_partition(text)
+
+
+def test_partition_text_allows_whitespace_around_entries():
+    assert parse_partition(" 6 , 4\t") == (6, 4)
+    assert parse_marked(" c= 2,2 ;eps= 2 : 1 ") == MarkedPartition.build((2, 2), {2: 1})
+
+
+@pytest.mark.parametrize("eps", ["2:0_1", "2:+1", "2:١", "+2:1", "2_0:1", "2:1:0", "21"])
+def test_marking_pairs_are_ascii_digit_runs(eps):
+    # int() alone would read the bit of the first one as 1
+    with pytest.raises(ParseError, match="bad marking pair"):
+        parse_marked(f"c=2,2;eps={eps}")
+
+
 @pytest.mark.parametrize("eps", ["2:1;2:0", "2:0;2:0", "4:0;2:1;4:1"])
 def test_marking_refuses_a_repeated_value(eps):
     with pytest.raises(ParseError, match="repeats a value"):

@@ -237,6 +237,22 @@ def test_m_bounded_by_rank_with_equality_only_at_identity(ctx):
                 assert C.r == () and C.p == (1, 1) * ctx.rank
 
 
+@pytest.mark.parametrize(
+    "ctx, text",
+    [
+        (context("A", 3), "2_2"),
+        (context("C", 5), "r=٦,٤;p="),
+        (context("C", 5), "r=;p=+1,+1"),
+        (context("G2"), "A_٢"),
+        (context("E8"), "٢A_1"),
+        (context("F4"), "C_3(a_١)"),
+    ],
+)
+def test_class_text_reads_only_ascii_digits(ctx, text):
+    with pytest.raises(ParseError):
+        parse_class(ctx, text)
+
+
 def test_parse_class_dispatch():
     assert parse_class(context("A", 3), "2,1,1") == ClassSymbol.type_a((2, 1, 1))
     assert parse_class(context("D", 4), "r=4,4;p=") == ClassSymbol.classical((4, 4), ())
