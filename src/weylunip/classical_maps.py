@@ -31,7 +31,7 @@ from itertools import groupby, product
 from typing import Optional
 
 from . import exceptional_tables
-from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
+from .errors import BadInput, NotInR, UnknownUnipotent
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -56,6 +56,7 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    check_rank_bound,
     validate_class,
 )
 
@@ -448,8 +449,7 @@ def enumerate_unipotents(
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
         return [UnipotentSymbol.named(n) for n in table.unipotent_names()]
-    if ctx.rank > bound:
-        raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
+    check_rank_bound(ctx, bound)
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
     if ctx.char != "p2":
         return [UnipotentSymbol.plain(c) for c in cs]

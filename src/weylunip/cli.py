@@ -16,6 +16,7 @@ import sys
 from .atlas import atlas_lines, split_tag
 from .classical_maps import fiber_of, parse_unipotent, phi, pi, psi, rho
 from .errors import WeylUnipError
+from .partitions import _digits
 from .special_classes import special_classes, tau
 from .weyl_classes import (
     CHAR_VARIANTS,
@@ -24,6 +25,7 @@ from .weyl_classes import (
     FAMILIES,
     ClassSymbol,
     GroupContext,
+    check_rank_bound,
     context,
     m_of_class,
     parse_class,
@@ -42,6 +44,8 @@ QUERIES = {
 }
 
 SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
+#: The suites that run on each context, given or of the catalogue.
+CONTEXT_SUITES = ("theorem02", "phipsi", "rhopi", "special", "all")
 
 
 def _context(args) -> GroupContext:
@@ -87,17 +91,21 @@ def _run_suite(args):
     """Yields each report as soon as it is made, so an error in a later suite
     loses none before it.  The context is checked before any suite runs;
     ``--rank`` or ``--char`` without ``--family`` is refused, and so is
-    ``rhopi`` at good characteristic, where it checks nothing.  For the rank
-    bound R, ``xi`` runs at size 2R and ``fiber-min`` at 2R+1 (see the oracle)."""
+    ``rhopi`` at good characteristic, where it checks nothing, and a
+    classical context above the rank bound, which no suite of the context
+    enumerates.  For the rank bound R, ``xi`` runs at size 2R and
+    ``fiber-min`` at 2R+1 (see the oracle)."""
     from . import oracle  # imported here: no other subcommand needs it
 
     if not args.family and (args.rank is not None or args.char is not None):
         raise WeylUnipError("--rank and --char need --family")
     ctx = context(args.family, args.rank, args.char or "good") if args.family else None
-    if args.suite == "rhopi" and ctx and ctx.char == "good":
+    suite = args.suite
+    if suite == "rhopi" and ctx and ctx.char == "good":
         raise WeylUnipError(f"--suite rhopi needs a bad-characteristic context, not {ctx}")
     rank_bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
-    suite = args.suite
+    if suite in CONTEXT_SUITES and ctx:  # verify_special itself takes no bound
+        check_rank_bound(ctx, rank_bound)
     if suite in ("xi", "all"):
         yield oracle.verify_xi_bijection(2 * rank_bound)
     if suite in ("fiber-min", "all"):
@@ -106,7 +114,7 @@ def _run_suite(args):
         families = [ctx.family] if ctx and ctx.is_exceptional else list(EXCEPTIONAL_RANK)
         for fam in families:
             yield oracle.verify_tables(fam)
-    if suite in ("theorem02", "phipsi", "rhopi", "special", "all"):
+    if suite in CONTEXT_SUITES:
         ctxs = [ctx] if ctx else oracle.acceptance_contexts(rank_bound)
         for ctx in ctxs:
             if suite in ("theorem02", "all"):
@@ -130,12 +138,13 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _bound(text: str) -> int:
-    """A rank bound: a non-negative integer.  A negative one would verify
-    nothing and still pass."""
-    if not text.isdigit():
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
-    return int(text)
+def _natural(text: str) -> int:
+    """A rank or rank bound: a run of ASCII digits, read by the rule of the
+    text forms.  A negative bound would verify nothing and still pass."""
+    try:
+        return _digits(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,12 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         handler reads."""
         p = sub.add_parser(name)
         p.add_argument("--family", required=name != "verify", choices=FAMILIES)
-        p.add_argument("--rank", type=int)
+        p.add_argument("--rank", type=_natural)
         # verify without --family refuses --char, so it must see whether one was given
         p.add_argument("--char", default=None if name == "verify" else "good", choices=chars)
         if bound:  # verify picks a default per suite
             default = None if name == "verify" else DEFAULT_RANK_BOUND
-            p.add_argument("--bound", type=_bound, default=default)
+            p.add_argument("--bound", type=_natural, default=default)
         if formats:
             p.add_argument("--format", default="plain", choices=("plain", "records"))
         if payload_help:

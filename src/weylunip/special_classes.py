@@ -20,7 +20,6 @@ from typing import Iterator, Optional
 
 from .errors import (
     BadInput,
-    BoundExceeded,
     NotSpecial,
     TableIntegrityError,
     WrongFamily,
@@ -33,6 +32,7 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    check_rank_bound,
     enumerate_classes,
     parse_carter_label,
     validate_class,
@@ -275,59 +275,82 @@ def k_inv(bp: Bipartition) -> PairSequenceD:
 
 
 # --- enumeration -----------------------------------------------------------
+#
+# Each walk lists the tails of a subproblem, keyed by the walk's state, once
+# per call and joins every prefix that reaches it to that one list, in the
+# depth-first order of a plain walk.  Only the tails of a subproblem covering
+# at most half of the total are kept: a larger one is reached by few
+# prefixes, and keeping its long list would cost more memory than it saves
+# time.  Each walk unbinds its recursive closure before it returns, which
+# frees the closure's cycle and the kept tails at once.
 
 
 def enumerate_A(n: int) -> list[PairSequenceBC]:
     """All pair sequences of total 2n in the B/C special set; deterministic."""
-    out = []
+    kept = {}
 
-    def rec(remaining: int, max_a: int, acc: tuple):
+    def tails(remaining: int, max_a: int) -> list[tuple]:
         if remaining == 0:
-            out.append(_trusted(PairSequenceBC, acc))
-            return
-        for a in range(min(max_a, remaining), 0, -1):
+            return [()]
+        amax = max_a if max_a < remaining else remaining
+        key = (remaining, amax)
+        out = kept.get(key)
+        if out is not None:
+            return out
+        out = []
+        for a in range(amax, 0, -1):
             if a % 2 == 1:
                 if 2 * a <= remaining:
-                    rec(remaining - 2 * a, a, acc + ((a, a),))
+                    out += map(((a, a),).__add__, tails(remaining - 2 * a, a))
             else:
                 top = min(a, remaining - a)
                 for b in range(top - (top % 2), -1, -2):
                     if b == 0:
                         if remaining == a:
-                            out.append(_trusted(PairSequenceBC, acc + ((a, 0),)))
+                            out.append(((a, 0),))
                     else:
-                        rec(remaining - a - b, b, acc + ((a, b),))
+                        out += map(((a, b),).__add__, tails(remaining - a - b, b))
+        if remaining <= n:
+            kept[key] = out
+        return out
 
-    rec(2 * n, 2 * n, ())
-    del rec  # rec's closure holds rec and out; unbinding it frees that cycle now
+    out = [_trusted(PairSequenceBC, pairs) for pairs in tails(2 * n, 2 * n)]
+    del tails
     return out
 
 
 def enumerate_C(n: int) -> list[PairSequenceD]:
     """All flagged pair sequences of total 2n in the D special set."""
-    out = []
+    kept = {}
 
-    def rec(remaining: int, max_a: int, prev_b: Optional[int], prev_e: int, acc: tuple):
+    def tails(remaining: int, max_a: int, prev_b: Optional[int], prev_e: int) -> list[tuple]:
         if remaining == 0:
-            out.append(_trusted(PairSequenceD, acc))
-            return
+            return [()]
+        key = (remaining, max_a, prev_b, prev_e)
+        out = kept.get(key)
+        if out is not None:
+            return out
+        out = []
         for a in range(min(max_a, remaining), 0, -1):
             # an even pair whose first slot touches the previous second slot
             # forces flag 0 on both sides
             touching = prev_b is not None and a == prev_b and a % 2 == 0
             if a % 2 == 1:
                 if 2 * a <= remaining:
-                    rec(remaining - 2 * a, a, a, 0, acc + ((a, a, 0),))
+                    out += map(((a, a, 0),).__add__, tails(remaining - 2 * a, a, a, 0))
                 continue
             if 2 * a <= remaining and not (touching and prev_e != 0):
-                rec(remaining - 2 * a, a, a, 0, acc + ((a, a, 0),))
+                out += map(((a, a, 0),).__add__, tails(remaining - 2 * a, a, a, 0))
             if not touching:
                 top = min(a, remaining - a)
                 for b in range(top - (top % 2), 1, -2):
-                    rec(remaining - a - b, b, b, 1, acc + ((a, b, 1),))
+                    out += map(((a, b, 1),).__add__, tails(remaining - a - b, b, b, 1))
+        if remaining <= n:
+            kept[key] = out
+        return out
 
-    rec(2 * n, 2 * n, None, 0, ())
-    del rec  # rec's closure holds rec and out; unbinding it frees that cycle now
+    out = [_trusted(PairSequenceD, pairs) for pairs in tails(2 * n, 2 * n, None, 0)]
+    del tails
     return out
 
 
@@ -337,37 +360,41 @@ def _interlaced(n: int, s: int) -> list[Bipartition]:
 
     ``s`` is 1 for the B/C set and 0 for the D set.  Both rules make y and z
     weakly decreasing, so once a side reaches zero it stays there; only the
-    positive entries are kept on the two shared stacks, which are therefore
-    the finished partitions at every leaf.
+    positive entries are kept, and a tail is a pair of parallel lists of
+    the y and z tails, which are finished partitions at the top.
     """
-    out = []
-    ys, zs = [], []
+    kept = {}
 
-    def rec(rem: int, ymax: int, zmax: int) -> None:
+    def tails(rem: int, ymax: int, zmax: int) -> tuple[list, list]:
+        key = (rem, ymax, zmax)
+        got = kept.get(key)
+        if got is not None:
+            return got
+        ys, zs = [], []
         # the bounds min(ymax, rem), min(zmax, y + s, rem - y) and
         # min(y, z + 1 - s) are written as comparisons, which cost less
         for y in range(ymax if ymax < rem else rem, -1, -1):
             ztop = y + s if y + s < zmax else zmax
             if rem - y < ztop:
                 ztop = rem - y
-            if y:
-                ys.append(y)
             for z in range(ztop, -1, -1):
-                if z:
-                    zs.append(z)
                 left = rem - y - z
                 if left == 0:  # a leaf: the next column could only be (0, 0)
-                    out.append(Bipartition(tuple(ys), tuple(zs)))
+                    ys.append((y,) if y else ())
+                    zs.append((z,) if z else ())
                 elif y or z:
                     c = z + 1 - s
-                    rec(left, y if y < c else c, z)
-                if z:
-                    zs.pop()
-            if y:
-                ys.pop()
+                    y_tails, z_tails = tails(left, y if y < c else c, z)
+                    # a zero side has only empty tails below it
+                    ys += map((y,).__add__, y_tails) if y else y_tails
+                    zs += map((z,).__add__, z_tails) if z else z_tails
+        got = (ys, zs)
+        if 2 * rem <= n:
+            kept[key] = got
+        return got
 
-    rec(n, n, n + 2)
-    del rec  # rec's closure holds rec and out; unbinding it frees that cycle now
+    out = list(map(Bipartition, *tails(n, n, n + 2)))
+    del tails
     return out
 
 
@@ -460,8 +487,7 @@ def special_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[
         return enumerate_classes(ctx, bound=bound)
     if ctx.is_exceptional:
         return [ClassSymbol.exceptional(lab) for lab, _ in load_tau_table(ctx.family)]
-    if ctx.rank > bound:
-        raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
+    check_rank_bound(ctx, bound)
     if ctx.family in ("B", "C"):
         return [_class_of(x) for x in enumerate_A(ctx.rank)]
     return [_class_of(x) for x in enumerate_C(ctx.rank)]

@@ -343,6 +343,13 @@ def is_split_weyl_class(ctx: GroupContext, C: ClassSymbol) -> bool:
     return C.r == () and all(x % 2 == 0 for x in C.p)
 
 
+def check_rank_bound(ctx: GroupContext, bound: int) -> None:
+    """Refuse a classical context whose rank is above ``bound``, before any
+    enumeration; an exceptional context has a fixed size and passes."""
+    if not ctx.is_exceptional and ctx.rank > bound:
+        raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
+
+
 def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[ClassSymbol]:
     """All classes of the context, duplicate-free, in a fixed deterministic order.
 
@@ -357,8 +364,7 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
         return [ClassSymbol.exceptional(lab) for row in table.rows for lab in row.classes]
-    if ctx.rank > bound:
-        raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
+    check_rank_bound(ctx, bound)
     if ctx.family == "A":
         return [ClassSymbol.type_a(p) for p in partitions_of(ctx.rank + 1)]
     return list(_classical_classes(ctx.family, ctx.rank))

@@ -340,6 +340,13 @@ USAGE_ERRORS = [
     "verify --suite rhopi --family A --rank 3",
     "psi --family C --rank 5 1_0",
     "phi --family G2 A_٢",
+    "verify --suite special --family C --rank 13",
+    "verify --suite special --family D --rank 40",
+    "phi --family C --rank 0_3 r=2;p=1,1,1,1",
+    "phi --family C --rank +3 r=2;p=1,1,1,1",
+    "phi --family C --rank ٣ r=2;p=1,1,1,1",
+    "special --family C --rank 2 --bound ٣",
+    "special --family C --rank 2 --bound 0_3",
 ]
 
 
@@ -380,6 +387,21 @@ def test_rhopi_is_refused_only_where_it_checks_nothing(capsys):
     suites = [line.split()[1] for line in out.splitlines()]
     assert code == 0
     assert suites == ["suite=xi", "suite=fiber-min", *["suite=tables"] * 5, "suite=theorem02", "suite=phipsi", "suite=special"]
+
+
+def test_verify_special_honours_the_rank_bound(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "special", "--family", "C", "--rank", "13")
+    assert (code, out, err) == (2, "", "error: rank 13 exceeds enumeration bound 12\n")
+    code, out, _ = run(capsys, "verify", "--suite", "special", "--family", "C", "--rank", "13", "--bound", "13")
+    assert code == 0 and out.startswith("[pass] suite=special context=C_13/good ")
+
+
+def test_rank_and_bound_take_only_ascii_digit_runs(capsys):
+    code, out, err = run(capsys, "phi", "--family", "C", "--rank", "0_3", "r=2;p=1,1,1,1")
+    assert (code, out) == (2, "")
+    assert err == "error: argument --rank: must be a non-negative integer, got '0_3'\n"
+    code, out, _ = run(capsys, "phi", "--family", "C", "--rank", "03", "r=2;p=1,1,1,1")
+    assert (code, out) == (0, "2,1,1,1,1\n")
 
 
 def test_verify_with_a_family_takes_the_good_characteristic_by_default(capsys):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import sys
 import types
@@ -427,7 +428,16 @@ def test_interlacing_enumerators_keep_the_reference_order(n):
     ]
 
 
-#: SHA-256 of the lines str(bp) over n = 0..14, in enumerator order.
+def order_digest(enumerator):
+    """SHA-256 of one line str(x) per element over n = 0..14, in enumerator
+    order; the empty sequence or bipartition at n = 0 is an empty line."""
+    digest = hashlib.sha256()
+    for n in range(15):
+        for x in enumerator(n):
+            digest.update(f"{x}\n".encode())
+    return digest.hexdigest()
+
+
 INTERLACED_ORDER_DIGESTS = {
     enumerate_A_prime: "d169e8cac1ec60b52bc62f322864d8968562c368f139d8eb52d141696c8006ce",
     enumerate_C_prime: "deda813c80ccf940850681c52dbaa7e249fda6b55cf420d8b8c9e12c021741b4",
@@ -436,11 +446,45 @@ INTERLACED_ORDER_DIGESTS = {
 
 @pytest.mark.parametrize("enumerator", INTERLACED_ORDER_DIGESTS, ids=lambda f: f.__name__)
 def test_interlacing_enumerators_keep_their_pinned_order(enumerator):
-    digest = hashlib.sha256()
-    for n in range(15):
-        for bp in enumerator(n):
-            digest.update(f"{bp}\n".encode())
-    assert digest.hexdigest() == INTERLACED_ORDER_DIGESTS[enumerator]
+    assert order_digest(enumerator) == INTERLACED_ORDER_DIGESTS[enumerator]
+
+
+PAIR_SEQUENCE_ORDER_DIGESTS = {
+    enumerate_A: "749b57ef5262cb6afcfbd097a0639d58b4334f35286be58db100d60b8e0306e0",
+    enumerate_C: "b4887f06b7cff2101dc254eae3b40e4f981084039d922baeea384e753f2ce4b0",
+}
+
+
+@pytest.mark.parametrize("enumerator", PAIR_SEQUENCE_ORDER_DIGESTS, ids=lambda f: f.__name__)
+def test_pair_sequence_enumerators_keep_their_pinned_order(enumerator):
+    assert order_digest(enumerator) == PAIR_SEQUENCE_ORDER_DIGESTS[enumerator]
+
+
+#: Each enumerator with the one element it gives at n = 0.
+EMPTY_ELEMENTS = {
+    enumerate_A: PairSequenceBC(()),
+    enumerate_C: PairSequenceD(()),
+    enumerate_A_prime: Bipartition((), ()),
+    enumerate_C_prime: Bipartition((), ()),
+}
+
+
+@pytest.mark.parametrize("enumerator", EMPTY_ELEMENTS, ids=lambda f: f.__name__)
+def test_enumerators_give_one_empty_element_at_zero(enumerator):
+    assert enumerator(0) == [EMPTY_ELEMENTS[enumerator]]
+
+
+def test_no_enumerator_walk_outlives_its_call():
+    # a walk whose recursive closure is left to the cyclic collector keeps
+    # its tails alive until a collection, which raises the peak memory
+    gc.collect()
+    gc.disable()
+    try:
+        for enumerator in EMPTY_ELEMENTS:
+            enumerator(12)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("n", range(13))
