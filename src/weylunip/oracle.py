@@ -10,7 +10,9 @@ machine-readable records).
 The pure maps the suites check (``phi``, ``psi``, ``m_of_class``, ``rho``,
 and ``enumerate_unipotents`` on a bound) are evaluated once per context and
 argument: every check reads the value the map gave the first time, kept in a
-small memo of the contexts in use.
+small memo of the contexts in use.  The memo keeps one class list per Weyl
+group, read at its good context: a bad-characteristic table has its good
+table's classes.
 The memo is keyed on the map object, read from this module's globals at
 call time, so patching ``oracle.phi`` starts a fresh memo; a patch inside
 a map (say ``classical_maps.psi`` under ``rho``) or a rewritten table is
@@ -36,7 +38,7 @@ from .classical_maps import (
     xi,
     xi_inv,
 )
-from .errors import TableIntegrityError
+from .errors import NotSpecial, TableIntegrityError
 from .exceptional_tables import (
     REPLACEMENTS,
     SUBSCRIPTED_NAME_RE,
@@ -167,9 +169,10 @@ def _loaded(report: VerificationReport, ctx: GroupContext, load):
 
 @functools.lru_cache(maxsize=12)
 def _values(fn, ctx: GroupContext) -> dict:
-    """The values of ``fn`` at ``ctx`` so far (unipotent lists by bound).  The
-    sweep runs context by context, each bad context after its good sibling,
-    so twelve entries hold both contexts' maps and lists, E8's three too."""
+    """The values of ``fn`` at ``ctx`` so far (class and unipotent lists by
+    bound).  The sweep runs context by context, each bad context after its
+    good sibling, so twelve entries hold what a group's suites read, E8's
+    three contexts' too: no entry is evicted before its last read."""
     return {}
 
 
@@ -184,7 +187,7 @@ def _at(fn, ctx: GroupContext, x):
 def fiber_map(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND):
     """Full fibers of the surjection, computed by scanning every class."""
     fibers = defaultdict(list)
-    for C in enumerate_classes(ctx, bound=bound):
+    for C in _at(enumerate_classes, ctx.good(), bound):
         fibers[_at(phi, ctx, C)].append(C)
     return fibers
 
@@ -235,12 +238,7 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
             report.check(
                 "split-fibers-singleton", not split or len(fib) == 1, u, "singleton fiber", f"{len(fib)} classes"
             )
-        if (
-            not ctx.is_exceptional
-            and ctx.family != "A"
-            and ctx.char == "good"
-            and _is_distinguished_good_char(ctx, u)
-        ):
+        if ctx.is_classical_bcd and ctx.char == "good" and _is_distinguished_good_char(ctx, u):
             report.check("distinguished-fiber-singleton", len(fib) == 1, u, 1, len(fib))
     return report
 
@@ -256,7 +254,7 @@ def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND)
         back = _at(phi, ctx, _at(psi, ctx, u))
         report.check("phi-psi-identity", back == u, u, u, back)
     # elliptic classes are fixed points of the section composed the other way
-    for C in enumerate_classes(ctx, bound=bound):
+    for C in _at(enumerate_classes, ctx.good(), bound):
         if _at(m_of_class, ctx, C) == 0:
             back = _at(psi, ctx, _at(phi, ctx, C))
             report.check("elliptic-fixed-point", back == C, C, C, back)
@@ -328,7 +326,7 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
     if bads is None:
         return report
     image = {u: _at(rho, ctx, u) for u in bads}
-    for C in enumerate_classes(ctx, bound=bound):
+    for C in _at(enumerate_classes, good, bound):
         left = _at(rho, ctx, _at(phi, ctx, C))
         right = _at(phi, good, C)
         report.check("rho-factors-phi", left == right, C, right, left)
@@ -411,7 +409,8 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
     nothing has failed once every ``x`` is mapped and the image multiset
     is compared, every ``bp`` is some ``fwd(x)`` with ``back(bp) == x``, so
     ``fwd(back(bp)) == bp`` is proved; otherwise it is evaluated for every
-    ``bp``.  The type-D diagonal check reads the same images.
+    ``bp``.  The type-D diagonal check reads the same images.  A map that
+    refuses (``NotSpecial``) what a round trip passes it fails that round trip.
     """
     report = VerificationReport("special", str(ctx))
     if ctx.is_exceptional:
@@ -440,11 +439,19 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
     # a bipartition is compared by its (y, z) key
     images = []
     for x in side:
-        bp = fwd(x)
+        try:
+            bp = fwd(x)
+        except NotSpecial as exc:  # no image: None keeps images in step with side
+            images.append(None)
+            report.fail("roundtrip-from-pairs", x, x, exc)
+            continue
         images.append((bp.y, bp.z))
         if not member(bp, n):
             report.fail("image-in-interlacing-set", x, "interlacing", bp)
-        x_back = back(bp)
+        try:
+            x_back = back(bp)
+        except NotSpecial as exc:
+            x_back = exc
         if x_back != x:
             report.fail("roundtrip-from-pairs", x, x, x_back)
     report.count("image-in-interlacing-set", len(side))
@@ -454,7 +461,10 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
     report.check("image-equals-interlacing-set", onto, ctx, len(side_prime), len(image_counts))
     if report.failures:
         for bp in side_prime:
-            bp_back = fwd(back(bp))
+            try:
+                bp_back = fwd(back(bp))
+            except NotSpecial as exc:
+                bp_back = exc
             if bp_back != bp:
                 report.fail("roundtrip-from-bipartitions", bp, bp, bp_back)
     report.count("roundtrip-from-bipartitions", len(side_prime))

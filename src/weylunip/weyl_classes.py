@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from .errors import (
@@ -356,10 +355,8 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     For type D the list is at the level of the ambient permutation group
     (split classes appear once; see ``is_split_weyl_class``).
 
-    Each call returns a fresh list and refuses a classical rank above
-    ``bound``.  A B/C/D class set depends only on family and rank, so it is
-    built once, through ``ClassSymbol.classical``, while it is in use, and
-    a characteristic-2 context reads its good sibling's build.
+    Each call builds a fresh list, B/C/D classes through
+    ``ClassSymbol.classical``, and refuses a classical rank above ``bound``.
     """
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
@@ -367,24 +364,14 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     check_rank_bound(ctx, bound)
     if ctx.family == "A":
         return [ClassSymbol.type_a(p) for p in partitions_of(ctx.rank + 1)]
-    return list(_classical_classes(ctx.family, ctx.rank))
-
-
-@lru_cache(maxsize=4)
-def _classical_classes(family: str, rank: int) -> tuple[ClassSymbol, ...]:
-    """The B/C/D classes of ``enumerate_classes``.  The sweeps come back only
-    to the group in use, so a few builds are kept, as ``partitions_of``
-    keeps a bounded number."""
-    two_n = 2 * rank
-    out = []
-    for rsum in range(two_n, -1, -2):
-        rs = even_partitions_of(rsum)
-        if family == "D":
-            rs = [r for r in rs if len(r) % 2 == 0]
-        for r in rs:
-            for p in paired_partitions_of(two_n - rsum):
-                out.append(ClassSymbol.classical(r, p))
-    return tuple(out)
+    two_n = 2 * ctx.rank
+    return [
+        ClassSymbol.classical(r, p)
+        for rsum in range(two_n, -1, -2)
+        for r in even_partitions_of(rsum)
+        if ctx.family != "D" or len(r) % 2 == 0
+        for p in paired_partitions_of(two_n - rsum)
+    ]
 
 
 # imported last: the table reader itself reads the symbols defined above

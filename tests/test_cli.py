@@ -339,6 +339,7 @@ USAGE_ERRORS = [
     "verify --suite rhopi --family E6",
     "verify --suite rhopi --family A --rank 3",
     "psi --family C --rank 5 1_0",
+    "psi --family C --rank 2 4,0",
     "phi --family G2 A_٢",
     "verify --suite special --family C --rank 13",
     "verify --suite special --family D --rank 40",

@@ -3,11 +3,11 @@ import re
 
 import pytest
 
-from weylunip import classical_maps, oracle
+from weylunip import classical_maps, cli, oracle
 from weylunip.classical_maps import UnipotentSymbol
-from weylunip.errors import InvalidClass
+from weylunip.errors import InvalidClass, NotSpecial
 from weylunip.partitions import MarkedPartition
-from weylunip.special_classes import Bipartition, PairSequenceD
+from weylunip.special_classes import Bipartition, PairSequenceBC, PairSequenceD
 from weylunip.weyl_classes import ClassSymbol, context
 
 
@@ -184,6 +184,26 @@ def test_suites_enumerate_each_context_once(monkeypatch):
     assert asked == [(ctx, oracle.DEFAULT_FIBER_BOUND) for ctx in contexts]
 
 
+def test_suites_enumerate_each_weyl_group_once(monkeypatch):
+    # a Weyl group's classes do not depend on the characteristic: the memo
+    # keeps one class list per group, read at its good context, for every
+    # suite of every context of the group
+    real, asked = oracle.enumerate_classes, []
+
+    def enumerate_classes(ctx_, bound):
+        asked.append((ctx_, bound))
+        return real(ctx_, bound)
+
+    monkeypatch.setattr(oracle, "enumerate_classes", enumerate_classes)
+    contexts = oracle.acceptance_contexts(6)
+    for ctx in contexts:
+        assert oracle.verify_theorem_0_2(ctx).passed and oracle.verify_phi_psi_identity(ctx).passed
+        assert ctx.char == "good" or oracle.verify_rho_pi(ctx).passed
+    goods = [ctx for ctx in contexts if ctx.char == "good"]
+    assert asked == [(ctx, oracle.DEFAULT_FIBER_BOUND) for ctx in goods]
+    assert len(goods) == 19  # B, C and D of ranks 2..6 (D from 3), and the five exceptional types
+
+
 def test_a_patched_phi_is_not_answered_from_the_memo(monkeypatch):
     # the memo is keyed on the map object: once the real phi has filled it,
     # a phi that is wrong on one elliptic class of C_6/p2 is still evaluated
@@ -256,6 +276,79 @@ def test_special_suite_reports_a_wrong_inverse(monkeypatch):
     assert _failed(r) == {"roundtrip-from-pairs", "roundtrip-from-bipartitions"}
     assert ("roundtrip-from-bipartitions", str(wrong), str(wrong), str(other)) in r.failures
     assert r.counters == counters
+
+
+def _special_exit_status(ctx, capsys) -> int:
+    status = cli.main(["verify", "--suite", "special", "--family", ctx.family, "--rank", str(ctx.rank)])
+    assert capsys.readouterr().out.startswith("[FAIL] suite=special ")
+    return status
+
+
+def test_special_suite_reports_an_image_its_inverse_refuses(monkeypatch, capsys):
+    # h sends 4,4 to y=1;z=3, off the interlacing, where h_inv raises
+    # NotSpecial: the refusal fails the round trip instead of ending the run
+    ctx = context("C", 4)
+    counters = oracle.verify_special(ctx).counters
+    real_h, wrong = oracle.h, PairSequenceBC(((4, 4),))
+
+    def h(x):
+        return Bipartition((1,), (3,)) if x == wrong else real_h(x)
+
+    monkeypatch.setattr(oracle, "h", h)
+    r = oracle.verify_special(ctx)
+    assert r.failures == [
+        ("image-in-interlacing-set", "4,4", "interlacing", "y=1;z=3"),
+        ("roundtrip-from-pairs", "4,4", "4,4", "bipartition fails the B/C interlacing: y=1;z=3"),
+        ("image-equals-interlacing-set", "C_4/good", "10", "10"),
+        ("roundtrip-from-bipartitions", "y=2;z=2", "y=2;z=2", "y=1;z=3"),
+    ]
+    assert r.counters == counters
+    assert _special_exit_status(ctx, capsys) == 1
+
+
+def test_special_suite_reports_an_inverse_outside_the_special_set(monkeypatch, capsys):
+    # k_inv sends y=2;z=2 to 4,2:0, an unequal even pair flagged 0, which k
+    # refuses when the failure-only loop maps it back
+    ctx = context("D", 4)
+    counters = oracle.verify_special(ctx).counters
+    real_k_inv, wrong = oracle.k_inv, Bipartition((2,), (2,))
+
+    def k_inv(bp):
+        return PairSequenceD(((4, 2, 0),)) if bp == wrong else real_k_inv(bp)
+
+    monkeypatch.setattr(oracle, "k_inv", k_inv)
+    r = oracle.verify_special(ctx)
+    assert r.failures == [
+        ("roundtrip-from-pairs", "4,4:0", "4,4:0", "4,2:0"),
+        ("roundtrip-from-bipartitions", "y=2;z=2", "y=2;z=2", "pair sequence outside the D special set: 4,2:0"),
+    ]
+    assert r.counters == counters
+    assert _special_exit_status(ctx, capsys) == 1
+
+
+def test_special_suite_reports_a_forward_map_that_refuses_its_domain(monkeypatch, capsys):
+    # k refuses the diagonal sequence 4,4:0: it has no image, so the image
+    # set and the diagonal both miss one, and neither round trip holds
+    ctx = context("D", 4)
+    counters = oracle.verify_special(ctx).counters
+    real_k, wrong = oracle.k, PairSequenceD(((4, 4, 0),))
+
+    def k(x):
+        if x == wrong:
+            raise NotSpecial(f"pair sequence outside the D special set: {x}")
+        return real_k(x)
+
+    monkeypatch.setattr(oracle, "k", k)
+    r = oracle.verify_special(ctx)
+    refusal = "pair sequence outside the D special set: 4,4:0"
+    assert r.failures == [
+        ("roundtrip-from-pairs", "4,4:0", "4,4:0", refusal),
+        ("image-equals-interlacing-set", "D_4/good", "9", "9"),
+        ("roundtrip-from-bipartitions", "y=2;z=2", "y=2;z=2", refusal),
+        ("flag0-onto-diagonal", "D_4/good", "2", "2"),
+    ]
+    assert r.counters == counters
+    assert _special_exit_status(ctx, capsys) == 1
 
 
 def test_special_suite_reports_a_wrong_forward_map_on_the_diagonal(monkeypatch):

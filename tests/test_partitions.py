@@ -184,6 +184,8 @@ def test_text_forms_round_trip():
     assert parse_marked(format_marked(m)) == m
     with pytest.raises(ParseError):
         parse_partition("4,x")
+    with pytest.raises(ParseError, match="partition entries must be positive: '4,0'"):
+        parse_partition("4,0")
     with pytest.raises(ParseError):
         parse_marked("4,4")
 

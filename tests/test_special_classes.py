@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import weylunip
 from conftest import parse_bipartition, parse_pair_sequence_bc, parse_pair_sequence_d
 from weylunip.classical_maps import phi, psi
-from weylunip.errors import BadInput, BoundExceeded, NotSpecial, ParseError
+from weylunip.errors import BadInput, BoundExceeded, NotSpecial, ParseError, WrongFamily
 from weylunip.partitions import partition, partitions_of
 from weylunip.special_classes import (
     Bipartition,
@@ -111,6 +111,17 @@ def test_in_C_examples():
     assert not in_C(PairSequenceD(((4, 4, 1), (4, 4, 0))))
     assert in_C(PairSequenceD(((4, 4, 0), (4, 4, 0))))
     assert in_C(PairSequenceD(((4, 4, 1), (2, 2, 0))))
+    # a half-empty even pair, flagged 1 so that no earlier condition refuses it
+    assert not in_C(PairSequenceD(((4, 0, 1),)))
+    with pytest.raises(BadInput, match="flags must be 0 or 1"):
+        PairSequenceD(((4, 4, 2),))
+
+
+def test_interlacing_predicates_refuse_a_wrong_total_and_a_broken_column():
+    assert not in_A_prime(Bipartition((2,), ()), 3)
+    assert not in_A_prime(Bipartition((1,), (3,)), 4)  # z_1 > y_1 + 1
+    assert not in_C_prime(Bipartition((2,), ()), 3)
+    assert not in_C_prime(Bipartition((1,), (2,)), 3)  # z_1 > y_1
 
 
 def test_h_examples():
@@ -168,6 +179,29 @@ def test_special_class_of_examples():
     assert split == ClassSymbol.classical((), (4, 4))
     assert is_split_weyl_class(d4, split)
     assert special_class_of(d4, PairSequenceD(((4, 4, 1),))) == ClassSymbol.classical((4, 4), ())
+
+
+@pytest.mark.parametrize(
+    "ctx, x, error, message",
+    [
+        (context("C", 2), PairSequenceD(((4, 0, 1),)), NotSpecial, "not in the B/C special set: 4,0:1"),
+        (context("C", 2), PairSequenceBC(((3, 1),)), NotSpecial, "not in the B/C special set: 3,1"),
+        (context("D", 4), PairSequenceD(((6, 2, 0),)), NotSpecial, "not in the D special set: 6,2:0"),
+        (context("A", 3), PairSequenceBC(((4, 0),)), WrongFamily, "not A"),
+        (context("E8"), PairSequenceBC(((4, 0),)), WrongFamily, "not E8"),
+        (context("C", 3), PairSequenceBC(((4, 0),)), BadInput, "total 4 does not match C_3/good"),
+    ],
+)
+def test_special_class_of_refusals(ctx, x, error, message):
+    with pytest.raises(error) as exc:
+        special_class_of(ctx, x)
+    assert type(exc.value) is error and str(exc.value).endswith(message)
+
+
+@pytest.mark.parametrize("C", [ClassSymbol.type_a((2, 1)), ClassSymbol.exceptional("E_8")], ids=str)
+def test_no_pair_sequence_for_a_class_outside_b_c_d(C):
+    assert bc_pair_sequence_of(C) is None
+    assert d_pair_sequence_of(C) is None
 
 
 def test_is_special_class_examples():

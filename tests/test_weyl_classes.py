@@ -207,7 +207,7 @@ def test_enumerate_classes_returns_a_fresh_list():
     assert enumerate_classes(ctx) is not first
     first.reverse()
     first.append(ClassSymbol.classical((), ()))
-    # the good context reads the same build as its characteristic-2 sibling
+    # a changed list reaches no later call, at either characteristic
     assert enumerate_classes(context("D", 5)) == rebuild_classes(ctx)
 
 
