@@ -88,9 +88,11 @@ def cmd_atlas(args) -> int:
 
 
 def _run_suite(args):
-    """Yields each report as soon as it is made, so an error in a later suite
-    loses none before it.  The context is checked before any suite runs;
-    ``--rank`` or ``--char`` without ``--family`` is refused, and so is
+    """Yields each report as soon as it is made.  A table that fails its load
+    or a map that refuses an input is a failed report, not an error (see the
+    oracle), so every suite runs; an error that still escapes a suite loses
+    none of the reports before it.  The context is checked before any suite
+    runs; ``--rank`` or ``--char`` without ``--family`` is refused, and so is
     ``rhopi`` at good characteristic, where it checks nothing, and a
     classical context above the rank bound, which no suite of the context
     enumerates.  For the rank bound R, ``xi`` runs at size 2R and

@@ -17,6 +17,10 @@ The memo is keyed on the map object, read from this module's globals at
 call time, so patching ``oracle.phi`` starts a fresh memo; a patch inside
 a map (say ``classical_maps.psi`` under ``rho``) or a rewritten table is
 not seen until ``_values.cache_clear()`` empties it.
+
+Each suite does its work inside one ``_checking`` block, which times it and
+makes a failed table load or a map's refusal one counted failure, so a
+suite returns its report for every fault of the maps and tables.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import functools
 import time
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .classical_maps import (
@@ -38,7 +43,7 @@ from .classical_maps import (
     xi,
     xi_inv,
 )
-from .errors import NotSpecial, TableIntegrityError
+from .errors import BadInput, NotSpecial, TableIntegrityError, WrongFamily
 from .exceptional_tables import (
     REPLACEMENTS,
     SUBSCRIPTED_NAME_RE,
@@ -143,28 +148,23 @@ class VerificationReport:
         )
 
 
-def _timed(fn):
-    @functools.wraps(fn)
-    def wrap(*args, **kwargs):
-        t0 = time.perf_counter()
-        report = fn(*args, **kwargs)
-        report.elapsed = time.perf_counter() - t0
-        return report
-
-    return wrap
-
-
-def _loaded(report: VerificationReport, ctx: GroupContext, load):
-    """``load()``, or None with a ``table-loads`` failure at ``ctx`` when a
-    table it reads fails its load checks; the failed load counts as one
-    checked instance, and a load that succeeds adds no record.  A
-    verifier's first table read goes through here; a table that loads is
-    cached, so later reads succeed."""
+@contextmanager
+def _checking(report: VerificationReport, inp):
+    """The boundary of a suite's checks: adds the block's wall time to
+    ``report.elapsed``, and ends the block with one counted failure at
+    ``inp`` when a table it reads fails its load checks (``table-loads``)
+    or a map refuses an input the suite passes it (``maps-accept-inputs``,
+    any ``BadInput``).  Every other error propagates: a ``BoundExceeded``
+    is the caller's own rank bound, not a fault of the maps."""
+    t0 = time.perf_counter()
     try:
-        return load()
+        yield
     except TableIntegrityError as exc:
-        report.check("table-loads", False, ctx, "a table that passes its load checks", exc)
-        return None
+        report.check("table-loads", False, inp, "a table that passes its load checks", exc)
+    except BadInput as exc:
+        report.check("maps-accept-inputs", False, inp, "a map that accepts its input", exc)
+    finally:
+        report.elapsed += time.perf_counter() - t0
 
 
 @functools.lru_cache(maxsize=12)
@@ -202,7 +202,6 @@ def _is_distinguished_good_char(ctx: GroupContext, u: UnipotentSymbol) -> bool:
     return all(x % 2 == want for x in c)
 
 
-@_timed
 def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> VerificationReport:
     """Every fiber has a unique fixed-space minimizer and the section picks it.
 
@@ -212,85 +211,81 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
     singleton fibers.
     """
     report = VerificationReport("theorem02", str(ctx))
-    fibers = _loaded(report, ctx, lambda: fiber_map(ctx, bound))
-    if fibers is None:
-        return report
-    unipotents = _at(enumerate_unipotents, ctx, bound)
-    onto = set(fibers) == set(unipotents) and len(unipotents) == len(set(unipotents))
-    report.check(
-        "surjective-onto-enumeration", onto, ctx,
-        f"{len(unipotents)} unipotent classes", f"{len(fibers)} fiber images",
-    )
-    for u in unipotents:
-        fib = fibers[u]
-        if not fib:  # a gap, reported by surjective-onto-enumeration
-            continue
-        ms = [_at(m_of_class, ctx, C) for C in fib]
-        mmin = min(ms)
-        n = ms.count(mmin)
-        if not report.check("unique-minimum", n == 1, u, "one minimizer", f"{n} of {len(fib)}"):
-            continue
-        argmin = fib[ms.index(mmin)]
-        section = _at(psi, ctx, u)
-        report.check("section-is-minimizer", section == argmin, u, argmin, section)
-        if ctx.family == "D":
-            split = [C for C in fib if is_split_weyl_class(ctx, C)]
-            report.check(
-                "split-fibers-singleton", not split or len(fib) == 1, u, "singleton fiber", f"{len(fib)} classes"
-            )
-        if ctx.is_classical_bcd and ctx.char == "good" and _is_distinguished_good_char(ctx, u):
-            report.check("distinguished-fiber-singleton", len(fib) == 1, u, 1, len(fib))
+    with _checking(report, ctx):
+        fibers = fiber_map(ctx, bound)
+        unipotents = _at(enumerate_unipotents, ctx, bound)
+        onto = set(fibers) == set(unipotents) and len(unipotents) == len(set(unipotents))
+        report.check(
+            "surjective-onto-enumeration", onto, ctx,
+            f"{len(unipotents)} unipotent classes", f"{len(fibers)} fiber images",
+        )
+        for u in unipotents:
+            fib = fibers[u]
+            if not fib:  # a gap, reported by surjective-onto-enumeration
+                continue
+            ms = [_at(m_of_class, ctx, C) for C in fib]
+            mmin = min(ms)
+            n = ms.count(mmin)
+            if not report.check("unique-minimum", n == 1, u, "one minimizer", f"{n} of {len(fib)}"):
+                continue
+            argmin = fib[ms.index(mmin)]
+            section = _at(psi, ctx, u)
+            report.check("section-is-minimizer", section == argmin, u, argmin, section)
+            if ctx.family == "D":
+                split = [C for C in fib if is_split_weyl_class(ctx, C)]
+                report.check(
+                    "split-fibers-singleton", not split or len(fib) == 1, u, "singleton fiber", f"{len(fib)} classes"
+                )
+            if ctx.is_classical_bcd and ctx.char == "good" and _is_distinguished_good_char(ctx, u):
+                report.check("distinguished-fiber-singleton", len(fib) == 1, u, 1, len(fib))
     return report
 
 
-@_timed
 def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> VerificationReport:
     """The surjection composed with its section is the identity."""
     report = VerificationReport("phipsi", str(ctx))
-    unipotents = _loaded(report, ctx, lambda: _at(enumerate_unipotents, ctx, bound))
-    if unipotents is None:
-        return report
-    for u in unipotents:
-        back = _at(phi, ctx, _at(psi, ctx, u))
-        report.check("phi-psi-identity", back == u, u, u, back)
-    # elliptic classes are fixed points of the section composed the other way
-    for C in _at(enumerate_classes, ctx.good(), bound):
-        if _at(m_of_class, ctx, C) == 0:
-            back = _at(psi, ctx, _at(phi, ctx, C))
-            report.check("elliptic-fixed-point", back == C, C, C, back)
+    with _checking(report, ctx):
+        unipotents = _at(enumerate_unipotents, ctx, bound)
+        for u in unipotents:
+            back = _at(phi, ctx, _at(psi, ctx, u))
+            report.check("phi-psi-identity", back == u, u, u, back)
+        # elliptic classes are fixed points of the section composed the other way
+        for C in _at(enumerate_classes, ctx.good(), bound):
+            if _at(m_of_class, ctx, C) == 0:
+                back = _at(psi, ctx, _at(phi, ctx, C))
+                report.check("elliptic-fixed-point", back == C, C, C, back)
     return report
 
 
-@_timed
 def verify_xi_bijection(n_max: int = 2 * DEFAULT_FIBER_BOUND) -> VerificationReport:
     """The adjustment map is a bijection from all-even records onto the
     gap-condition set, with the stated inverse; image membership is decided
     by the predicate, never by the map.  The records of the B/D contexts of
     rank n have size at most 2n, hence the default."""
     report = VerificationReport("xi", f"N<={n_max}")
-    for kappa in (0, 1):
-        for n in range(0, n_max + 1, 2):
-            source = even_partitions_of(n)
-            if kappa == 0:
-                source = [r for r in source if len(r) % 2 == 0]
-            target = {c for c in partitions_of(n + kappa) if in_Q(c, n + kappa) and in_R(c)}
-            images = []
-            for r in source:
-                img = xi(r, kappa)
-                images.append(img)
-                inp = (r, kappa)
-                if report.check("image-in-target", img in target, inp, "member of target set", img):
-                    back = xi_inv(img, kappa)
-                    report.check("inverse-roundtrip", back == r, inp, r, back)
-                else:
-                    report.check("inverse-roundtrip", False, inp, r, "no inverse outside the target set")
-            distinct = len(set(images))
-            report.check("injective", distinct == len(images), (n, kappa), len(images), distinct)
-            report.check("image-equals-target", sorted(images) == sorted(target), (n, kappa), len(target), distinct)
+    with _checking(report, report.context):
+        for kappa in (0, 1):
+            for n in range(0, n_max + 1, 2):
+                source = even_partitions_of(n)
+                if kappa == 0:
+                    source = [r for r in source if len(r) % 2 == 0]
+                target = {c for c in partitions_of(n + kappa) if in_Q(c, n + kappa) and in_R(c)}
+                images = []
+                for r in source:
+                    img = xi(r, kappa)
+                    images.append(img)
+                    inp = (r, kappa)
+                    if report.check("image-in-target", img in target, inp, "member of target set", img):
+                        back = xi_inv(img, kappa)
+                        report.check("inverse-roundtrip", back == r, inp, r, back)
+                    else:
+                        report.check("inverse-roundtrip", False, inp, r, "no inverse outside the target set")
+                distinct = len(set(images))
+                report.check("injective", distinct == len(images), (n, kappa), len(images), distinct)
+                report.check("image-equals-target", sorted(images) == sorted(target), (n, kappa), len(target), distinct)
     return report
 
 
-@_timed
 def verify_fiber_minimum(n_max: int = 2 * DEFAULT_FIBER_BOUND + 1) -> VerificationReport:
     """Uniqueness of the shortest-p splitting of every orthogonal Jordan
     type, against full fiber enumeration, and agreement with the rule-based
@@ -298,63 +293,61 @@ def verify_fiber_minimum(n_max: int = 2 * DEFAULT_FIBER_BOUND + 1) -> Verificati
     The Jordan types of the B/D contexts of rank n have size at most 2n+1,
     hence the default."""
     report = VerificationReport("fiber-min", f"n<={n_max}")
-    for n_amb in range(1, n_max + 1):
-        for c in partitions_of(n_amb):
-            if not in_Q(c, n_amb):
-                continue
-            fib = [(r, p) for r, p in splittings(c) if in_Q(r, sum(r)) and in_R(r)]
-            best = min(len(p) for _, p in fib)
-            minimizers = [(r, p) for r, p in fib if len(p) == best]
-            if not report.check("unique-minimum", len(minimizers) == 1, c, 1, len(minimizers)):
-                continue
-            computed = orthogonal_fiber_minimizer(c)
-            report.check("rules-match-minimum", computed == minimizers[0], c, minimizers[0], computed)
-            merged = partition(computed[0] + computed[1])
-            report.check("merge-roundtrip", merged == c, c, c, merged)
+    with _checking(report, report.context):
+        for n_amb in range(1, n_max + 1):
+            for c in partitions_of(n_amb):
+                if not in_Q(c, n_amb):
+                    continue
+                fib = [(r, p) for r, p in splittings(c) if in_Q(r, sum(r)) and in_R(r)]
+                best = min(len(p) for _, p in fib)
+                minimizers = [(r, p) for r, p in fib if len(p) == best]
+                if not report.check("unique-minimum", len(minimizers) == 1, c, 1, len(minimizers)):
+                    continue
+                computed = orthogonal_fiber_minimizer(c)
+                report.check("rules-match-minimum", computed == minimizers[0], c, minimizers[0], computed)
+                merged = partition(computed[0] + computed[1])
+                report.check("merge-roundtrip", merged == c, c, c, merged)
     return report
 
 
-@_timed
 def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> VerificationReport:
     """The comparison maps factor the two surjections/sections as claimed:
     rho o phi_p = phi_0 on classes, psi_p o pi = psi_0 on good-characteristic
     unipotents, rho surjective, pi injective, rho o pi = identity; in type C
     characteristic 2, rho forgets the marking."""
     report = VerificationReport("rhopi", str(ctx))
-    good = ctx.good()
-    bads = _loaded(report, ctx, lambda: _at(enumerate_unipotents, ctx, bound))
-    if bads is None:
-        return report
-    image = {u: _at(rho, ctx, u) for u in bads}
-    for C in _at(enumerate_classes, good, bound):
-        left = _at(rho, ctx, _at(phi, ctx, C))
-        right = _at(phi, good, C)
-        report.check("rho-factors-phi", left == right, C, right, left)
-    goods = _at(enumerate_unipotents, good, bound)
-    pis = []
-    for u0 in goods:
-        img = pi(ctx, u0)
-        pis.append(img)
-        got, want = _at(psi, ctx, img), _at(psi, good, u0)
-        report.check("psi-factors-pi", got == want, u0, want, got)
-        back = _at(rho, ctx, img)
-        report.check("rho-pi-identity", back == u0, u0, u0, back)
-    distinct = len(set(pis))
-    report.check("pi-injective", distinct == len(pis), ctx, len(pis), distinct)
-    reached = set(image.values())
-    report.check("rho-surjective", reached == set(goods), ctx, len(goods), len(reached))
-    if ctx.family == "C" and ctx.char == "p2":
-        for u, img in image.items():
-            report.check("rho-forgets-marks", img.partition == u.marked.c, u, u.marked.c, img)
-    if ctx.is_exceptional:
-        for u, img in image.items():
-            m = SUBSCRIPTED_NAME_RE.match(u.name)
-            expected = m.group("base") if m else u.name
-            report.check("rho-strips-subscript", img.name == expected, u, expected, img.name)
+    with _checking(report, ctx):
+        good = ctx.good()
+        bads = _at(enumerate_unipotents, ctx, bound)
+        image = {u: _at(rho, ctx, u) for u in bads}
+        for C in _at(enumerate_classes, good, bound):
+            left = _at(rho, ctx, _at(phi, ctx, C))
+            right = _at(phi, good, C)
+            report.check("rho-factors-phi", left == right, C, right, left)
+        goods = _at(enumerate_unipotents, good, bound)
+        pis = []
+        for u0 in goods:
+            img = pi(ctx, u0)
+            pis.append(img)
+            got, want = _at(psi, ctx, img), _at(psi, good, u0)
+            report.check("psi-factors-pi", got == want, u0, want, got)
+            back = _at(rho, ctx, img)
+            report.check("rho-pi-identity", back == u0, u0, u0, back)
+        distinct = len(set(pis))
+        report.check("pi-injective", distinct == len(pis), ctx, len(pis), distinct)
+        reached = set(image.values())
+        report.check("rho-surjective", reached == set(goods), ctx, len(goods), len(reached))
+        if ctx.family == "C" and ctx.char == "p2":
+            for u, img in image.items():
+                report.check("rho-forgets-marks", img.partition == u.marked.c, u, u.marked.c, img)
+        if ctx.is_exceptional:
+            for u, img in image.items():
+                m = SUBSCRIPTED_NAME_RE.match(u.name)
+                expected = m.group("base") if m else u.name
+                report.check("rho-strips-subscript", img.name == expected, u, expected, img.name)
     return report
 
 
-@_timed
 def verify_tables(family: str) -> VerificationReport:
     """Structural integrity of the exceptional tables: every instance of the
     invariants the loader enforces (``table_checks``), and the
@@ -362,36 +355,35 @@ def verify_tables(family: str) -> VerificationReport:
     declared replacement rows, compared row by row as a check independent of
     the line-level derivation of their text.  A table the loader refuses is
     a failure; the good table comes first, and a variant only loads once its
-    good table has."""
+    good table has.  A family without tables is refused."""
+    if family not in EXCEPTIONAL_RANK:
+        raise WrongFamily(f"no fiber table for family {family!r}")
     report = VerificationReport("tables", family)
-    rank = EXCEPTIONAL_RANK[family]
     for char in CHAR_VARIANTS[family]:
-        ctx = GroupContext(family, rank, char)
-        table = _loaded(report, ctx, lambda: load_table(ctx))
-        if table is None:
-            continue
-        if char == "good":
-            good = table
-        for c in table_checks(table, good):
-            report.check(*c)
-        if char == "good":
-            continue
-        reps = dict(REPLACEMENTS[(family, char)])
-        expected_rows = []
-        for row in good.rows:
-            if row.unipotent in reps:
-                expected_rows += reps[row.unipotent]
-            else:
-                expected_rows.append((tuple(str(l) for l in row.classes), row.unipotent))
-        actual_rows = [(tuple(str(l) for l in row.classes), row.unipotent) for row in table.rows]
-        same = actual_rows == expected_rows
-        report.check(
-            "variant-is-good-plus-replacements", same, ctx, f"{len(expected_rows)} rows", f"{len(actual_rows)} rows"
-        )
+        ctx = GroupContext(family, EXCEPTIONAL_RANK[family], char)
+        with _checking(report, ctx):
+            table = load_table(ctx)
+            if char == "good":
+                good = table
+            for c in table_checks(table, good):
+                report.check(*c)
+            if char == "good":
+                continue
+            reps = dict(REPLACEMENTS[(family, char)])
+            expected_rows = []
+            for row in good.rows:
+                if row.unipotent in reps:
+                    expected_rows += reps[row.unipotent]
+                else:
+                    expected_rows.append((tuple(str(l) for l in row.classes), row.unipotent))
+            actual_rows = [(tuple(str(l) for l in row.classes), row.unipotent) for row in table.rows]
+            same = actual_rows == expected_rows
+            report.check(
+                "variant-is-good-plus-replacements", same, ctx, f"{len(expected_rows)} rows", f"{len(actual_rows)} rows"
+            )
     return report
 
 
-@_timed
 def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationReport:
     """Round trips and coherence of the special-class machinery.
 
@@ -413,79 +405,77 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
     refuses (``NotSpecial``) what a round trip passes it fails that round trip.
     """
     report = VerificationReport("special", str(ctx))
-    if ctx.is_exceptional:
-        tables = _loaded(report, ctx, lambda: (load_tau_table(ctx.family), load_table(ctx.good())))
-        if tables is None:
+    with _checking(report, ctx):
+        if ctx.is_exceptional:
+            rows, good = load_tau_table(ctx.family), load_table(ctx.good())
+            section_images = {row.classes[0] for row in good.rows}
+            report.check("bijective-table", is_bijective_table(rows), ctx.family, "distinct rows", "duplicates")
+            for lab, _ in rows:
+                report.check("classes-are-section-images", lab in section_images, lab, "section image", "not an image")
             return report
-        rows, good = tables
-        section_images = {row.classes[0] for row in good.rows}
-        report.check("bijective-table", is_bijective_table(rows), ctx.family, "distinct rows", "duplicates")
-        for lab, _ in rows:
-            report.check("classes-are-section-images", lab in section_images, lab, "section image", "not an image")
-        return report
-    if ctx.family == "A":
-        report.count("type-a-trivial")
-        return report
-    n = ctx.rank
-    if ctx.family in ("B", "C"):
-        side = enumerate_A(n)
-        side_prime = enumerate_A_prime(n)
-        fwd, back, member = h, h_inv, in_A_prime
-    else:
-        side = enumerate_C(n)
-        side_prime = enumerate_C_prime(n)
-        fwd, back, member = k, k_inv, in_C_prime
-    report.check("cardinalities-match", len(side) == len(side_prime), ctx, len(side), len(side_prime))
-    # a bipartition is compared by its (y, z) key
-    images = []
-    for x in side:
-        try:
-            bp = fwd(x)
-        except NotSpecial as exc:  # no image: None keeps images in step with side
-            images.append(None)
-            report.fail("roundtrip-from-pairs", x, x, exc)
-            continue
-        images.append((bp.y, bp.z))
-        if not member(bp, n):
-            report.fail("image-in-interlacing-set", x, "interlacing", bp)
-        try:
-            x_back = back(bp)
-        except NotSpecial as exc:
-            x_back = exc
-        if x_back != x:
-            report.fail("roundtrip-from-pairs", x, x, x_back)
-    report.count("image-in-interlacing-set", len(side))
-    report.count("roundtrip-from-pairs", len(side))
-    image_counts = Counter(images)
-    onto = image_counts == Counter((bp.y, bp.z) for bp in side_prime)
-    report.check("image-equals-interlacing-set", onto, ctx, len(side_prime), len(image_counts))
-    if report.failures:
-        for bp in side_prime:
-            try:
-                bp_back = fwd(back(bp))
-            except NotSpecial as exc:
-                bp_back = exc
-            if bp_back != bp:
-                report.fail("roundtrip-from-bipartitions", bp, bp, bp_back)
-    report.count("roundtrip-from-bipartitions", len(side_prime))
-    if ctx.family == "D":
-        diag = [(bp.y, bp.z) for bp in side_prime if in_C0_prime(bp, n)]
-        diag_images = [key for x, key in zip(side, images) if in_C0(x)]
-        report.check("flag0-onto-diagonal", Counter(diag_images) == Counter(diag), ctx, len(diag), len(diag_images))
-    if check_maps:
-        good = ctx.good()
+        if ctx.family == "A":
+            report.count("type-a-trivial")
+            return report
+        n = ctx.rank
+        if ctx.family in ("B", "C"):
+            side = enumerate_A(n)
+            side_prime = enumerate_A_prime(n)
+            fwd, back, member = h, h_inv, in_A_prime
+        else:
+            side = enumerate_C(n)
+            side_prime = enumerate_C_prime(n)
+            fwd, back, member = k, k_inv, in_C_prime
+        report.check("cardinalities-match", len(side) == len(side_prime), ctx, len(side), len(side_prime))
+        # a bipartition is compared by its (y, z) key
+        images = []
         for x in side:
-            s = special_class_of(good, x)
-            back_s = psi(good, phi(good, s))
-            if back_s != s:
-                report.fail("section-fixes-special", x, s, back_s)
-            if ctx.family == "D":
-                split, flag0 = is_split_weyl_class(good, s), in_C0(x)
-                if split != flag0:
-                    report.fail("split-coherence", x, flag0, split)
-        report.count("section-fixes-special", len(side))
+            try:
+                bp = fwd(x)
+            except NotSpecial as exc:  # no image: None keeps images in step with side
+                images.append(None)
+                report.fail("roundtrip-from-pairs", x, x, exc)
+                continue
+            images.append((bp.y, bp.z))
+            if not member(bp, n):
+                report.fail("image-in-interlacing-set", x, "interlacing", bp)
+            try:
+                x_back = back(bp)
+            except NotSpecial as exc:
+                x_back = exc
+            if x_back != x:
+                report.fail("roundtrip-from-pairs", x, x, x_back)
+        report.count("image-in-interlacing-set", len(side))
+        report.count("roundtrip-from-pairs", len(side))
+        image_counts = Counter(images)
+        onto = image_counts == Counter((bp.y, bp.z) for bp in side_prime)
+        report.check("image-equals-interlacing-set", onto, ctx, len(side_prime), len(image_counts))
+        if report.failures:
+            for bp in side_prime:
+                try:
+                    bp_back = fwd(back(bp))
+                except NotSpecial as exc:
+                    bp_back = exc
+                if bp_back != bp:
+                    report.fail("roundtrip-from-bipartitions", bp, bp, bp_back)
+        report.count("roundtrip-from-bipartitions", len(side_prime))
         if ctx.family == "D":
-            report.count("split-coherence", len(side))
+            diag = [(bp.y, bp.z) for bp in side_prime if in_C0_prime(bp, n)]
+            diag_images = [key for x, key in zip(side, images) if in_C0(x)]
+            report.check("flag0-onto-diagonal", Counter(diag_images) == Counter(diag), ctx, len(diag), len(diag_images))
+        if check_maps:
+            good = ctx.good()
+            for x in side:
+                s = special_class_of(good, x)
+                back_s = psi(good, phi(good, s))
+                if back_s != s:
+                    report.fail("section-fixes-special", x, s, back_s)
+                if ctx.family == "D":
+                    split, flag0 = is_split_weyl_class(good, s), in_C0(x)
+                    if split != flag0:
+                        report.fail("split-coherence", x, flag0, split)
+            report.count("section-fixes-special", len(side))
+            if ctx.family == "D":
+                report.count("split-coherence", len(side))
     return report
 
 

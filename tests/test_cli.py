@@ -169,6 +169,39 @@ def test_verify_prints_each_report_before_a_later_error(capsys, monkeypatch):
     assert "[pass] suite=fiber-min context=n<=25 " in out
 
 
+def test_verify_reports_a_map_that_refuses_an_input_and_goes_on(capsys, monkeypatch):
+    # psi refusing one Jordan type fails the reports that pass it to psi,
+    # and every report of a clean run still prints, with nothing on stderr
+    from weylunip import oracle
+    from weylunip.errors import BadInput
+
+    argv = ("verify", "--suite", "all", "--bound", "3")
+
+    def reports(out):
+        return [line.split(" checked=")[0] for line in out.splitlines()]
+
+    code, clean, _ = run(capsys, *argv)
+    assert code == 0 and len(clean.splitlines()) == 77
+    real_psi = oracle.psi
+
+    def psi(ctx, u):
+        if (str(ctx), str(u)) == ("C_3/good", "4,2"):
+            raise BadInput("boom")
+        return real_psi(ctx, u)
+
+    monkeypatch.setattr(oracle, "psi", psi)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (1, "")
+    assert [r.split(" ", 1)[1] for r in reports(out)] == [r.split(" ", 1)[1] for r in reports(clean)]
+    assert [r for r in reports(out) if r.startswith("[FAIL]")] == [
+        "[FAIL] suite=theorem02 context=C_3/good",
+        "[FAIL] suite=phipsi context=C_3/good",
+        "[FAIL] suite=special context=C_3/good",
+        "[FAIL] suite=rhopi context=C_3/p2",
+        "[FAIL] suite=special context=C_3/p2",
+    ]
+
+
 def test_fiber_needs_no_enumeration_bound(capsys):
     code, out, _ = run(capsys, "fiber", "--family", "C", "--rank", "40", ",".join(["2"] * 40))
     assert code == 0

@@ -5,7 +5,7 @@ import pytest
 
 from weylunip import classical_maps, cli, oracle
 from weylunip.classical_maps import UnipotentSymbol
-from weylunip.errors import InvalidClass, NotSpecial
+from weylunip.errors import BadInput, BoundExceeded, InvalidClass, NotSpecial, WrongFamily
 from weylunip.partitions import MarkedPartition
 from weylunip.special_classes import Bipartition, PairSequenceBC, PairSequenceD
 from weylunip.weyl_classes import ClassSymbol, context
@@ -106,10 +106,13 @@ def test_rho_validates_the_section_value(monkeypatch):
     message = "invalid stable cycle record (3, 1) for C_4/good"
     with pytest.raises(InvalidClass, match=re.escape(message)):
         classical_maps.rho(ctx, wrong)
-    # the oracle's memo is keyed on rho itself, which cannot see the patch inside it
+    # the oracle's memo is keyed on rho itself, which cannot see the patch
+    # inside it; the suite reports the refusal as one counted failure
     oracle._values.cache_clear()
-    with pytest.raises(InvalidClass, match=re.escape(message)):
-        oracle.verify_rho_pi(ctx)
+    r = oracle.verify_rho_pi(ctx)
+    assert [a for a, *_ in r.failures] == ["maps-accept-inputs"]
+    assert r.counters["maps-accept-inputs"] == 1
+    assert message in r.failures[0][3]
 
 
 def test_rho_pi_suite_reports_a_wrong_rho_on_one_marked_class(monkeypatch):
@@ -259,6 +262,70 @@ def test_special_suite(ctx):
 
 def _failed(report):
     return {a for a, *_ in report.failures}
+
+
+def _refusing(real, *bad):
+    """``real``, except that it refuses the arguments whose text forms are ``bad``."""
+
+    def fn(*args):
+        if tuple(map(str, args)) == bad:
+            raise BadInput("boom")
+        return real(*args)
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "verify, arg, name, bad",
+    [
+        (oracle.verify_theorem_0_2, context("C", 3), "psi", ("C_3/good", "4,2")),
+        (oracle.verify_phi_psi_identity, context("C", 3), "psi", ("C_3/good", "4,2")),
+        (oracle.verify_rho_pi, context("C", 3, "p2"), "psi", ("C_3/good", "4,2")),
+        (oracle.verify_special, context("C", 3), "psi", ("C_3/good", "4,2")),
+        (oracle.verify_special, context("C", 3, "p2"), "psi", ("C_3/good", "4,2")),
+        (oracle.verify_theorem_0_2, context("G2"), "m_of_class", ("G2/good", "G_2")),
+        (oracle.verify_xi_bijection, 4, "xi", ("(2, 2)", "0")),
+        (oracle.verify_fiber_minimum, 5, "orthogonal_fiber_minimizer", ("(3, 1)",)),
+    ],
+    ids=["theorem02", "phipsi", "rhopi", "special", "special-p2", "theorem02-G2", "xi", "fiber-min"],
+)
+def test_a_map_that_refuses_an_input_is_one_counted_failure(monkeypatch, verify, arg, name, bad):
+    # the refusal ends the suite with one failure at its context, and the
+    # report is returned, not the error raised
+    monkeypatch.setattr(oracle, name, _refusing(getattr(oracle, name), *bad))
+    r = verify(arg)
+    assert r.failures == [("maps-accept-inputs", r.context, "a map that accepts its input", "boom")]
+    assert r.counters["maps-accept-inputs"] == 1
+    assert r.elapsed > 0
+
+
+def test_the_callers_rank_bound_is_not_a_failure():
+    with pytest.raises(BoundExceeded):
+        oracle.verify_theorem_0_2(context("C", 13))
+
+
+def test_tables_suite_refuses_a_family_without_tables():
+    for family in ("C", "X"):
+        with pytest.raises(WrongFamily, match=re.escape(f"no fiber table for family {family!r}")):
+            oracle.verify_tables(family)
+
+
+@pytest.mark.parametrize(
+    "verify, arg",
+    [
+        (oracle.verify_theorem_0_2, context("C", 3)),
+        (oracle.verify_phi_psi_identity, context("C", 3)),
+        (oracle.verify_xi_bijection, 4),
+        (oracle.verify_fiber_minimum, 5),
+        (oracle.verify_rho_pi, context("C", 3, "p2")),
+        (oracle.verify_tables, "G2"),
+        (oracle.verify_special, context("C", 3)),
+    ],
+    ids=["theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special"],
+)
+def test_every_suite_times_itself(verify, arg):
+    r = verify(arg)
+    assert r.passed and r.elapsed > 0
 
 
 def test_special_suite_reports_a_wrong_inverse(monkeypatch):
