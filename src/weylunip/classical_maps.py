@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby, product
+from math import prod
 from typing import Optional
 
 from . import exceptional_tables
-from .errors import BadInput, NotInR, UnknownUnipotent
+from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -387,6 +388,10 @@ def pi(ctx_p: GroupContext, u0: UnipotentSymbol) -> UnipotentSymbol:
 
 # --- fibers ----------------------------------------------------------------
 
+#: The most splittings ``fiber_of`` builds for one Jordan type; no Jordan type
+#: of rank 20 or below has more than 128.
+FIBER_SPLITTING_LIMIT = 2**16
+
 
 def splittings(c: Partition) -> list[tuple[Partition, Partition]]:
     """Every way to move an even number of copies of each value of ``c``
@@ -410,16 +415,22 @@ def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
 
     Every class over a classical ``u`` splits its Jordan type into a stable
     and a paired record, so the fiber is found among ``splittings`` of it,
-    without enumerating the group.
+    without enumerating the group.  Their number is counted first, and a
+    Jordan type with more than ``FIBER_SPLITTING_LIMIT`` is refused with
+    ``BoundExceeded``.
     """
     if ctx.is_exceptional:
         return [ClassSymbol.exceptional(lab) for lab in validate_unipotent(ctx, u)]
     first = psi(ctx, u)
     if ctx.family == "A":
         return [first]
+    c = u.marked.c if u.kind == "marked" else u.partition
+    count = prod(multiplicity(c, v) // 2 + 1 for v in set(c))
+    if count > FIBER_SPLITTING_LIMIT:
+        raise BoundExceeded(f"{count} splittings exceed the fiber limit {FIBER_SPLITTING_LIMIT}")
     orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
     rest = []
-    for r, p in splittings(u.marked.c if u.kind == "marked" else u.partition):
+    for r, p in splittings(c):
         if orthogonal:
             if not in_R(r):
                 continue

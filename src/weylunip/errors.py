@@ -43,16 +43,19 @@ class ParseError(WeylUnipError, ValueError):
         self.position = position
 
 
-class UnknownContext(WeylUnipError, KeyError):
-    """No table is shipped for the requested group context."""
+class UnknownContext(BadInput):
+    """No table is shipped for the requested group context (a lookup's
+    refusal of its input, so a ``BadInput``)."""
 
 
-class UnknownClass(WeylUnipError, KeyError):
-    """Class label does not occur in the table of the context."""
+class UnknownClass(BadInput):
+    """Class label does not occur in the table of the context (a lookup's
+    refusal of its input, so a ``BadInput``)."""
 
 
-class UnknownUnipotent(WeylUnipError, KeyError):
-    """Unipotent name does not occur in the table of the context."""
+class UnknownUnipotent(BadInput):
+    """Unipotent name does not occur in the table of the context (a lookup's
+    refusal of its input, so a ``BadInput``)."""
 
 
 class TableIntegrityError(WeylUnipError):

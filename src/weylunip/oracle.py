@@ -154,8 +154,10 @@ def _checking(report: VerificationReport, inp):
     ``report.elapsed``, and ends the block with one counted failure at
     ``inp`` when a table it reads fails its load checks (``table-loads``)
     or a map refuses an input the suite passes it (``maps-accept-inputs``,
-    any ``BadInput``).  Every other error propagates: a ``BoundExceeded``
-    is the caller's own rank bound, not a fault of the maps."""
+    any ``BadInput``, a table lookup's ``UnknownClass`` or
+    ``UnknownUnipotent`` included).  Every other error propagates: a
+    ``BoundExceeded`` is the caller's own rank bound, not a fault of the
+    maps."""
     t0 = time.perf_counter()
     try:
         yield

@@ -202,10 +202,41 @@ def test_verify_reports_a_map_that_refuses_an_input_and_goes_on(capsys, monkeypa
     ]
 
 
+def test_verify_reports_a_lookup_that_refuses_an_input_and_goes_on(capsys, monkeypatch):
+    # a table lookup's refusal is a BadInput like any map's: the suites that
+    # ask for m(G_2) at G2/good fail, and every report still prints
+    from weylunip import oracle
+    from weylunip.errors import UnknownClass
+
+    real_m = oracle.m_of_class
+
+    def m_of_class(ctx, C):
+        if (str(ctx), str(C)) == ("G2/good", "G_2"):
+            raise UnknownClass("no class G_2 in G2/good")
+        return real_m(ctx, C)
+
+    monkeypatch.setattr(oracle, "m_of_class", m_of_class)
+    code, out, err = run(capsys, "verify", "--suite", "all", "--bound", "3")
+    assert (code, err, len(out.splitlines())) == (1, "", 77)
+    assert [line.split(" checked=")[0] for line in out.splitlines() if line.startswith("[FAIL]")] == [
+        "[FAIL] suite=theorem02 context=G2/good",
+        "[FAIL] suite=phipsi context=G2/good",
+    ]
+
+
 def test_fiber_needs_no_enumeration_bound(capsys):
     code, out, _ = run(capsys, "fiber", "--family", "C", "--rank", "40", ",".join(["2"] * 40))
     assert code == 0
     assert len(out.splitlines()) == 21
+
+
+def test_fiber_refuses_a_jordan_type_with_too_many_splittings(capsys):
+    # 30,30,29,29,...,1,1 has 2^30 splittings; the count is refused before
+    # any is built
+    jordan_type = ",".join(str(v) for v in range(30, 0, -1) for _ in range(2))
+    code, out, err = run(capsys, "fiber", "--family", "C", "--rank", "465", jordan_type)
+    assert (code, out) == (2, "")
+    assert err == "error: 1073741824 splittings exceed the fiber limit 65536\n"
 
 
 def test_atlas_honours_the_default_bound(capsys):
@@ -373,6 +404,8 @@ USAGE_ERRORS = [
     "verify --suite rhopi --family A --rank 3",
     "psi --family C --rank 5 1_0",
     "psi --family C --rank 2 4,0",
+    "psi --family C --rank 2 3,1",
+    "m --family B --rank 3 r=3;p=",
     "phi --family G2 A_٢",
     "verify --suite special --family C --rank 13",
     "verify --suite special --family D --rank 40",

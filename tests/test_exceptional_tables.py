@@ -413,7 +413,7 @@ def test_every_suite_reports_a_table_that_does_not_load(data_dir, verify, ctx):
 
 
 def test_verify_all_reports_a_table_that_does_not_load(data_dir, capsys):
-    # rank bound 4 keeps every exceptional context; CI runs the full default
+    # rank bound 4 keeps every exceptional context
     _flip_byte(data_dir / TABLE_FILES[("G2", "good")], "unipotent = G_2")
     assert main(["verify", "--suite", "all", "--bound", "4"]) == 1
     out = capsys.readouterr().out

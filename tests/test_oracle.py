@@ -5,7 +5,7 @@ import pytest
 
 from weylunip import classical_maps, cli, oracle
 from weylunip.classical_maps import UnipotentSymbol
-from weylunip.errors import BadInput, BoundExceeded, InvalidClass, NotSpecial, WrongFamily
+from weylunip.errors import BadInput, BoundExceeded, InvalidClass, NotSpecial, UnknownClass, WrongFamily
 from weylunip.partitions import MarkedPartition
 from weylunip.special_classes import Bipartition, PairSequenceBC, PairSequenceD
 from weylunip.weyl_classes import ClassSymbol, context
@@ -264,35 +264,40 @@ def _failed(report):
     return {a for a, *_ in report.failures}
 
 
-def _refusing(real, *bad):
+def _refusing(real, *bad, error=BadInput):
     """``real``, except that it refuses the arguments whose text forms are ``bad``."""
 
     def fn(*args):
         if tuple(map(str, args)) == bad:
-            raise BadInput("boom")
+            raise error("boom")
         return real(*args)
 
     return fn
 
 
 @pytest.mark.parametrize(
-    "verify, arg, name, bad",
+    "verify, arg, name, bad, error",
     [
-        (oracle.verify_theorem_0_2, context("C", 3), "psi", ("C_3/good", "4,2")),
-        (oracle.verify_phi_psi_identity, context("C", 3), "psi", ("C_3/good", "4,2")),
-        (oracle.verify_rho_pi, context("C", 3, "p2"), "psi", ("C_3/good", "4,2")),
-        (oracle.verify_special, context("C", 3), "psi", ("C_3/good", "4,2")),
-        (oracle.verify_special, context("C", 3, "p2"), "psi", ("C_3/good", "4,2")),
-        (oracle.verify_theorem_0_2, context("G2"), "m_of_class", ("G2/good", "G_2")),
-        (oracle.verify_xi_bijection, 4, "xi", ("(2, 2)", "0")),
-        (oracle.verify_fiber_minimum, 5, "orthogonal_fiber_minimizer", ("(3, 1)",)),
+        (oracle.verify_theorem_0_2, context("C", 3), "psi", ("C_3/good", "4,2"), BadInput),
+        (oracle.verify_phi_psi_identity, context("C", 3), "psi", ("C_3/good", "4,2"), BadInput),
+        (oracle.verify_rho_pi, context("C", 3, "p2"), "psi", ("C_3/good", "4,2"), BadInput),
+        (oracle.verify_special, context("C", 3), "psi", ("C_3/good", "4,2"), BadInput),
+        (oracle.verify_special, context("C", 3, "p2"), "psi", ("C_3/good", "4,2"), BadInput),
+        (oracle.verify_theorem_0_2, context("G2"), "m_of_class", ("G2/good", "G_2"), BadInput),
+        (oracle.verify_theorem_0_2, context("G2"), "m_of_class", ("G2/good", "G_2"), UnknownClass),
+        (oracle.verify_xi_bijection, 4, "xi", ("(2, 2)", "0"), BadInput),
+        (oracle.verify_fiber_minimum, 5, "orthogonal_fiber_minimizer", ("(3, 1)",), BadInput),
     ],
-    ids=["theorem02", "phipsi", "rhopi", "special", "special-p2", "theorem02-G2", "xi", "fiber-min"],
+    ids=[
+        "theorem02", "phipsi", "rhopi", "special", "special-p2", "theorem02-G2", "theorem02-G2-lookup", "xi",
+        "fiber-min",
+    ],
 )
-def test_a_map_that_refuses_an_input_is_one_counted_failure(monkeypatch, verify, arg, name, bad):
+def test_a_map_that_refuses_an_input_is_one_counted_failure(monkeypatch, verify, arg, name, bad, error):
     # the refusal ends the suite with one failure at its context, and the
-    # report is returned, not the error raised
-    monkeypatch.setattr(oracle, name, _refusing(getattr(oracle, name), *bad))
+    # report is returned, not the error raised; a table lookup's refusal is
+    # a refusal like any other
+    monkeypatch.setattr(oracle, name, _refusing(getattr(oracle, name), *bad, error=error))
     r = verify(arg)
     assert r.failures == [("maps-accept-inputs", r.context, "a map that accepts its input", "boom")]
     assert r.counters["maps-accept-inputs"] == 1
