@@ -20,12 +20,11 @@ from .partitions import _digits
 from .special_classes import special_classes, tau
 from .weyl_classes import (
     CHAR_VARIANTS,
+    DEFAULT_FIBER_BOUND,
     DEFAULT_RANK_BOUND,
-    EXCEPTIONAL_RANK,
     FAMILIES,
     ClassSymbol,
     GroupContext,
-    check_rank_bound,
     context,
     m_of_class,
     parse_class,
@@ -44,8 +43,6 @@ QUERIES = {
 }
 
 SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
-#: The suites that run on each context, given or of the catalogue.
-CONTEXT_SUITES = ("theorem02", "phipsi", "rhopi", "special", "all")
 
 
 def _context(args) -> GroupContext:
@@ -87,51 +84,16 @@ def cmd_atlas(args) -> int:
     return 0
 
 
-def _run_suite(args):
-    """Yields each report as soon as it is made.  A table that fails its load
-    or a map that refuses an input is a failed report, not an error (see the
-    oracle), so every suite runs; an error that still escapes a suite loses
-    none of the reports before it.  The context is checked before any suite
-    runs; ``--rank`` or ``--char`` without ``--family`` is refused, and so is
-    ``rhopi`` at good characteristic, where it checks nothing, and a
-    classical context above the rank bound, which no suite of the context
-    enumerates.  For the rank bound R, ``xi`` runs at size 2R and
-    ``fiber-min`` at 2R+1 (see the oracle)."""
+def cmd_verify(args) -> int:
+    """Prints each report of ``oracle.run_suites`` as it is made.  ``--rank``
+    or ``--char`` without ``--family`` is refused: no suite would read them."""
     from . import oracle  # imported here: no other subcommand needs it
 
     if not args.family and (args.rank is not None or args.char is not None):
         raise WeylUnipError("--rank and --char need --family")
     ctx = context(args.family, args.rank, args.char or "good") if args.family else None
-    suite = args.suite
-    if suite == "rhopi" and ctx and ctx.char == "good":
-        raise WeylUnipError(f"--suite rhopi needs a bad-characteristic context, not {ctx}")
-    rank_bound = oracle.DEFAULT_FIBER_BOUND if args.bound is None else args.bound
-    if suite in CONTEXT_SUITES and ctx:  # verify_special itself takes no bound
-        check_rank_bound(ctx, rank_bound)
-    if suite in ("xi", "all"):
-        yield oracle.verify_xi_bijection(2 * rank_bound)
-    if suite in ("fiber-min", "all"):
-        yield oracle.verify_fiber_minimum(2 * rank_bound + 1)
-    if suite in ("tables", "all"):
-        families = [ctx.family] if ctx and ctx.is_exceptional else list(EXCEPTIONAL_RANK)
-        for fam in families:
-            yield oracle.verify_tables(fam)
-    if suite in CONTEXT_SUITES:
-        ctxs = [ctx] if ctx else oracle.acceptance_contexts(rank_bound)
-        for ctx in ctxs:
-            if suite in ("theorem02", "all"):
-                yield oracle.verify_theorem_0_2(ctx, bound=rank_bound)
-            if suite in ("phipsi", "all"):
-                yield oracle.verify_phi_psi_identity(ctx, bound=rank_bound)
-            if suite in ("rhopi", "all") and ctx.char != "good":
-                yield oracle.verify_rho_pi(ctx, bound=rank_bound)
-            if suite in ("special", "all"):
-                yield oracle.verify_special(ctx)
-
-
-def cmd_verify(args) -> int:
     failed = False
-    for report in _run_suite(args):
+    for report in oracle.run_suites(args.suite, ctx, args.bound):
         if args.format == "records":
             for line in report.record_lines():
                 print(line)
@@ -186,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--rank", type=_natural)
         # verify without --family refuses --char, so it must see whether one was given
         p.add_argument("--char", default=None if name == "verify" else "good", choices=chars)
-        if bound:  # verify picks a default per suite
-            default = None if name == "verify" else DEFAULT_RANK_BOUND
+        if bound:
+            default = DEFAULT_FIBER_BOUND if name == "verify" else DEFAULT_RANK_BOUND
             p.add_argument("--bound", type=_natural, default=default)
         if formats:
             p.add_argument("--format", default="plain", choices=("plain", "records"))

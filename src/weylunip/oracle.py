@@ -76,16 +76,15 @@ from .special_classes import (
 )
 from .weyl_classes import (
     CHAR_VARIANTS,
+    DEFAULT_FIBER_BOUND,
     EXCEPTIONAL_RANK,
     MIN_RANK,
     GroupContext,
+    check_rank_bound,
     enumerate_classes,
     is_split_weyl_class,
     m_of_class,
 )
-
-#: Default rank bound for exhaustive fiber scans.
-DEFAULT_FIBER_BOUND = 12
 
 
 @dataclass
@@ -259,11 +258,10 @@ def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND)
     return report
 
 
-def verify_xi_bijection(n_max: int = 2 * DEFAULT_FIBER_BOUND) -> VerificationReport:
+def verify_xi_bijection(n_max: int) -> VerificationReport:
     """The adjustment map is a bijection from all-even records onto the
     gap-condition set, with the stated inverse; image membership is decided
-    by the predicate, never by the map.  The records of the B/D contexts of
-    rank n have size at most 2n, hence the default."""
+    by the predicate, never by the map."""
     report = VerificationReport("xi", f"N<={n_max}")
     with _checking(report, report.context):
         for kappa in (0, 1):
@@ -288,12 +286,10 @@ def verify_xi_bijection(n_max: int = 2 * DEFAULT_FIBER_BOUND) -> VerificationRep
     return report
 
 
-def verify_fiber_minimum(n_max: int = 2 * DEFAULT_FIBER_BOUND + 1) -> VerificationReport:
+def verify_fiber_minimum(n_max: int) -> VerificationReport:
     """Uniqueness of the shortest-p splitting of every orthogonal Jordan
     type, against full fiber enumeration, and agreement with the rule-based
-    minimizer; also checks that merging the minimizer back gives the input.
-    The Jordan types of the B/D contexts of rank n have size at most 2n+1,
-    hence the default."""
+    minimizer; also checks that merging the minimizer back gives the input."""
     report = VerificationReport("fiber-min", f"n<={n_max}")
     with _checking(report, report.context):
         for n_amb in range(1, n_max + 1):
@@ -495,3 +491,38 @@ def acceptance_contexts(bound: int = DEFAULT_FIBER_BOUND) -> list[GroupContext]:
         for family, rank in EXCEPTIONAL_RANK.items()
         for char in CHAR_VARIANTS[family]
     ]
+
+
+def run_suites(suite: str, ctx: GroupContext | None, bound: int):
+    """The plan of ``verify``: yields each report of ``suite`` (a suite name
+    or ``all``) as soon as it is made, so an error that escapes a suite
+    loses none of the reports before it.  For the rank bound R, ``xi`` runs
+    at size 2R and ``fiber-min`` at 2R+1, the largest sizes the B/D
+    contexts of rank R reach; ``tables`` narrows to an exceptional ``ctx``;
+    the suites of a context run on ``ctx``, or on each of
+    ``acceptance_contexts(R)`` in turn, ``all`` skipping ``rhopi`` at good
+    characteristic.  Before any report, ``rhopi`` on a good ``ctx`` is
+    refused, as it checks nothing there, and so is a classical ``ctx``
+    above R."""
+    if suite == "rhopi" and ctx and ctx.char == "good":
+        raise BadInput(f"--suite rhopi needs a bad-characteristic context, not {ctx}")
+    per_context = suite in ("theorem02", "phipsi", "rhopi", "special", "all")
+    if per_context and ctx:  # verify_special itself takes no bound
+        check_rank_bound(ctx, bound)
+    if suite in ("xi", "all"):
+        yield verify_xi_bijection(2 * bound)
+    if suite in ("fiber-min", "all"):
+        yield verify_fiber_minimum(2 * bound + 1)
+    if suite in ("tables", "all"):
+        for family in [ctx.family] if ctx and ctx.is_exceptional else EXCEPTIONAL_RANK:
+            yield verify_tables(family)
+    if per_context:
+        for ctx in [ctx] if ctx else acceptance_contexts(bound):
+            if suite in ("theorem02", "all"):
+                yield verify_theorem_0_2(ctx, bound)
+            if suite in ("phipsi", "all"):
+                yield verify_phi_psi_identity(ctx, bound)
+            if suite in ("rhopi", "all") and ctx.char != "good":
+                yield verify_rho_pi(ctx, bound)
+            if suite in ("special", "all"):
+                yield verify_special(ctx)

@@ -52,6 +52,8 @@ CHAR_VARIANTS = {
 
 #: Safety bound for classical class/unipotent enumerations (rank).
 DEFAULT_RANK_BOUND = 20
+#: Default rank bound for the oracle's exhaustive fiber scans.
+DEFAULT_FIBER_BOUND = 12
 
 
 @dataclass(frozen=True)

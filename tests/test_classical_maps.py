@@ -253,6 +253,10 @@ def test_validation_rejects_foreign_symbols():
         psi(context("D", 3, "p2"), UnipotentSymbol.with_marks(MarkedPartition.build((4, 1, 1), {})))
     with pytest.raises(BadInput):
         psi(context("E6"), UnipotentSymbol.named("nonsense"))
+    with pytest.raises(BadInput, match="3,1 is not a unipotent class of E6/good"):
+        psi(context("E6"), UnipotentSymbol.plain((3, 1)))
+    with pytest.raises(BadInput, match="unipotent symbol must have exactly one shape"):
+        UnipotentSymbol(partition=(2,), name="A_1")
 
 
 def test_enumerate_unipotents_counts():

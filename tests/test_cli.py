@@ -278,6 +278,7 @@ def test_only_verify_imports_the_oracle():
     code = (
         "import sys\n"
         "from weylunip.cli import main\n"
+        "assert 'weylunip.oracle' not in sys.modules\n"
         "assert main(['phi', '--family', 'E8', 'E_8']) == 0\n"
         "assert 'weylunip.oracle' not in sys.modules\n"
         "assert main(['verify', '--suite', 'tables', '--family', 'G2']) == 0\n"
@@ -354,6 +355,7 @@ DIGESTS = [
     ("tau --family D --rank 4 --format records r=;p=4,4", 0, "32ce8b91fc5d3a5bc83b0e114c60cd52fdc113213cdf828ed65ff0d24525fab1"),
     ("verify --suite theorem02 --family C --rank 6 --char p2 --format records", 0, "996b9f671e8bc53326f2c3f67e70b100e0d33ccb42cfdabda07a8f7743d2c811"),
     ("verify --suite xi --format records", 0, "5eac937574c96c1697b05d9bc199b24b76d7ffbe2acbf79c0488997b8fb1ea4e"),
+    ("verify --suite special --family A --rank 3 --format records", 0, "83a47411658111b91af911b6c761e184a136d94a3892b18b0324a95c0b23063f"),
     ("verify --suite tables --format records", 0, "afa3b99875ce8a1d7370b31f51e93255c72a59be6ba7d5813ef412b8b02e7911"),
     ("atlas --family C --rank 40", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ("psi --family C --rank 2 3,1", 2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),

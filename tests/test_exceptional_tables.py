@@ -336,8 +336,13 @@ def test_flipped_byte_in_tau_file_fails_tau(data_dir):
         ("tau_g2.tbl", "A_0 ; tau", "A_0 , tau", "unparsable row"),
         ("fiber_g2_good.tbl", "A_1+~A_1|~A_1", "~A_1|A_1+~A_1", "first-strictly-minimal"),
         ("tau_g2.tbl", "class = A_2 ;", "class = A_0 ;", "duplicate rows"),
+        ("fiber_g2_good.tbl", "classes = A_1 ;", "classes = 0A_1 ;", "label A_1 does not round-trip"),
+        ("fiber_g2_good.tbl", "unipotent = G_2(a_1)", "unipotent = G_2", "duplicate unipotent names"),
     ],
-    ids=["fiber-unparsable", "tau-unparsable", "fiber-not-minimal", "tau-duplicate"],
+    ids=[
+        "fiber-unparsable", "tau-unparsable", "fiber-not-minimal", "tau-duplicate", "fiber-label-round-trip",
+        "fiber-duplicate-name",
+    ],
 )
 def test_pinned_bad_row_fails(data_dir, monkeypatch, filename, old, new, message):
     _rewrite_pinned(data_dir / filename, monkeypatch, old, new)

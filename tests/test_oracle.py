@@ -1,5 +1,6 @@
 import inspect
 import re
+from collections import Counter
 
 import pytest
 
@@ -470,6 +471,45 @@ def test_special_suite_reports_a_bipartition_that_is_no_image(monkeypatch):
     assert _failed(r) == {"image-equals-interlacing-set"}
     assert stray in inverted
     assert r.counters == counters
+
+
+@pytest.mark.parametrize(
+    "name, wrong, failed",
+    [
+        ("is_split_weyl_class", lambda real: lambda ctx, C: not real(ctx, C), {"split-coherence": 9}),
+        ("psi", lambda real: lambda ctx, u: ClassSymbol.classical((), (1,) * 8), {"section-fixes-special": 8}),
+    ],
+    ids=["split-negated", "section-to-identity"],
+)
+def test_special_suite_reports_maps_that_disagree_on_the_special_classes(monkeypatch, name, wrong, failed):
+    # the 9 special classes of D_4: a negated split predicate breaks the
+    # split coherence of every one, and a section that always answers the
+    # identity class fixes only the identity class
+    ctx = context("D", 4)
+    counters = oracle.verify_special(ctx).counters
+    monkeypatch.setattr(oracle, name, wrong(getattr(oracle, name)))
+    r = oracle.verify_special(ctx)
+    assert Counter(a for a, *_ in r.failures) == failed
+    assert r.counters == counters
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+@pytest.mark.parametrize(
+    "argv, ctx",
+    [
+        ([], None),
+        (["--family", "C", "--rank", "3", "--char", "p2"], context("C", 3, "p2")),
+        (["--family", "G2", "--char", "p3"], context("G2", char="p3")),
+    ],
+    ids=["catalogue", "C_3/p2", "G2/p3"],
+)
+def test_run_suites_yields_what_verify_prints(capsys, suite, argv, ctx):
+    # the plan is the oracle's: verify prints its reports in its order, and
+    # each report is of the suite asked for, so the names cannot drift apart
+    pairs = [(r.suite, r.context) for r in oracle.run_suites(suite, ctx, 3)]
+    assert cli.main(["verify", "--suite", suite, "--bound", "3", "--format", "records", *argv]) == 0
+    assert pairs == re.findall(r"^\[pass\] suite=(\S+) context=(\S+) ", capsys.readouterr().out, re.M)
+    assert {s for s, _ in pairs} == ({suite} if suite != "all" else set(cli.SUITES) - {"all"})
 
 
 def test_reports_are_deterministic():

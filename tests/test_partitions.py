@@ -117,6 +117,8 @@ def test_enumerate_partitions_examples():
         (1, 1, 1, 1),
     ]
     assert partitions_of(0) == ((),)
+    with pytest.raises(BadInput, match="cannot partition -1"):
+        partitions_of(-1)
     assert [c for c in partitions_of(5) if in_Q(c, 5)] == [
         (5,),
         (3, 1, 1),
@@ -173,6 +175,8 @@ def test_marked_partition_validation():
         MarkedPartition.build((2, 2, 2), {2: 1})
     with pytest.raises(BadInput):
         MarkedPartition((4, 4), ((4, 2),))
+    with pytest.raises(BadInput, match=r"marking domain \(4,\) does not match required domain \(4, 2\)"):
+        MarkedPartition((4, 4, 2, 2), ((4, 1),))
 
 
 def test_text_forms_round_trip():

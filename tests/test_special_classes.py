@@ -363,6 +363,8 @@ def test_tau_table_sizes():
         "E7": 35,
         "E8": 46,
     }
+    with pytest.raises(WrongFamily, match="no special-class table for family 'C'"):
+        load_tau_table("C")
 
 
 def test_special_classes_are_section_fixed_points():

@@ -10,6 +10,7 @@ from weylunip.weyl_classes import (
     EXCEPTIONAL_RANK,
     FAMILIES,
     MIN_RANK,
+    CarterLabel,
     ClassSymbol,
     GroupContext,
     context,
@@ -34,6 +35,10 @@ def test_context_validation():
         GroupContext("G2", 2, "p2")
     with pytest.raises(BadInput):
         context("B")
+    with pytest.raises(BadInput, match="unknown family 'X'"):
+        GroupContext("X", 1)
+    with pytest.raises(WrongFamily, match="kappa undefined for family A"):
+        context("A", 3).kappa
 
 
 def test_one_catalogue():
@@ -112,9 +117,31 @@ def test_parse_carter_label_errors():
         "(A_1)+(A_2)",
         "(A_1)(a_1)",
         "(D_4(a_1)",
+        "A'_1+A_2",
+        "(A_1)x",
+        "(A'_1)",
     ):
         with pytest.raises(ParseError):
             parse_carter_label(bad)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CarterLabel(parse_carter_label("A_1").components, primes=3), "at most two primes supported"),
+        (
+            lambda: CarterLabel(parse_carter_label("A_2+A_1").components, primes=1),
+            "attached primes require a single component",
+        ),
+        (lambda: ClassSymbol(), "class symbol must have exactly one shape"),
+        (lambda: ClassSymbol(cycle_type=(1,), r=(), p=()), "class symbol must have exactly one shape"),
+        (lambda: ClassSymbol(r=(2,)), "classical class symbol needs both r and p"),
+    ],
+    ids=["label-primes", "label-attached-primes", "class-no-shape", "class-two-shapes", "class-half-classical"],
+)
+def test_symbols_refuse_a_wrong_shape(build, message):
+    with pytest.raises(BadInput, match=message):
+        build()
 
 
 @pytest.mark.parametrize("family", ["G2", "F4", "E6", "E7", "E8"])
