@@ -36,6 +36,7 @@ from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
 from .partitions import (
     MarkedPartition,
     Partition,
+    _trusted_marked,
     check_partition,
     epsilon_domain,
     format_marked,
@@ -57,6 +58,7 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    _trusted_classical,
     check_rank_bound,
     validate_class,
 )
@@ -64,7 +66,10 @@ from .weyl_classes import (
 
 @dataclass(frozen=True)
 class UnipotentSymbol:
-    """A unipotent class: a Jordan type, a marked Jordan type, or a name."""
+    """A unipotent class: a Jordan type, a marked Jordan type, or a name.
+
+    The constructor checks that a Jordan type is a canonical partition, and
+    stores it as a tuple."""
 
     partition: Optional[Partition] = None
     marked: Optional[MarkedPartition] = None
@@ -73,10 +78,12 @@ class UnipotentSymbol:
     def __post_init__(self):
         if sum(x is not None for x in (self.partition, self.marked, self.name)) != 1:
             raise BadInput("unipotent symbol must have exactly one shape")
+        if self.partition is not None:
+            object.__setattr__(self, "partition", check_partition(self.partition))
 
     @staticmethod
     def plain(c) -> "UnipotentSymbol":
-        return UnipotentSymbol(partition=check_partition(c))
+        return UnipotentSymbol(partition=c)
 
     @staticmethod
     def with_marks(m: MarkedPartition) -> "UnipotentSymbol":
@@ -100,6 +107,18 @@ class UnipotentSymbol:
         if self.kind == "marked":
             return format_marked(self.marked)
         return self.name
+
+
+def _trusted_unipotent(
+    partition: Optional[Partition] = None, marked: Optional[MarkedPartition] = None
+) -> UnipotentSymbol:
+    """A plain or marked symbol built without the checks of its
+    constructor, for a Jordan type the library has made canonical."""
+    u = object.__new__(UnipotentSymbol)
+    object.__setattr__(u, "partition", partition)
+    object.__setattr__(u, "marked", marked)
+    object.__setattr__(u, "name", None)
+    return u
 
 
 def _jordan_size(ctx: GroupContext) -> int:
@@ -159,7 +178,11 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLab
 #
 # A public map checks its input, then runs its private core, if it has one.  A
 # core assumes that check; ``phi`` and ``psi`` prove it on the same value
-# before they call the core.
+# before they call the core.  Symbols follow one rule: a caller's values go
+# through the checked constructors, and values the library builds canonically
+# (an enumerator's output, a ``partition()`` result, a subsequence of a
+# checked partition) go through the trusted builders ``_trusted_classical``,
+# ``_trusted_unipotent`` and ``_trusted_marked``, which skip the re-check.
 
 
 def iota(r: Partition, p: Partition) -> Partition:
@@ -178,10 +201,12 @@ def iota2(r: Partition, p: Partition) -> MarkedPartition:
 
 
 def _iota2(r: Partition, c: Partition) -> MarkedPartition:
-    """The marking of ``iota2``, given ``c``, the merge of the stable record
-    ``r`` with a swap record; ``MarkedPartition`` still checks its domain."""
+    """The marking of ``iota2``, given ``c``, the canonical merge of the
+    stable record ``r`` with a swap record.  The domain is
+    ``epsilon_domain(c)`` and every bit is 0 or 1 by construction, so the
+    result is built trusted."""
     r_values = set(r)
-    return MarkedPartition(c, tuple((j, int(j in r_values)) for j in epsilon_domain(c)))
+    return _trusted_marked(c, tuple((j, int(j in r_values)) for j in epsilon_domain(c)))
 
 
 def xi(r: Partition, kappa: int) -> Partition:
@@ -346,10 +371,10 @@ def phi(ctx: GroupContext, C: ClassSymbol) -> UnipotentSymbol:
     # validate_class proved r in S_kappa and p paired: iota's checks (S_0 lies
     # in S_1), so the merge is partition(r + p), and xi's
     if ctx.char == "p2":
-        return UnipotentSymbol.with_marks(_iota2(C.r, partition(C.r + C.p)))
+        return _trusted_unipotent(marked=_iota2(C.r, partition(C.r + C.p)))
     if ctx.family == "C":
-        return UnipotentSymbol.plain(partition(C.r + C.p))
-    return UnipotentSymbol.plain(partition(_xi(C.r, ctx.kappa) + C.p))
+        return _trusted_unipotent(partition(C.r + C.p))
+    return _trusted_unipotent(partition(_xi(C.r, ctx.kappa) + C.p))
 
 
 def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
@@ -363,15 +388,16 @@ def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
     # validate_unipotent proved in_T(c, 2n) for the symplectic Jordan types,
     # which is psi_marked's and psi_even_r's check, and in_Q(c, 2n + kappa)
     # for the orthogonal ones, which is the minimizer's check and fixes
-    # psi_orthogonal's parity and size (at least 5 for B, 6 for D)
+    # psi_orthogonal's parity and size (at least 5 for B, 6 for D).  The C and
+    # p2 records are subsequences of the checked Jordan type, so they are
+    # canonical by construction; xi_inv's output is canonical by a theorem,
+    # and the checked constructor is its only runtime guard
     if ctx.char == "p2":
-        r, p = _psi_marked(u.marked)
-    elif ctx.family == "C":
-        r, p = _psi_even_r(u.partition)
-    else:
-        r_mixed, p = _orthogonal_fiber_minimizer(u.partition)
-        r = xi_inv(r_mixed, ctx.kappa)
-    return ClassSymbol.classical(r, p)
+        return _trusted_classical(*_psi_marked(u.marked))
+    if ctx.family == "C":
+        return _trusted_classical(*_psi_even_r(u.partition))
+    r_mixed, p = _orthogonal_fiber_minimizer(u.partition)
+    return ClassSymbol.classical(xi_inv(r_mixed, ctx.kappa), p)
 
 
 def rho(ctx_p: GroupContext, u: UnipotentSymbol) -> UnipotentSymbol:
@@ -454,8 +480,10 @@ def enumerate_unipotents(
 ) -> list[UnipotentSymbol]:
     """All unipotent classes of the context, in a fixed deterministic order.
 
-    Each call builds a fresh list, through ``UnipotentSymbol.plain`` or
-    ``MarkedPartition``, and refuses a classical rank above ``bound``.
+    Each call builds a fresh list and refuses a classical rank above
+    ``bound``.  The Jordan types come canonical from ``partitions_of`` and
+    each marking covers ``epsilon_domain`` with 0/1 bits, so the symbols
+    skip the checks of ``UnipotentSymbol.plain`` and ``MarkedPartition``.
     """
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
@@ -463,10 +491,10 @@ def enumerate_unipotents(
     check_rank_bound(ctx, bound)
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
     if ctx.char != "p2":
-        return [UnipotentSymbol.plain(c) for c in cs]
+        return [_trusted_unipotent(c) for c in cs]
     out = []
     for c in cs:
         dom = epsilon_domain(c)
         for bits in product((0, 1), repeat=len(dom)):
-            out.append(UnipotentSymbol.with_marks(MarkedPartition(c, tuple(zip(dom, bits)))))
+            out.append(_trusted_unipotent(marked=_trusted_marked(c, tuple(zip(dom, bits)))))
     return out

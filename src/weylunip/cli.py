@@ -23,6 +23,7 @@ from .weyl_classes import (
     DEFAULT_FIBER_BOUND,
     DEFAULT_RANK_BOUND,
     FAMILIES,
+    SUITES,
     ClassSymbol,
     GroupContext,
     context,
@@ -41,8 +42,6 @@ QUERIES = {
            "good-characteristic unipotent text form"),
     "tau": (parse_class, tau, True, "special class text form"),
 }
-
-SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
 
 
 def _context(args) -> GroupContext:

@@ -79,6 +79,7 @@ from .weyl_classes import (
     DEFAULT_FIBER_BOUND,
     EXCEPTIONAL_RANK,
     MIN_RANK,
+    SUITES,
     GroupContext,
     check_rank_bound,
     enumerate_classes,
@@ -501,9 +502,11 @@ def run_suites(suite: str, ctx: GroupContext | None, bound: int):
     contexts of rank R reach; ``tables`` narrows to an exceptional ``ctx``;
     the suites of a context run on ``ctx``, or on each of
     ``acceptance_contexts(R)`` in turn, ``all`` skipping ``rhopi`` at good
-    characteristic.  Before any report, ``rhopi`` on a good ``ctx`` is
-    refused, as it checks nothing there, and so is a classical ``ctx``
-    above R."""
+    characteristic.  Before any report, a name not in ``SUITES`` is
+    refused, as it would run nothing and pass; so is ``rhopi`` on a good
+    ``ctx``, as it checks nothing there, and a classical ``ctx`` above R."""
+    if suite not in SUITES:
+        raise BadInput(f"unknown suite {suite!r}")
     if suite == "rhopi" and ctx and ctx.char == "good":
         raise BadInput(f"--suite rhopi needs a bad-characteristic context, not {ctx}")
     per_context = suite in ("theorem02", "phipsi", "rhopi", "special", "all")

@@ -134,14 +134,16 @@ class MarkedPartition:
     """A partition together with a 0/1 marking of the qualifying even values.
 
     The marking domain is forced by the ambient partition: exactly the even
-    values whose multiplicity is even and positive.
+    values whose multiplicity is even and positive.  The constructor checks
+    that ``c`` is a canonical partition, stores it as a tuple, and checks the
+    marking.
     """
 
     c: Partition
     eps: tuple[tuple[int, int], ...]  # (value, bit) pairs, decreasing values
 
     def __post_init__(self):
-        check_partition(self.c)
+        object.__setattr__(self, "c", check_partition(self.c))
         dom = epsilon_domain(self.c)
         if tuple(j for j, _ in self.eps) != dom:
             raise BadInput(
@@ -164,6 +166,15 @@ class MarkedPartition:
 
     def eps_map(self) -> dict[int, int]:
         return dict(self.eps)
+
+
+def _trusted_marked(c: Partition, eps: tuple[tuple[int, int], ...]) -> MarkedPartition:
+    """A marked partition built without the checks of its constructor, for a
+    canonical ``c`` marked with 0/1 bits on exactly ``epsilon_domain(c)``."""
+    m = object.__new__(MarkedPartition)
+    object.__setattr__(m, "c", c)
+    object.__setattr__(m, "eps", eps)
+    return m
 
 
 # --- enumeration -----------------------------------------------------------

@@ -32,6 +32,7 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    _trusted_classical,
     check_rank_bound,
     enumerate_classes,
     parse_carter_label,
@@ -415,7 +416,8 @@ def _class_of(x) -> ClassSymbol:
     """The class carried by a pair sequence of a special set: an odd pair or
     an even pair flagged 0 feeds the swap record ``p``, every other even
     pair (all even B/C pairs) the stable record ``r``.  Both records are
-    subsequences of the decreasing sequence, so they need no sort."""
+    subsequences of the decreasing sequence, so they need no sort and are
+    built trusted."""
     r, p = [], []
     for pair in x.pairs:
         a, b = pair[0], pair[1]
@@ -425,7 +427,7 @@ def _class_of(x) -> ClassSymbol:
             r += (a, b)
         else:
             r.append(a)
-    return ClassSymbol.classical(r, p)
+    return _trusted_classical(tuple(r), tuple(p))
 
 
 def special_class_of(ctx: GroupContext, x) -> ClassSymbol:

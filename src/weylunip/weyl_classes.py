@@ -54,6 +54,9 @@ CHAR_VARIANTS = {
 DEFAULT_RANK_BOUND = 20
 #: Default rank bound for the oracle's exhaustive fiber scans.
 DEFAULT_FIBER_BOUND = 12
+#: The suites ``oracle.run_suites`` plans and ``verify --suite`` offers,
+#: ``all`` running every other one.
+SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
 
 
 @dataclass(frozen=True)
@@ -235,7 +238,8 @@ class ClassSymbol:
     """A conjugacy class of a Weyl group, in one of three shapes.
 
     Exactly one of ``cycle_type`` (type A), the pair ``r``/``p`` (types
-    B/C/D) or ``label`` (exceptional types) is set.
+    B/C/D) or ``label`` (exceptional types) is set; the constructor checks
+    that each record set is a canonical partition, and stores it as a tuple.
     """
 
     cycle_type: Optional[Partition] = None
@@ -251,16 +255,21 @@ class ClassSymbol:
         )
         if sum(shapes) != 1:
             raise BadInput("class symbol must have exactly one shape")
-        if shapes[1] and (self.r is None or self.p is None):
-            raise BadInput("classical class symbol needs both r and p")
+        if shapes[0]:
+            object.__setattr__(self, "cycle_type", check_partition(self.cycle_type))
+        elif shapes[1]:
+            if self.r is None or self.p is None:
+                raise BadInput("classical class symbol needs both r and p")
+            object.__setattr__(self, "r", check_partition(self.r))
+            object.__setattr__(self, "p", check_partition(self.p))
 
     @staticmethod
     def type_a(cycle_type) -> "ClassSymbol":
-        return ClassSymbol(cycle_type=check_partition(cycle_type))
+        return ClassSymbol(cycle_type=cycle_type)
 
     @staticmethod
     def classical(r, p) -> "ClassSymbol":
-        return ClassSymbol(r=check_partition(r), p=check_partition(p))
+        return ClassSymbol(r=r, p=p)
 
     @staticmethod
     def exceptional(label) -> "ClassSymbol":
@@ -282,6 +291,17 @@ class ClassSymbol:
         if self.kind == "classical":
             return f"r={format_partition(self.r)};p={format_partition(self.p)}"
         return str(self.label)
+
+
+def _trusted_classical(r: Partition, p: Partition) -> ClassSymbol:
+    """A classical class symbol built without the checks of its
+    constructor, for records the library has made canonical."""
+    C = object.__new__(ClassSymbol)
+    object.__setattr__(C, "cycle_type", None)
+    object.__setattr__(C, "r", r)
+    object.__setattr__(C, "p", p)
+    object.__setattr__(C, "label", None)
+    return C
 
 
 def parse_class(ctx: GroupContext, text: str) -> ClassSymbol:
@@ -357,8 +377,9 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     For type D the list is at the level of the ambient permutation group
     (split classes appear once; see ``is_split_weyl_class``).
 
-    Each call builds a fresh list, B/C/D classes through
-    ``ClassSymbol.classical``, and refuses a classical rank above ``bound``.
+    Each call builds a fresh list and refuses a classical rank above
+    ``bound``.  The B/C/D records come canonical from the enumerators, so
+    those classes skip the checks of ``ClassSymbol.classical``.
     """
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
@@ -368,7 +389,7 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
         return [ClassSymbol.type_a(p) for p in partitions_of(ctx.rank + 1)]
     two_n = 2 * ctx.rank
     return [
-        ClassSymbol.classical(r, p)
+        _trusted_classical(r, p)
         for rsum in range(two_n, -1, -2)
         for r in even_partitions_of(rsum)
         if ctx.family != "D" or len(r) % 2 == 0

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from itertools import product
 
 import pytest
@@ -29,6 +30,7 @@ from weylunip.classical_maps import (
 from weylunip.errors import BadInput, BoundExceeded, NotInR
 from weylunip.partitions import (
     MarkedPartition,
+    check_partition,
     epsilon_domain,
     in_P_tilde,
     in_Q,
@@ -37,6 +39,7 @@ from weylunip.partitions import (
     partition,
     partitions_of,
 )
+from weylunip.special_classes import special_classes
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
@@ -47,6 +50,14 @@ from weylunip.weyl_classes import (
     enumerate_classes,
     m_of_class,
 )
+
+#: Every B/C/D context up to rank 8, at every characteristic variant.
+BCD_UP_TO_8 = [
+    GroupContext(family, n, char)
+    for family in ("B", "C", "D")
+    for n in range(MIN_RANK[family], 9)
+    for char in CHAR_VARIANTS[family]
+]
 
 
 def brute_min_fiber(c):
@@ -302,16 +313,7 @@ def rebuild_unipotents(ctx):
     return out
 
 
-@pytest.mark.parametrize(
-    "ctx",
-    [
-        GroupContext(family, n, char)
-        for family in ("B", "C", "D")
-        for n in range(MIN_RANK[family], 9)
-        for char in CHAR_VARIANTS[family]
-    ],
-    ids=str,
-)
+@pytest.mark.parametrize("ctx", BCD_UP_TO_8, ids=str)
 def test_enumerate_unipotents_matches_a_rebuild(ctx):
     assert enumerate_unipotents(ctx) == rebuild_unipotents(ctx)
 
@@ -489,16 +491,7 @@ def test_public_helpers_keep_their_checks(fn, args, error, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize(
-    "ctx",
-    [
-        GroupContext(family, n, char)
-        for family in ("B", "C", "D")
-        for n in range(MIN_RANK[family], 9)
-        for char in CHAR_VARIANTS[family]
-    ],
-    ids=str,
-)
+@pytest.mark.parametrize("ctx", BCD_UP_TO_8, ids=str)
 def test_phi_and_psi_are_the_checked_helpers_composed(ctx):
     # the maps may skip checks their validation already made, never change a value
     for C in enumerate_classes(ctx):
@@ -517,3 +510,81 @@ def test_phi_and_psi_are_the_checked_helpers_composed(ctx):
         else:
             want = ClassSymbol.classical(*psi_orthogonal(u.partition, ctx.kappa))
         assert psi(ctx, u) == want, u
+
+
+def _int_tuple(t) -> bool:
+    return type(t) is tuple and all(type(x) is int for x in t)
+
+
+def _rebuilt(x):
+    """``x`` built again from its fields through the checked public
+    factories, once every field is known to be a tuple of ints."""
+    if type(x) is ClassSymbol:
+        assert _int_tuple(x.r) and _int_tuple(x.p), x
+        return ClassSymbol.classical(x.r, x.p)
+    if x.kind == "plain":
+        assert _int_tuple(x.partition), x
+        return UnipotentSymbol.plain(x.partition)
+    m = x.marked
+    assert _int_tuple(m.c) and type(m.eps) is tuple, x
+    assert all(_int_tuple(pair) and len(pair) == 2 for pair in m.eps), x
+    return UnipotentSymbol.with_marks(MarkedPartition(m.c, m.eps))
+
+
+@pytest.mark.parametrize("ctx", BCD_UP_TO_8, ids=str)
+def test_trusted_builds_equal_checked_builds(ctx):
+    # the symbols the library builds without the constructor checks are
+    # exactly the ones those checks accept
+    classes = enumerate_classes(ctx)
+    unipotents = enumerate_unipotents(ctx)
+    values = [
+        *classes,
+        *unipotents,
+        *(phi(ctx, C) for C in classes),
+        *(psi(ctx, u) for u in unipotents),
+        *special_classes(ctx),
+    ]
+    for x in values:
+        y = _rebuilt(x)
+        assert x == y and hash(x) == hash(y), x
+
+
+def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
+    # enumerator output, phi's images and psi's C and p2 sections are
+    # canonical by construction, so none of them is checked again
+    calls = []
+    for name in ("partitions", "weyl_classes", "classical_maps"):
+        module = sys.modules[f"weylunip.{name}"]
+        monkeypatch.setattr(module, "check_partition", lambda p: calls.append(p) or check_partition(p))
+    post_init = MarkedPartition.__post_init__
+    monkeypatch.setattr(MarkedPartition, "__post_init__", lambda m: calls.append(m) or post_init(m))
+    for ctx in [ctx for ctx in BCD_UP_TO_8 if ctx.rank == 5]:
+        for C in enumerate_classes(ctx):
+            phi(ctx, C)
+        unipotents = enumerate_unipotents(ctx)
+        if ctx.family == "C" or ctx.char == "p2":
+            for u in unipotents:
+                psi(ctx, u)
+        special_classes(ctx)
+    assert calls == []
+    # the B/D good section is canonical by a theorem, not by construction, so
+    # it keeps the checked constructor: two record checks per value
+    ctx = context("B", 5)
+    unipotents = enumerate_unipotents(ctx)
+    for u in unipotents:
+        psi(ctx, u)
+    assert len(calls) == 2 * len(unipotents)
+    MarkedPartition((2, 2), ((2, 0),))
+    assert len(calls) == 2 * len(unipotents) + 2
+
+
+
+def test_bare_symbols_store_their_records_as_tuples():
+    C = ClassSymbol(r=[4, 2], p=[])
+    u = UnipotentSymbol(partition=[4, 2])
+    m = MarkedPartition([2, 2], ((2, 1),))
+    assert (C.r, C.p, u.partition, m.c) == ((4, 2), (), (4, 2), (2, 2))
+    assert hash(C) == hash(ClassSymbol.classical((4, 2), ()))
+    ctx = context("C", 3)
+    assert psi(ctx, u) == psi(ctx, UnipotentSymbol.plain((4, 2)))
+    assert type(psi(ctx, u).r) is tuple

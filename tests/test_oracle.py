@@ -512,6 +512,15 @@ def test_run_suites_yields_what_verify_prints(capsys, suite, argv, ctx):
     assert {s for s, _ in pairs} == ({suite} if suite != "all" else set(cli.SUITES) - {"all"})
 
 
+def test_run_suites_refuses_an_unknown_suite():
+    # a name that plans nothing would pass with no report at all
+    with pytest.raises(BadInput) as err:
+        next(oracle.run_suites("theorem2", None, 3))
+    assert str(err.value) == "unknown suite 'theorem2'"
+    for suite in cli.SUITES:
+        assert next(oracle.run_suites(suite, None, 2)).suite == ("xi" if suite == "all" else suite)
+
+
 def test_reports_are_deterministic():
     a = oracle.verify_theorem_0_2(context("D", 5))
     b = oracle.verify_theorem_0_2(context("D", 5))

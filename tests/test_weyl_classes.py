@@ -1,9 +1,10 @@
 import pytest
 
 from weylunip import oracle
+from weylunip.classical_maps import UnipotentSymbol, phi, psi
 from weylunip.errors import BadInput, BoundExceeded, InvalidClass, ParseError, WrongFamily
 from weylunip.exceptional_tables import TABLE_FILES, load_table
-from weylunip.partitions import partitions_of
+from weylunip.partitions import MarkedPartition, partitions_of
 from weylunip.special_classes import TAU_FILES
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
@@ -136,12 +137,56 @@ def test_parse_carter_label_errors():
         (lambda: ClassSymbol(), "class symbol must have exactly one shape"),
         (lambda: ClassSymbol(cycle_type=(1,), r=(), p=()), "class symbol must have exactly one shape"),
         (lambda: ClassSymbol(r=(2,)), "classical class symbol needs both r and p"),
+        (lambda: ClassSymbol.classical((2, 4), ()), "partition entries must be weakly decreasing: (2, 4)"),
+        (lambda: ClassSymbol.classical((2,), (1, 1, 0)), "partition entries must be positive integers: (1, 1, 0)"),
+        (lambda: ClassSymbol(cycle_type=(1, 2)), "partition entries must be weakly decreasing: (1, 2)"),
+        # a caller's symbol built through the bare dataclass is checked where
+        # it is built, so no map can answer with a non-canonical record
+        (
+            lambda: phi(context("C", 3), ClassSymbol(r=(2, 4), p=())),
+            "partition entries must be weakly decreasing: (2, 4)",
+        ),
+        (
+            lambda: phi(context("C", 2), ClassSymbol(r=(2.0,), p=(1, 1))),
+            "partition entries must be positive integers: (2.0,)",
+        ),
+        (
+            lambda: psi(context("C", 3), UnipotentSymbol(partition=(2, 4))),
+            "partition entries must be weakly decreasing: (2, 4)",
+        ),
+        (
+            lambda: psi(context("C", 2), UnipotentSymbol(partition=(2.0, 2.0))),
+            "partition entries must be positive integers: (2.0, 2.0)",
+        ),
+        (
+            lambda: psi(context("C", 3, "p2"), UnipotentSymbol(marked=MarkedPartition((2, 4), ()))),
+            "partition entries must be weakly decreasing: (2, 4)",
+        ),
+        (lambda: UnipotentSymbol.plain((0,)), "partition entries must be positive integers: (0,)"),
+        (lambda: MarkedPartition((2, 2), ((2, 2),)), "marking bits must be 0 or 1: ((2, 2),)"),
     ],
-    ids=["label-primes", "label-attached-primes", "class-no-shape", "class-two-shapes", "class-half-classical"],
+    ids=[
+        "label-primes",
+        "label-attached-primes",
+        "class-no-shape",
+        "class-two-shapes",
+        "class-half-classical",
+        "class-increasing-record",
+        "class-non-positive-record",
+        "class-bare-increasing-cycle-type",
+        "phi-bare-increasing-record",
+        "phi-bare-float-record",
+        "psi-bare-increasing-jordan-type",
+        "psi-bare-float-jordan-type",
+        "psi-bare-increasing-marked",
+        "unipotent-non-positive",
+        "marking-bit",
+    ],
 )
 def test_symbols_refuse_a_wrong_shape(build, message):
-    with pytest.raises(BadInput, match=message):
+    with pytest.raises(BadInput) as err:
         build()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("family", ["G2", "F4", "E6", "E7", "E8"])
