@@ -62,7 +62,7 @@ from .classical_maps import (
     xi,
     xi_inv,
 )
-from .exceptional_tables import FiberTable, fiber, load_table, phi_lookup, psi_lookup
+from .exceptional_tables import FiberTable, fiber, load_table, phi_lookup
 from .special_classes import (
     Bipartition,
     PairSequenceBC,

@@ -117,14 +117,6 @@ class FiberTable:
         # each read.
         return hash(self.context)
 
-    @property
-    def class_index(self) -> dict[CarterLabel, FiberRow]:
-        return self._class_index()
-
-    @property
-    def unipotent_index(self) -> dict[str, FiberRow]:
-        return self._unipotent_index()
-
     @lru_cache(maxsize=None)
     def _class_index(self):
         return {lab: row for row in self.rows for lab in row.classes}
@@ -255,7 +247,7 @@ def phi_lookup(ctx: GroupContext, label: CarterLabel | str) -> str:
     if isinstance(label, str):
         label = parse_carter_label(label)
     table = load_table(ctx)
-    row = table.class_index.get(label)
+    row = table._class_index().get(label)
     if row is None:
         raise UnknownClass(f"label {label} not in the table for {ctx}")
     return row.unipotent
@@ -264,12 +256,7 @@ def phi_lookup(ctx: GroupContext, label: CarterLabel | str) -> str:
 def fiber(ctx: GroupContext, unipotent: str) -> tuple[CarterLabel, ...]:
     """The ordered class list mapped to ``unipotent`` (minimizer first)."""
     table = load_table(ctx)
-    row = table.unipotent_index.get(unipotent)
+    row = table._unipotent_index().get(unipotent)
     if row is None:
         raise UnknownUnipotent(f"unipotent name {unipotent!r} not in the table for {ctx}")
     return row.classes
-
-
-def psi_lookup(ctx: GroupContext, unipotent: str) -> CarterLabel:
-    """First (fixed-space-minimizing) class of the fiber of ``unipotent``."""
-    return fiber(ctx, unipotent)[0]

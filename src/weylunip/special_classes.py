@@ -412,12 +412,11 @@ def enumerate_C_prime(n: int) -> list[Bipartition]:
 # --- classes and the representation bijection --------------------------------
 
 
-def _class_of(x) -> ClassSymbol:
-    """The class carried by a pair sequence of a special set: an odd pair or
-    an even pair flagged 0 feeds the swap record ``p``, every other even
-    pair (all even B/C pairs) the stable record ``r``.  Both records are
-    subsequences of the decreasing sequence, so they need no sort and are
-    built trusted."""
+def _records(x) -> tuple[Partition, Partition]:
+    """The records of the class of a special pair sequence: an odd pair or an
+    even pair flagged 0 feeds the swap record ``p``, every other even pair
+    (all even B/C pairs) the stable record ``r``.  Both are subsequences of
+    the decreasing sequence, so they need no sort."""
     r, p = [], []
     for pair in x.pairs:
         a, b = pair[0], pair[1]
@@ -427,12 +426,17 @@ def _class_of(x) -> ClassSymbol:
             r += (a, b)
         else:
             r.append(a)
-    return _trusted_classical(tuple(r), tuple(p))
+    return tuple(r), tuple(p)
+
+
+def _class_of(x) -> ClassSymbol:
+    """The class of an enumerated or class-derived sequence, built trusted."""
+    return _trusted_classical(*_records(x))
 
 
 def special_class_of(ctx: GroupContext, x) -> ClassSymbol:
-    """The conjugacy class carried by a pair sequence of the context's
-    special set (see ``_class_of``)."""
+    """The conjugacy class carried by a caller's pair sequence of the
+    context's special set, built through the checked constructor."""
     if ctx.family in ("B", "C"):
         if not isinstance(x, PairSequenceBC) or not in_A(x):
             raise NotSpecial(f"not in the B/C special set: {x}")
@@ -443,7 +447,7 @@ def special_class_of(ctx: GroupContext, x) -> ClassSymbol:
         raise WrongFamily(f"pair sequences only describe B/C/D classes, not {ctx.family}")
     if x.total() != 2 * ctx.rank:
         raise BadInput(f"total {x.total()} does not match {ctx}")
-    return _class_of(x)
+    return ClassSymbol.classical(*_records(x))
 
 
 def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
@@ -507,18 +511,15 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
         return format_partition(C.cycle_type)
     if ctx.is_exceptional:
         rep = _tau_index(ctx.family).get(C.label)
-        if rep is None:
-            raise NotSpecial(f"{C} is not special in {ctx}")
-        return rep
-    if ctx.family in ("B", "C"):
+    elif ctx.family in ("B", "C"):
         x = bc_pair_sequence_of(C)
-        if x is None:
-            raise NotSpecial(f"{C} is not special in {ctx}")
-        return str(h(x))
-    x = d_pair_sequence_of(C)
-    if x is None:
+        rep = None if x is None else str(h(x))
+    else:
+        x = d_pair_sequence_of(C)
+        rep = None if x is None else str(_k_image(x))  # d_pair_sequence_of has checked in_C
+    if rep is None:
         raise NotSpecial(f"{C} is not special in {ctx}")
-    return str(_k_image(x))  # d_pair_sequence_of has checked in_C
+    return rep
 
 
 def is_special_class(ctx: GroupContext, C: ClassSymbol) -> bool:

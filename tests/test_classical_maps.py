@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import sys
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from weylunip import oracle
 from weylunip.classical_maps import (
     UnipotentSymbol,
+    _trusted_unipotent,
     enumerate_unipotents,
     fiber_of,
     iota,
@@ -30,6 +33,7 @@ from weylunip.classical_maps import (
 from weylunip.errors import BadInput, BoundExceeded, NotInR
 from weylunip.partitions import (
     MarkedPartition,
+    _trusted_marked,
     check_partition,
     epsilon_domain,
     in_P_tilde,
@@ -46,6 +50,7 @@ from weylunip.weyl_classes import (
     MIN_RANK,
     ClassSymbol,
     GroupContext,
+    _trusted_classical,
     context,
     enumerate_classes,
     m_of_class,
@@ -547,6 +552,45 @@ def test_trusted_builds_equal_checked_builds(ctx):
     for x in values:
         y = _rebuilt(x)
         assert x == y and hash(x) == hash(y), x
+
+
+def _traced_bytes_per_object(build, count=5000):
+    """The bytes ``tracemalloc`` traces per object still held after
+    ``count`` calls of ``build``, whose arguments exist beforehand."""
+    build()  # a one-time allocation of the class is not counted
+    held = [None] * count
+    tracemalloc.start()
+    try:
+        gc.collect()  # uncollected garbage is not an object's memory
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(count):
+            held[i] = build()
+        gc.collect()
+        traced = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return traced / count
+
+
+_R, _P = (4, 2), (1, 1)
+_MARKED = MarkedPartition((2, 2), ((2, 1),))
+
+
+@pytest.mark.parametrize(
+    "trusted, checked",
+    [
+        (lambda: _trusted_classical(_R, _P), lambda: ClassSymbol.classical(_R, _P)),
+        (lambda: _trusted_unipotent(_R), lambda: UnipotentSymbol.plain(_R)),
+        (lambda: _trusted_unipotent(marked=_MARKED), lambda: UnipotentSymbol.with_marks(_MARKED)),
+        (lambda: _trusted_marked(_MARKED.c, _MARKED.eps), lambda: MarkedPartition(_MARKED.c, _MARKED.eps)),
+    ],
+    ids=["classical", "plain", "marked-symbol", "marked-partition"],
+)
+def test_trusted_builds_take_the_memory_of_checked_builds(trusted, checked):
+    # each builder sets every declared field through object.__setattr__, as
+    # the dataclass constructor does, so its instances share their dict keys
+    # (a builder that fills ``__dict__`` with ``update`` makes them larger)
+    assert _traced_bytes_per_object(trusted) == pytest.approx(_traced_bytes_per_object(checked), rel=0.1)
 
 
 def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):

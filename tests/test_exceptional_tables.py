@@ -26,7 +26,6 @@ from weylunip.exceptional_tables import (
     fiber,
     load_table,
     phi_lookup,
-    psi_lookup,
 )
 from weylunip.special_classes import TAU_FILES, _tau_index, is_special_class, load_tau_table, tau
 from weylunip.weyl_classes import (
@@ -82,9 +81,10 @@ def test_fiber_examples():
 
 
 def test_psi_lookup_examples():
-    assert str(psi_lookup(context("E7"), "D_6")) == "D_6+A_1"
-    assert str(psi_lookup(context("E8"), "2A_3")) == "2D_4(a_1)"
-    assert str(psi_lookup(context("F4", char="p2"), "(C_3(a_1))_2")) == "B_2+A_1"
+    # psi's exceptional section is the first class of the fiber
+    assert str(fiber(context("E7"), "D_6")[0]) == "D_6+A_1"
+    assert str(fiber(context("E8"), "2A_3")[0]) == "2D_4(a_1)"
+    assert str(fiber(context("F4", char="p2"), "(C_3(a_1))_2")[0]) == "B_2+A_1"
 
 
 @pytest.mark.parametrize("family", list(EXPECTED_CLASS_COUNTS))
@@ -206,7 +206,7 @@ def test_lookups_agree_with_a_row_scan(family, char):
             continue
         u = UnipotentSymbol.named(name)
         assert fiber(ctx, name) == row.classes
-        assert psi_lookup(ctx, name) == row.classes[0]
+        assert fiber(ctx, name)[0] == row.classes[0]
         assert psi(ctx, u) == ClassSymbol.exceptional(row.classes[0])
         assert fiber_of(ctx, u) == [ClassSymbol.exceptional(lab) for lab in row.classes]
 
@@ -249,8 +249,8 @@ def test_equal_tables_hash_equal():
     assert a is not b
     assert a == b
     assert hash(a) == hash(b)
-    assert b.class_index == a.class_index
-    assert b.unipotent_index == a.unipotent_index
+    assert b._class_index() == a._class_index()
+    assert b._unipotent_index() == a._unipotent_index()
 
 
 # --- tampered data: every load must refuse it -----------------------------

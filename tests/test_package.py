@@ -8,8 +8,8 @@ MarkedPartition NotInQ NotInR NotSpecial PairSequenceBC PairSequenceD ParseError
 TableIntegrityError UnipotentSymbol UnknownClass UnknownContext UnknownUnipotent WeylUnipError
 WrongFamily context enumerate_classes enumerate_unipotents fiber fiber_of h h_inv in_A in_C in_C0
 in_P_tilde in_Q in_R in_S_kappa in_T iota iota2 is_special_class is_split_weyl_class k k_inv
-load_table m_of_class multiplicity parse_carter_label phi phi_lookup pi psi psi_even_r psi_lookup
-psi_marked psi_orthogonal rho special_class_of tau xi xi_inv
+load_table m_of_class multiplicity parse_carter_label phi phi_lookup pi psi psi_even_r psi_marked
+psi_orthogonal rho special_class_of tau xi xi_inv
 """.split()
 
 

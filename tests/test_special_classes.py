@@ -190,6 +190,19 @@ def test_special_class_of_examples():
         (context("A", 3), PairSequenceBC(((4, 0),)), WrongFamily, "not A"),
         (context("E8"), PairSequenceBC(((4, 0),)), WrongFamily, "not E8"),
         (context("C", 3), PairSequenceBC(((4, 0),)), BadInput, "total 4 does not match C_3/good"),
+        # a caller's records are checked like any other class's
+        (
+            context("C", 2),
+            PairSequenceBC(((2.0, 2.0),)),
+            BadInput,
+            "partition entries must be positive integers: (2.0, 2.0)",
+        ),
+        (
+            context("D", 3),
+            PairSequenceD(((3.0, 3.0, 0),)),
+            BadInput,
+            "partition entries must be positive integers: (3.0, 3.0)",
+        ),
     ],
 )
 def test_special_class_of_refusals(ctx, x, error, message):
