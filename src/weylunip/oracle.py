@@ -465,7 +465,7 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
             good = ctx.good()
             for x in side:
                 s = special_class_of(good, x)
-                back_s = psi(good, phi(good, s))
+                back_s = _at(psi, good, _at(phi, good, s))
                 if back_s != s:
                     report.fail("section-fixes-special", x, s, back_s)
                 if ctx.family == "D":

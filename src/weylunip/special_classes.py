@@ -25,7 +25,7 @@ from .errors import (
     WrongFamily,
 )
 from .exceptional_tables import read_rows
-from .partitions import Partition, format_partition, partition
+from .partitions import Partition, check_partition, format_partition, partition
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
     EXCEPTIONAL_RANK,
@@ -42,34 +42,33 @@ from .weyl_classes import (
 # --- value types -----------------------------------------------------------
 
 
-def _check_pair_shape(pairs: tuple) -> None:
-    """The two slots of every pair, read left to right, are non-negative and
-    weakly decreasing, and no trailing pair is all zero; a flag in a third
-    slot is not looked at.  A negative entry is reported before a fault of
-    order, and a fault of order before a trailing zero pair."""
-    negative = unordered = False
-    prev = pairs[0][0] if pairs else 0
-    for pair in pairs:
-        a, b = pair[0], pair[1]
-        if a < 0 or b < 0:
-            negative = True
-        if a > prev or b > a:
-            unordered = True
-        prev = b
-    if negative:
-        raise BadInput(f"negative entry: {pairs}")
-    if unordered:
-        raise BadInput(f"pair sequence must be weakly decreasing: {pairs}")
-    if pairs and pairs[-1][0] == 0:
-        raise BadInput("drop all-zero pairs")
+def _check_pair_shape(pairs, width: int) -> tuple:
+    """The pairs as a tuple of ``width``-tuples (the caller's own, if it is one);
+    the first two slots, read left to right, pass ``check_partition`` but for a
+    final integer 0, and a third slot is a flag, the int 0 or 1."""
+    rows = tuple(map(tuple, pairs))
+    if any(len(row) != width for row in rows):
+        raise BadInput(f"each pair must have {width} entries: {rows}")
+    if any(not isinstance(e, int) or e not in (0, 1) for row in rows for e in row[2:]):
+        raise BadInput(f"flags must be 0 or 1: {rows}")
+    slots = [x for row in rows for x in row[:2]]
+    check_partition(slots[:-1] if slots[-1:] == [0] and isinstance(slots[-1], int) else slots)
+    return pairs if rows == pairs else rows
 
 
 def _trusted(cls, pairs: tuple):
-    """A pair sequence built without the checks of its constructor, for
-    enumerator output that lies in its special set by construction."""
+    """A pair sequence of pairs that pass its constructor's checks, built without them."""
     x = object.__new__(cls)
     object.__setattr__(x, "pairs", pairs)
     return x
+
+
+def _trusted_bipartition(y: Partition, z: Partition) -> "Bipartition":
+    """A bipartition of canonical ``y`` and ``z``, built without the checks of its constructor."""
+    bp = object.__new__(Bipartition)
+    object.__setattr__(bp, "y", y)
+    object.__setattr__(bp, "z", z)
+    return bp
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +79,7 @@ class PairSequenceBC:
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        _check_pair_shape(self.pairs)
+        object.__setattr__(self, "pairs", _check_pair_shape(self.pairs, 2))
 
     def total(self) -> int:
         return sum(a + b for a, b in self.pairs)
@@ -96,10 +95,7 @@ class PairSequenceD:
     pairs: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        _check_pair_shape(self.pairs)
-        for _, _, e in self.pairs:
-            if e not in (0, 1):
-                raise BadInput(f"flags must be 0 or 1: {self.pairs}")
+        object.__setattr__(self, "pairs", _check_pair_shape(self.pairs, 3))
 
     def total(self) -> int:
         return sum(a + b for a, b, _ in self.pairs)
@@ -110,10 +106,14 @@ class PairSequenceD:
 
 @dataclass(frozen=True, slots=True)
 class Bipartition:
-    """A pair of partitions labelling an irreducible representation."""
+    """Two partitions, checked canonical by the constructor, labelling an irreducible representation."""
 
     y: Partition
     z: Partition
+
+    def __post_init__(self):
+        object.__setattr__(self, "y", check_partition(self.y))
+        object.__setattr__(self, "z", check_partition(self.z))
 
     def total(self) -> int:
         return sum(self.y) + sum(self.z)
@@ -212,7 +212,7 @@ def h(x: PairSequenceBC) -> Bipartition:
             ys.append(a // 2)
         if b > 0:
             zs.append((b + 1) // 2)
-    return Bipartition(tuple(ys), tuple(zs))
+    return _trusted_bipartition(tuple(ys), tuple(zs))
 
 
 def h_inv(bp: Bipartition) -> PairSequenceBC:
@@ -227,7 +227,10 @@ def h_inv(bp: Bipartition) -> PairSequenceBC:
             pairs.append((2 * y, 2 * z))
         else:  # z == y + 1
             pairs.append((2 * y + 1, 2 * y + 1))
-    return PairSequenceBC(tuple(pairs))
+    # bp is canonical and interlaced, so its image needs no check: pair i ends in
+    # 2z_i or 2y_i + 1, pair i + 1 starts with 2y_{i+1} or 2z_{i+1} - 1, y_{i+1} <= y_i, z_i
+    # and z_{i+1} <= z_i order them; a zero z_i ends bp, a zero y_i makes the pair (1, 1)
+    return _trusted(PairSequenceBC, tuple(pairs))
 
 
 def k(x: PairSequenceD) -> Bipartition:
@@ -255,7 +258,7 @@ def _k_image(x: PairSequenceD) -> Bipartition:
             z = (b - 2) // 2
         if z:
             zs.append(z)
-    return Bipartition(tuple(ys), tuple(zs))
+    return _trusted_bipartition(tuple(ys), tuple(zs))
 
 
 def k_inv(bp: Bipartition) -> PairSequenceD:
@@ -272,7 +275,10 @@ def k_inv(bp: Bipartition) -> PairSequenceD:
             pairs.append((2 * y - 1, 2 * y - 1, 0))
         else:
             pairs.append((2 * y - 2, 2 * z + 2, 1))
-    return PairSequenceD(tuple(pairs))
+    # bp is canonical and interlaced, so its image needs no check: pair i ends in
+    # 2z_i + min(y_i - z_i, 2), pair i + 1 starts with 2y_{i+1} - min(y_{i+1} - z_{i+1}, 2),
+    # which z_{i+1} <= z_i, y_{i+1} - 1 <= z_i and y_{i+1} <= y_i order; y_i >= z_i keeps all > 0
+    return _trusted(PairSequenceD, tuple(pairs))
 
 
 # --- enumeration -----------------------------------------------------------
@@ -394,7 +400,7 @@ def _interlaced(n: int, s: int) -> list[Bipartition]:
             kept[key] = got
         return got
 
-    out = list(map(Bipartition, *tails(n, n, n + 2)))
+    out = list(map(_trusted_bipartition, *tails(n, n, n + 2)))
     del tails
     return out
 
@@ -412,31 +418,23 @@ def enumerate_C_prime(n: int) -> list[Bipartition]:
 # --- classes and the representation bijection --------------------------------
 
 
-def _records(x) -> tuple[Partition, Partition]:
-    """The records of the class of a special pair sequence: an odd pair or an
-    even pair flagged 0 feeds the swap record ``p``, every other even pair
-    (all even B/C pairs) the stable record ``r``.  Both are subsequences of
-    the decreasing sequence, so they need no sort."""
+def _class_of(x) -> ClassSymbol:
+    """The class of a pair sequence of its special set, built trusted: an odd pair
+    or an even pair flagged 0 feeds the swap record ``p``, every other even pair
+    the stable record ``r``, so both are subsequences of the checked slots."""
     r, p = [], []
     for pair in x.pairs:
         a, b = pair[0], pair[1]
         if a % 2 or pair[2:] == (0,):
             p += (a, b)
-        elif b:
-            r += (a, b)
         else:
-            r.append(a)
-    return tuple(r), tuple(p)
-
-
-def _class_of(x) -> ClassSymbol:
-    """The class of an enumerated or class-derived sequence, built trusted."""
-    return _trusted_classical(*_records(x))
+            r += (a, b) if b else (a,)
+    return _trusted_classical(tuple(r), tuple(p))
 
 
 def special_class_of(ctx: GroupContext, x) -> ClassSymbol:
-    """The conjugacy class carried by a caller's pair sequence of the
-    context's special set, built through the checked constructor."""
+    """The conjugacy class carried by a pair sequence of the context's
+    special set."""
     if ctx.family in ("B", "C"):
         if not isinstance(x, PairSequenceBC) or not in_A(x):
             raise NotSpecial(f"not in the B/C special set: {x}")
@@ -447,7 +445,7 @@ def special_class_of(ctx: GroupContext, x) -> ClassSymbol:
         raise WrongFamily(f"pair sequences only describe B/C/D classes, not {ctx.family}")
     if x.total() != 2 * ctx.rank:
         raise BadInput(f"total {x.total()} does not match {ctx}")
-    return ClassSymbol.classical(*_records(x))
+    return _class_of(x)
 
 
 def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
@@ -456,7 +454,7 @@ def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
         return None
     merged = partition(C.r + C.p)
     padded = merged + ((0,) if len(merged) % 2 else ())
-    x = PairSequenceBC(tuple(zip(padded[::2], padded[1::2])))
+    x = _trusted(PairSequenceBC, tuple(zip(padded[::2], padded[1::2])))
     return x if in_A(x) and _class_of(x) == C else None
 
 
@@ -482,7 +480,7 @@ def d_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceD]:
             left[a] -= 1
             left[b] -= 1
         pairs.append((a, b, e))
-    x = PairSequenceD(tuple(pairs))
+    x = _trusted(PairSequenceD, tuple(pairs))
     return x if in_C(x) and not any(left.values()) else None
 
 

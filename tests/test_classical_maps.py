@@ -43,7 +43,13 @@ from weylunip.partitions import (
     partition,
     partitions_of,
 )
-from weylunip.special_classes import special_classes
+from weylunip.special_classes import (
+    Bipartition,
+    PairSequenceBC,
+    _trusted,
+    _trusted_bipartition,
+    special_classes,
+)
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
@@ -574,6 +580,7 @@ def _traced_bytes_per_object(build, count=5000):
 
 _R, _P = (4, 2), (1, 1)
 _MARKED = MarkedPartition((2, 2), ((2, 1),))
+_PAIRS = ((4, 2), (1, 1))
 
 
 @pytest.mark.parametrize(
@@ -583,13 +590,16 @@ _MARKED = MarkedPartition((2, 2), ((2, 1),))
         (lambda: _trusted_unipotent(_R), lambda: UnipotentSymbol.plain(_R)),
         (lambda: _trusted_unipotent(marked=_MARKED), lambda: UnipotentSymbol.with_marks(_MARKED)),
         (lambda: _trusted_marked(_MARKED.c, _MARKED.eps), lambda: MarkedPartition(_MARKED.c, _MARKED.eps)),
+        (lambda: _trusted_bipartition(_R, _P), lambda: Bipartition(_R, _P)),
+        (lambda: _trusted(PairSequenceBC, _PAIRS), lambda: PairSequenceBC(_PAIRS)),
     ],
-    ids=["classical", "plain", "marked-symbol", "marked-partition"],
+    ids=["classical", "plain", "marked-symbol", "marked-partition", "bipartition", "pair-sequence"],
 )
 def test_trusted_builds_take_the_memory_of_checked_builds(trusted, checked):
     # each builder sets every declared field through object.__setattr__, as
     # the dataclass constructor does, so its instances share their dict keys
-    # (a builder that fills ``__dict__`` with ``update`` makes them larger)
+    # (a builder that fills ``__dict__`` with ``update`` makes them larger);
+    # a checked build keeps its caller's tuples, and copies none of them
     assert _traced_bytes_per_object(trusted) == pytest.approx(_traced_bytes_per_object(checked), rel=0.1)
 
 

@@ -167,6 +167,7 @@ def test_suites_evaluate_each_map_once_per_context_and_argument(monkeypatch):
     for ctx in oracle.acceptance_contexts(6):
         assert oracle.verify_theorem_0_2(ctx).passed and oracle.verify_phi_psi_identity(ctx).passed
         assert ctx.char == "good" or oracle.verify_rho_pi(ctx).passed
+        assert oracle.verify_special(ctx).passed
     counts = {name: (len(seen), len(set(seen))) for name, seen in calls.items()}
     assert counts == {"phi": (1223, 1223), "psi": (897, 897), "m_of_class": (1223, 1223)}
 

@@ -14,7 +14,7 @@ import weylunip
 from conftest import parse_bipartition, parse_pair_sequence_bc, parse_pair_sequence_d
 from weylunip.classical_maps import phi, psi
 from weylunip.errors import BadInput, BoundExceeded, NotSpecial, ParseError, WrongFamily
-from weylunip.partitions import partition, partitions_of
+from weylunip.partitions import check_partition, partition, partitions_of
 from weylunip.special_classes import (
     Bipartition,
     PairSequenceBC,
@@ -190,25 +190,60 @@ def test_special_class_of_examples():
         (context("A", 3), PairSequenceBC(((4, 0),)), WrongFamily, "not A"),
         (context("E8"), PairSequenceBC(((4, 0),)), WrongFamily, "not E8"),
         (context("C", 3), PairSequenceBC(((4, 0),)), BadInput, "total 4 does not match C_3/good"),
-        # a caller's records are checked like any other class's
-        (
-            context("C", 2),
-            PairSequenceBC(((2.0, 2.0),)),
-            BadInput,
-            "partition entries must be positive integers: (2.0, 2.0)",
-        ),
-        (
-            context("D", 3),
-            PairSequenceD(((3.0, 3.0, 0),)),
-            BadInput,
-            "partition entries must be positive integers: (3.0, 3.0)",
-        ),
     ],
 )
 def test_special_class_of_refusals(ctx, x, error, message):
     with pytest.raises(error) as exc:
         special_class_of(ctx, x)
     assert type(exc.value) is error and str(exc.value).endswith(message)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # the slots of a pair sequence are a partition but for a final 0
+        (lambda: PairSequenceBC(((2.0, 2.0),)), "partition entries must be positive integers: (2.0, 2.0)"),
+        (lambda: PairSequenceD(((3.0, 3.0, 0),)), "partition entries must be positive integers: (3.0, 3.0)"),
+        (lambda: PairSequenceBC(((2, 2), (0, 0))), "partition entries must be positive integers: (2, 2, 0)"),
+        (lambda: PairSequenceBC(((4, 0.0),)), "partition entries must be positive integers: (4, 0.0)"),
+        (lambda: PairSequenceBC(((2, 4),)), "partition entries must be weakly decreasing: (2, 4)"),
+        # a pair has two slots, and a flagged pair three with an int 0/1 flag
+        (lambda: PairSequenceBC(((4, 0, 1),)), "each pair must have 2 entries: ((4, 0, 1),)"),
+        (lambda: PairSequenceD(((4, 4),)), "each pair must have 3 entries: ((4, 4),)"),
+        (lambda: PairSequenceD(((2, 2, 1.0),)), "flags must be 0 or 1: ((2, 2, 1.0),)"),
+        # each side of a bipartition is a canonical partition
+        (lambda: Bipartition((2,), (0,)), "partition entries must be positive integers: (0,)"),
+        (lambda: Bipartition((1,), (0,)), "partition entries must be positive integers: (0,)"),
+        (lambda: Bipartition((1, 2), ()), "partition entries must be weakly decreasing: (1, 2)"),
+    ],
+    ids=[
+        "bc-float",
+        "d-float",
+        "bc-zero-pair",
+        "bc-float-zero",
+        "bc-increasing",
+        "bc-wide",
+        "d-narrow",
+        "d-float-flag",
+        "bp-zero-d",
+        "bp-zero-bc",
+        "bp-increasing",
+    ],
+)
+def test_constructors_refuse_malformed_values(build, message):
+    with pytest.raises(BadInput) as exc:
+        build()
+    assert type(exc.value) is BadInput and str(exc.value) == message
+
+
+def test_constructors_store_tuples():
+    # a sequence of lists is stored as a tuple of tuples, so it hashes
+    x = PairSequenceBC([[4, 0]])
+    assert x.pairs == ((4, 0),) and type(x.pairs[0]) is tuple
+    assert hash(x) == hash(PairSequenceBC(((4, 0),)))
+    assert PairSequenceD([(4, 4, 1)]).pairs == ((4, 4, 1),)
+    bp = Bipartition([2, 1], [1])
+    assert (bp.y, bp.z) == ((2, 1), (1,)) and hash(bp) == hash(Bipartition((2, 1), (1,)))
 
 
 @pytest.mark.parametrize("C", [ClassSymbol.type_a((2, 1)), ClassSymbol.exceptional("E_8")], ids=str)
@@ -536,36 +571,95 @@ def test_no_enumerator_walk_outlives_its_call():
         gc.enable()
 
 
+def _rebuilt(v):
+    """A special-set value built again through its checked constructor."""
+    if isinstance(v, Bipartition):
+        return Bipartition(v.y, v.z)
+    return type(v)(v.pairs)
+
+
 @pytest.mark.parametrize("n", range(13))
 def test_enumerated_pair_sequences_pass_the_public_constructors(n):
-    # the enumerators skip the constructor checks; rebuilding through them
-    # must accept every element and give it back unchanged
-    for x in enumerate_A(n):
-        assert PairSequenceBC(x.pairs) == x
-    for x in enumerate_C(n):
-        assert PairSequenceD(x.pairs) == x
+    # the enumerators and the maps build their values without the constructor
+    # checks; rebuilding through them must accept every value unchanged
+    side_a, side_c = enumerate_A(n), enumerate_C(n)
+    prime_a, prime_c = enumerate_A_prime(n), enumerate_C_prime(n)
+    values = [
+        *side_a,
+        *side_c,
+        *prime_a,
+        *prime_c,
+        *map(h, side_a),
+        *map(k, side_c),
+        *map(h_inv, prime_a),
+        *map(k_inv, prime_c),
+    ]
+    for v in values:
+        rebuilt = _rebuilt(v)
+        assert type(rebuilt) is type(v) and rebuilt == v and hash(rebuilt) == hash(v), v
 
 
-# --- the checked constructors and maps against their previous form ----------
+def test_library_built_special_values_skip_the_constructor_checks(monkeypatch):
+    # the enumerators, the maps on library values, special_class_of on
+    # enumerated sequences and tau build canonical values, so none of them
+    # runs a partition check
+    calls = []
+    for name in ("partitions", "weyl_classes", "special_classes"):
+        module = sys.modules[f"weylunip.{name}"]
+        monkeypatch.setattr(module, "check_partition", lambda p: calls.append(p) or check_partition(p))
+    for family, side in (("B", enumerate_A), ("C", enumerate_A), ("D", enumerate_C)):
+        ctx = context(family, 8)
+        for x in side(8):
+            special_class_of(ctx, x)
+        for C in special_classes(ctx):
+            tau(ctx, C)
+    for n in range(9):
+        for x in enumerate_A(n):
+            h_inv(h(x))
+        for x in enumerate_C(n):
+            k_inv(k(x))
+        for bp in enumerate_A_prime(n):
+            h(h_inv(bp))
+        for bp in enumerate_C_prime(n):
+            k(k_inv(bp))
+    assert calls == []
+    # a caller's values are checked: two sides of a bipartition, one slot run
+    Bipartition((2,), (1,))
+    PairSequenceD(((4, 4, 1),))
+    assert calls == [(2,), (1,), [4, 4]]
 
 
-def reference_pair_shape(pairs):
+# --- the checked constructors and maps against independent references ------
+
+
+def reference_partition(parts):
+    """Canonical-partition check by sorting; returns the parts it accepts."""
+    if any(not isinstance(x, int) or x <= 0 for x in parts):
+        raise BadInput(f"partition entries must be positive integers: {tuple(parts)}")
+    if list(parts) != sorted(parts, reverse=True):
+        raise BadInput(f"partition entries must be weakly decreasing: {tuple(parts)}")
+    return parts
+
+
+def reference_pair_shape(pairs, width=2):
     """Shape check by flattening and sorting; returns the pairs it accepts."""
+    if any(len(pair) != width for pair in pairs):
+        raise BadInput(f"each pair must have {width} entries: {pairs}")
+    if any(not isinstance(e, int) or e not in (0, 1) for pair in pairs for e in pair[2:]):
+        raise BadInput(f"flags must be 0 or 1: {pairs}")
     flat = [x for pair in pairs for x in pair[:2]]
-    if min(flat, default=0) < 0:
-        raise BadInput(f"negative entry: {pairs}")
-    if flat != sorted(flat, reverse=True):
-        raise BadInput(f"pair sequence must be weakly decreasing: {pairs}")
-    if pairs and pairs[-1][0] == 0:
-        raise BadInput("drop all-zero pairs")
+    if flat and flat[-1] == 0 and isinstance(flat[-1], int):  # B/C's final zero
+        flat.pop()
+    reference_partition(flat)
     return pairs
 
 
 def reference_flagged_shape(pairs):
-    reference_pair_shape(pairs)
-    if any(e not in (0, 1) for (_, _, e) in pairs):
-        raise BadInput(f"flags must be 0 or 1: {pairs}")
-    return pairs
+    return reference_pair_shape(pairs, 3)
+
+
+def reference_bipartition(sides):
+    return tuple(map(reference_partition, sides))
 
 
 def reference_h(x):
@@ -643,11 +737,14 @@ def outcome(fn, arg):
 
 
 entries = st.integers(-1, 7)
-bc_pairs = st.lists(st.tuples(entries, entries), max_size=4).map(tuple)
-d_pairs = st.lists(st.tuples(entries, entries, st.integers(-1, 2)), max_size=4).map(tuple)
+pair = st.tuples(entries, entries)
+flagged_pair = st.tuples(entries, entries, st.integers(-1, 2))
+# a few pairs of the other width, so that the width refusal is compared too
+bc_pairs = st.lists(st.one_of(pair, pair, flagged_pair), max_size=4).map(tuple)
+d_pairs = st.lists(st.one_of(flagged_pair, flagged_pair, pair), max_size=4).map(tuple)
 parts = st.lists(st.integers(-1, 5), max_size=4).map(tuple)
 sorted_parts = st.lists(st.integers(1, 5), max_size=4).map(lambda p: tuple(sorted(p, reverse=True)))
-bipartitions = st.builds(Bipartition, st.one_of(parts, sorted_parts), st.one_of(parts, sorted_parts))
+sides = st.one_of(parts, sorted_parts)
 
 
 @given(bc_pairs)
@@ -656,6 +753,9 @@ bipartitions = st.builds(Bipartition, st.one_of(parts, sorted_parts), st.one_of(
 @example(((2, 2), (0, 0)))
 @example(((4, 2), (2, 2)))
 @example(((3, 3), (1, 1)))
+@example(((2.0, 2.0),))
+@example(((4, 0, 1),))
+@example(((4, 0.0),))
 def test_bc_constructor_and_h_match_the_reference(pairs):
     got = outcome(PairSequenceBC, pairs)
     assert got == outcome(reference_pair_shape, pairs)
@@ -671,6 +771,9 @@ def test_bc_constructor_and_h_match_the_reference(pairs):
 @example(((4, 4, 1), (2, 2, 0)))
 @example(((4, 4, 1), (4, 4, 0)))
 @example(((6, 4, 1), (3, 3, 0)))
+@example(((4, 4),))
+@example(((2, 2, 1.0),))
+@example(((3.0, 3.0, 0),))
 def test_d_constructor_and_k_match_the_reference(pairs):
     got = outcome(PairSequenceD, pairs)
     assert got == outcome(reference_flagged_shape, pairs)
@@ -679,15 +782,23 @@ def test_d_constructor_and_k_match_the_reference(pairs):
         assert outcome(k, x) == outcome(reference_k, x)
 
 
-@given(bipartitions)
-@example(Bipartition((2,), (3,)))
-@example(Bipartition((1, 2), ()))
-@example(Bipartition((2, -1), (1,)))
-@example(Bipartition((2, 1), (2, 1)))
-@example(Bipartition((3, 0, 1), (0, 1)))
-def test_inverse_maps_match_the_reference(bp):
-    assert outcome(h_inv, bp) == outcome(reference_h_inv, bp)
-    assert outcome(k_inv, bp) == outcome(reference_k_inv, bp)
+@given(sides, sides)
+@example((2,), (3,))
+@example((1, 2), ())
+@example((2, -1), (1,))
+@example((2, 1), (2, 1))
+@example((3, 0, 1), (0, 1))
+@example((2,), (0,))
+@example((1,), (0,))
+@example((2.0,), ())
+def test_inverse_maps_match_the_reference(y, z):
+    # constructor, then map: the maps only see the bipartitions it accepts
+    got = outcome(lambda sides: Bipartition(*sides), (y, z))
+    assert got == outcome(reference_bipartition, (y, z))
+    if got == (y, z):
+        bp = Bipartition(y, z)
+        assert outcome(h_inv, bp) == outcome(reference_h_inv, bp)
+        assert outcome(k_inv, bp) == outcome(reference_k_inv, bp)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
