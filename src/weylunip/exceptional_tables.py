@@ -12,7 +12,6 @@ every load re-runs the structural sanity checks.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -160,6 +159,8 @@ def _derive_variant(family: str, char: str) -> bytes:
 def _pinned_text(name: str) -> str:
     """The table text pinned under ``name`` once its SHA-256 matches: a data
     file, or a bad-characteristic fiber table derived from its good sibling."""
+    import hashlib  # here, so a process that reads no table does not load it
+
     if name in _DERIVED:
         data = _derive_variant(*_DERIVED[name])
     else:

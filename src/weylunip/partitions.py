@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import lt, mod
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import BadInput, NotInQ, ParseError
 
@@ -31,7 +31,8 @@ def partition(parts: Iterable[int]) -> Partition:
 def check_partition(p) -> Partition:
     """Validate that ``p`` already is a canonical partition and return it."""
     p = tuple(p)
-    if p and (not all(map(isinstance, p, repeat(int))) or min(p) <= 0):
+    # type(x) is int, not isinstance, so a bool is refused
+    if p and (not all(type(x) is int for x in p) or min(p) <= 0):
         raise BadInput(f"partition entries must be positive integers: {p}")
     if any(map(lt, p, p[1:])):
         raise BadInput(f"partition entries must be weakly decreasing: {p}")
@@ -145,12 +146,12 @@ class MarkedPartition:
     def __post_init__(self):
         object.__setattr__(self, "c", check_partition(self.c))
         dom = epsilon_domain(self.c)
-        if tuple(j for j, _ in self.eps) != dom:
+        values = tuple(j for j, _ in self.eps)
+        if values != dom or not all(type(j) is int for j in values):
             raise BadInput(
-                f"marking domain {tuple(j for j, _ in self.eps)} does not match "
-                f"required domain {dom} of {self.c}"
+                f"marking domain {values} does not match required domain {dom} of {self.c}"
             )
-        if any(b not in (0, 1) for _, b in self.eps):
+        if any(type(b) is not int or b not in (0, 1) for _, b in self.eps):
             raise BadInput(f"marking bits must be 0 or 1: {self.eps}")
 
     @staticmethod
@@ -180,21 +181,46 @@ def _trusted_marked(c: Partition, eps: tuple[tuple[int, int], ...]) -> MarkedPar
 # --- enumeration -----------------------------------------------------------
 
 
-def _gen_partitions(n: int, max_part: int) -> Iterator[Partition]:
-    if n == 0:
-        yield ()
-        return
-    for k in range(min(n, max_part), 0, -1):
-        for rest in _gen_partitions(n - k, k):
-            yield (k,) + rest
-
-
 @lru_cache(maxsize=256)
 def partitions_of(n: int) -> tuple[Partition, ...]:
-    """All partitions of ``n``, lexicographically decreasing."""
+    """All partitions of ``n``, lexicographically decreasing.
+
+    The list is built by the iterative ZS1 loop (Zoghbi and Stojmenovic 1998,
+    "Fast algorithms for generating integer partitions"). ``x[:m + 1]`` is
+    the current partition and ``x[h]`` its last entry above 1; every slot
+    after ``h`` holds 1. Each step lowers ``x[h]`` by one and packs the
+    freed units after it into parts of at most that size.
+    """
     if n < 0:
         raise BadInput(f"cannot partition {n}")
-    return tuple(_gen_partitions(n, n))
+    if n == 0:
+        return ((),)
+    x = [1] * n
+    x[0] = n
+    m = h = 0
+    out = [(n,)]
+    while x[0] != 1:
+        if x[h] == 2:
+            m += 1
+            x[h] = 1
+            h -= 1
+        else:
+            r = x[h] - 1
+            t = m - h + 1
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            if t == 0:
+                m = h
+            else:
+                m = h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+        out.append(tuple(x[: m + 1]))
+    return tuple(out)
 
 
 def even_partitions_of(n: int) -> list[Partition]:

@@ -49,10 +49,10 @@ def _check_pair_shape(pairs, width: int) -> tuple:
     rows = tuple(map(tuple, pairs))
     if any(len(row) != width for row in rows):
         raise BadInput(f"each pair must have {width} entries: {rows}")
-    if any(not isinstance(e, int) or e not in (0, 1) for row in rows for e in row[2:]):
+    if any(type(e) is not int or e not in (0, 1) for row in rows for e in row[2:]):
         raise BadInput(f"flags must be 0 or 1: {rows}")
     slots = [x for row in rows for x in row[:2]]
-    check_partition(slots[:-1] if slots[-1:] == [0] and isinstance(slots[-1], int) else slots)
+    check_partition(slots[:-1] if slots[-1:] == [0] and type(slots[-1]) is int else slots)
     return pairs if rows == pairs else rows
 
 

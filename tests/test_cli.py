@@ -146,6 +146,30 @@ def test_atlas_enumerates_each_unipotent_list_once(monkeypatch):
     assert asked == [ctx, ctx.good()]
 
 
+@pytest.mark.parametrize(
+    "args", [("C", 4, "p2"), ("D", 5, "good"), ("E8", 8, "p2")], ids=["C_4/p2", "D_5", "E8/p2"]
+)
+def test_atlas_formats_each_class_once(monkeypatch, args):
+    # a class's text is built for its map record; after that only psi's
+    # section of each fiber and the special classes are formatted
+    from weylunip.classical_maps import enumerate_unipotents
+    from weylunip.special_classes import special_classes
+    from weylunip.weyl_classes import ClassSymbol, enumerate_classes
+
+    ctx = context(*args)
+    lines = atlas_lines(ctx)
+    real, calls = ClassSymbol.__str__, []
+
+    def __str__(C):
+        calls.append(C)
+        return real(C)
+
+    monkeypatch.setattr(ClassSymbol, "__str__", __str__)
+    assert atlas_lines(ctx) == lines
+    sizes = [len(enumerate_classes(ctx)), len(enumerate_unipotents(ctx)), len(special_classes(ctx))]
+    assert len(calls) == sum(sizes)
+
+
 def test_verify_failure_exit_code(capsys):
     # a passing suite exits 0; the records format emits one line per assertion
     code, out, _ = run(
@@ -290,6 +314,22 @@ def test_only_verify_imports_the_oracle():
     assert proc.stdout.splitlines()[0] == "E_8"
 
 
+def test_only_a_table_read_imports_hashlib():
+    # the table checksums are the library's one use of hashlib
+    code = (
+        "import sys\n"
+        "from weylunip.cli import main\n"
+        "assert main(['atlas', '--family', 'D', '--rank', '4']) == 0\n"
+        "assert 'hashlib' not in sys.modules\n"
+        "assert main(['phi', '--family', 'E8', 'E_8']) == 0\n"
+        "assert 'hashlib' in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "E_8"
+
+
 def _cli(*argv, stdout) -> subprocess.Popen:
     """``weylunip`` from this checkout in its own process, stderr piped."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
@@ -344,6 +384,9 @@ DIGESTS = [
     ("atlas --family C --rank 6 --char p2", 0, "39010cc45e8bd93024522c5129fa6de870eb54b9272f03df59a5663baeb97724"),
     ("atlas --family E8 --char p2", 0, "720b8ab9c4642534fe38f14947274a5b6521b11172740e8f4b1e2f92f445296b"),
     ("atlas --family G2 --char p3", 0, "fa030ca877ad46c6ec3df8f739d219d3e900c31c7574f730ce100fd7446b8cea"),
+    ("atlas --family B --rank 5", 0, "420427998546596932ed46b50b91ee295be067a5d61d8ca1e666b864edfefbb8"),
+    ("atlas --family B --rank 4 --char p2", 0, "bc8fec78a61d765ea87ae131fbc0a607b7fca790b39019c8d0e2476e2dcd487c"),
+    ("atlas --family A --rank 5", 0, "5db914a8d94dd0cd1372b8b88c1e0a2e0e646e21eaaf2c1c37a8c2a769ea9979"),
     ("fiber --family D --rank 6 3,2,2,2,2,1", 0, "c730841329f3351d544106daed9ea260f1c00a2b4e05d64f318d412d41fe26e6"),
     ("fiber --family D --rank 6 4,4,2,2", 0, "3801fbd158791e693f227efd02ede819b4e43eaba5d84c4bc9c6f3707d539494"),
     ("special --family D --rank 6", 0, "2690f62c9ee63dddf58910dc09c25616ab7eaa8cf1858c6625a6fe39fc2a1ccb"),

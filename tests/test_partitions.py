@@ -50,6 +50,18 @@ def partition_count(n: int) -> int:
     return total
 
 
+def reference_partitions(n: int, max_part: int):
+    """The partitions of ``n`` with parts at most ``max_part``, lexicographically
+    decreasing, by recursion on the largest part: the order reference for
+    ``partitions_of``."""
+    if n == 0:
+        yield ()
+        return
+    for k in range(min(n, max_part), 0, -1):
+        for rest in reference_partitions(n - k, k):
+            yield (k,) + rest
+
+
 partitions_st = st.lists(st.integers(1, 9), max_size=7).map(
     lambda xs: tuple(sorted(xs, reverse=True))
 )
@@ -131,6 +143,12 @@ def test_enumerate_partitions_examples():
 def test_enumeration_exhaustive_against_recurrence(n):
     # independent oracle: pentagonal-number recurrence
     assert len(partitions_of(n)) == partition_count(n)
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_enumeration_matches_the_recursive_reference(n):
+    # same partitions, same order
+    assert partitions_of(n) == tuple(reference_partitions(n, n))
 
 
 def test_partitions_of_order_is_lex_decreasing():
@@ -251,6 +269,8 @@ DECREASING = "partition entries must be weakly decreasing: {}"
         ((3, 1, 1, 2), DECREASING),
         ((1, 2, 0), POSITIVE),  # both faults: the entry error comes first
         (("a", 1, 2), POSITIVE),
+        ((True, True), POSITIVE),  # a bool is no int
+        ((2, True), POSITIVE),
     ],
 )
 def test_check_partition_error_precedence_and_messages(p, message):

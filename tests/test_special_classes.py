@@ -124,6 +124,28 @@ def test_interlacing_predicates_refuse_a_wrong_total_and_a_broken_column():
     assert not in_C_prime(Bipartition((1,), (2,)), 3)  # z_1 > y_1
 
 
+def reference_interlaces(bp: Bipartition, low: int, high: int) -> bool:
+    """Whether y_{i+1} + low <= z_i <= y_i + high at each index i at which y or
+    z has a part, both sides padded with zeros."""
+    width = max(len(bp.y), len(bp.z))
+    y = list(bp.y) + [0] * (width + 1 - len(bp.y))
+    z = list(bp.z) + [0] * (width - len(bp.z))
+    return all(y[i + 1] + low <= z[i] <= y[i] + high for i in range(width))
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_interlacing_predicates_match_their_definition(n):
+    # every bipartition of n, not only the images of h and k, so both bounds
+    # of each column are tried on both sides
+    for a in range(n + 1):
+        for y in partitions_of(a):
+            for z in partitions_of(n - a):
+                bp = Bipartition(y, z)
+                assert in_A_prime(bp, n) == reference_interlaces(bp, 0, 1), bp
+                assert in_C_prime(bp, n) == reference_interlaces(bp, -1, 0), bp
+                assert not in_A_prime(bp, n + 1) and not in_C_prime(bp, n + 1)
+
+
 def test_h_examples():
     assert h(PairSequenceBC(((2, 2),))) == Bipartition((1,), (1,))
     assert h(PairSequenceBC(((1, 1), (1, 1)))) == Bipartition((), (1, 1))
@@ -211,10 +233,15 @@ def test_special_class_of_refusals(ctx, x, error, message):
         (lambda: PairSequenceBC(((4, 0, 1),)), "each pair must have 2 entries: ((4, 0, 1),)"),
         (lambda: PairSequenceD(((4, 4),)), "each pair must have 3 entries: ((4, 4),)"),
         (lambda: PairSequenceD(((2, 2, 1.0),)), "flags must be 0 or 1: ((2, 2, 1.0),)"),
+        # a bool is no int, in a slot, in the final slot or in a flag
+        (lambda: PairSequenceBC(((True, True),)), "partition entries must be positive integers: (True, True)"),
+        (lambda: PairSequenceBC(((2, False),)), "partition entries must be positive integers: (2, False)"),
+        (lambda: PairSequenceD(((2, 2, True),)), "flags must be 0 or 1: ((2, 2, True),)"),
         # each side of a bipartition is a canonical partition
         (lambda: Bipartition((2,), (0,)), "partition entries must be positive integers: (0,)"),
         (lambda: Bipartition((1,), (0,)), "partition entries must be positive integers: (0,)"),
         (lambda: Bipartition((1, 2), ()), "partition entries must be weakly decreasing: (1, 2)"),
+        (lambda: Bipartition((True,), ()), "partition entries must be positive integers: (True,)"),
     ],
     ids=[
         "bc-float",
@@ -225,9 +252,13 @@ def test_special_class_of_refusals(ctx, x, error, message):
         "bc-wide",
         "d-narrow",
         "d-float-flag",
+        "bc-bool",
+        "bc-bool-zero",
+        "d-bool-flag",
         "bp-zero-d",
         "bp-zero-bc",
         "bp-increasing",
+        "bp-bool",
     ],
 )
 def test_constructors_refuse_malformed_values(build, message):

@@ -164,6 +164,17 @@ def test_parse_carter_label_errors():
         ),
         (lambda: UnipotentSymbol.plain((0,)), "partition entries must be positive integers: (0,)"),
         (lambda: MarkedPartition((2, 2), ((2, 2),)), "marking bits must be 0 or 1: ((2, 2),)"),
+        # a bool is no int: no map can answer with `3,True,True`
+        (
+            lambda: phi(context("B", 2), ClassSymbol.classical((2,), (True, True))),
+            "partition entries must be positive integers: (True, True)",
+        ),
+        (lambda: MarkedPartition((2, 2), ((2, True),)), "marking bits must be 0 or 1: ((2, True),)"),
+        (lambda: MarkedPartition((2, 2), ((2, 1.0),)), "marking bits must be 0 or 1: ((2, 1.0),)"),
+        (
+            lambda: MarkedPartition((2, 2), ((2.0, 1),)),
+            "marking domain (2.0,) does not match required domain (2,) of (2, 2)",
+        ),
     ],
     ids=[
         "label-primes",
@@ -181,6 +192,10 @@ def test_parse_carter_label_errors():
         "psi-bare-increasing-marked",
         "unipotent-non-positive",
         "marking-bit",
+        "phi-bool-record",
+        "marking-bool-bit",
+        "marking-float-bit",
+        "marking-float-value",
     ],
 )
 def test_symbols_refuse_a_wrong_shape(build, message):
