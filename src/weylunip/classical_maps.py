@@ -47,7 +47,6 @@ from .partitions import (
     in_S_kappa,
     in_T,
     multiplicity,
-    odd_entries,
     parse_marked,
     parse_partition,
     partition,
@@ -294,62 +293,48 @@ def _psi_marked(cm: MarkedPartition) -> tuple[Partition, Partition]:
     return tuple(r), tuple(p)
 
 
-def _star_holds(e: int, r_odd: tuple[int, ...]) -> bool:
-    """Gap condition for an even value against the decreasing odd entries:
-    above the top, strictly inside an even-indexed gap, or below the bottom
-    when the count is even.  An empty list counts as satisfied."""
-    s = len(r_odd)
-    if s == 0:
-        return True
-    if e > r_odd[0]:
-        return True
-    if s % 2 == 0 and r_odd[s - 1] > e:
-        return True
-    for v in range(1, (s - 1) // 2 + 1):
-        if r_odd[2 * v - 1] > e > r_odd[2 * v]:
-            return True
-    return False
-
-
 def orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
     """The unique shortest-p splitting of an orthogonal Jordan type into a
-    mixed-parity stable string and a paired swap record.
+    mixed-parity stable string and a paired swap record, in one pass over
+    the value blocks of ``c``.
 
-    Odd values: odd multiplicity keeps one copy; even multiplicity keeps two
-    copies or none according to the parity of the position where the value's
-    block starts inside the decreasing list of odd entries.  Even values then
-    go entirely to the swap record exactly when the gap condition holds
-    against the odd entries just kept.
+    An odd block of odd multiplicity keeps one copy in the stable string,
+    one of even multiplicity two copies when an odd number of odd entries of
+    ``c`` lie above it and none otherwise.  An even block stays there when an
+    odd number of the kept odd entries lie above it, else it goes to the
+    swap record: the paper's gap condition, which puts the string in R.
     """
+    c = check_partition(c)
     if not in_Q(c, sum(c)):
         raise BadInput(f"even value with odd multiplicity: {c}")
     return _orthogonal_fiber_minimizer(c)
 
 
 def _orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
-    r_odd, p = [], []
-    start = 1
-    for e, block in groupby(odd_entries(c)):
-        q = len(tuple(block))
-        keep = 1 if q % 2 == 1 else (2 if start % 2 == 0 else 0)
-        r_odd += [e] * keep
-        p += [e] * (q - keep)
-        start += q
-    r = r_odd[:]
-    for x in c:
-        if x % 2 == 1:
-            continue
-        if _star_holds(x, r_odd):
-            p.append(x)
+    r, p = [], []
+    odd_above = kept_above = 0
+    for x, block in groupby(c):
+        block = tuple(block)
+        if x % 2:
+            q = len(block)
+            keep = 1 if q % 2 else 2 * (odd_above % 2)
+            r += block[:keep]
+            p += block[keep:]
+            odd_above += q
+            kept_above += keep
+        elif kept_above % 2:
+            r += block
         else:
-            r.append(x)
-    return partition(r), partition(p)
+            p += block
+    return tuple(r), tuple(p)
 
 
 def psi_orthogonal(c: Partition, kappa: int) -> tuple[Partition, Partition]:
     """Shortest-p fiber element over the merge that follows ``xi``: compute
-    the mixed-parity minimizer, then pull its stable string back through
-    ``xi``."""
+    the mixed-parity minimizer, whose stable string keeps an even value
+    exactly when an odd number of its odd entries lie above it (the paper's
+    gap condition, which cuts out the image of ``xi``), then pull that string
+    back through ``xi``."""
     if sum(c) % 2 != kappa:
         raise BadInput(f"|c|={sum(c)} has wrong parity for kappa={kappa}")
     if sum(c) < 3:
@@ -485,10 +470,10 @@ def enumerate_unipotents(
     each marking covers ``epsilon_domain`` with 0/1 bits, so the symbols
     skip the checks of ``UnipotentSymbol.plain`` and ``MarkedPartition``.
     """
+    check_rank_bound(ctx, bound)
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
         return [UnipotentSymbol.named(n) for n in table.unipotent_names()]
-    check_rank_bound(ctx, bound)
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
     if ctx.char != "p2":
         return [_trusted_unipotent(c) for c in cs]

@@ -52,14 +52,11 @@ def in_P_tilde(p: Partition) -> bool:
     return p[::2] == p[1::2]
 
 
-def _check_kappa(kappa: int) -> None:
-    if kappa not in (0, 1):
-        raise BadInput(f"kappa must be 0 or 1, got {kappa!r}")
-
-
 def in_S_kappa(r: Partition, kappa: int) -> bool:
     """All entries even; for kappa=0 additionally an even number of entries."""
-    _check_kappa(kappa)
+    # type(kappa) is int, not isinstance, so a bool is refused
+    if type(kappa) is not int or kappa not in (0, 1):
+        raise BadInput(f"kappa must be 0 or 1, got {kappa!r}")
     if any(map(mod, r, repeat(2))):
         return False
     return kappa == 1 or len(r) % 2 == 0
@@ -81,39 +78,26 @@ def in_Q(c: Partition, N: int) -> bool:
     return not any(c.count(j) % 2 for j in set(c) if j % 2 == 0)
 
 
-def odd_entries(p: Partition) -> Partition:
-    """The odd entries of ``p``, in their (decreasing) order."""
-    return tuple(x for x in p if x % 2 == 1)
-
-
 def in_R(r: Partition) -> bool:
-    """Gap/parity conditions cutting out the image of the even-to-mixed
-    adjustment map inside the orthogonal partitions.
-
-    With J the positions of odd entries and r^1 >= ... >= r^s the odd
-    entries themselves, requires: a nonempty ``r`` starts with an odd entry;
-    an even-length ``r`` also ends with one; r^u > r^{u+1} for odd u; and for
-    even u no entry of ``r`` lies strictly between r^u and r^{u+1}.
+    """Whether ``r`` lies in R, the image of the adjustment map ``xi`` inside
+    the orthogonal partitions: every even entry has an odd number of odd
+    entries above it, and the 2nd, 4th, ... odd entry lies strictly below
+    the odd entry before it.  This is the paper's gap condition: with
+    r^1 >= ... >= r^s the odd entries, r^u > r^{u+1} for odd u, and every
+    even entry lies in a gap (r^1, r^2), (r^3, r^4), ..., or below r^s when
+    s is odd.
     """
     if not in_Q(r, sum(r)):
         raise NotInQ(f"even value with odd multiplicity: {r}")
-    tau = len(r)
-    if tau == 0:
-        return True
-    if r[0] % 2 == 0:
-        return False
-    if tau % 2 == 0 and r[tau - 1] % 2 == 0:
-        return False
-    odd = odd_entries(r)
-    s = len(odd)
-    for u in range(1, s):
-        if u % 2 == 1:
-            if odd[u - 1] <= odd[u]:
+    odds = 0
+    for x in r:
+        if x % 2:
+            if odds % 2 and x >= above:
                 return False
-        else:
-            hi, lo = odd[u - 1], odd[u]
-            if any(hi > x > lo for x in r):
-                return False
+            odds += 1
+            above = x
+        elif odds % 2 == 0:
+            return False
     return True
 
 

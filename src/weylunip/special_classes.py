@@ -487,11 +487,11 @@ def d_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceD]:
 def special_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[ClassSymbol]:
     """The special classes of the context, deterministically ordered; a
     classical rank above ``bound`` is refused before any enumeration."""
+    check_rank_bound(ctx, bound)
     if ctx.family == "A":
         return enumerate_classes(ctx, bound=bound)
     if ctx.is_exceptional:
         return [ClassSymbol.exceptional(lab) for lab, _ in load_tau_table(ctx.family)]
-    check_rank_bound(ctx, bound)
     if ctx.family in ("B", "C"):
         return [_class_of(x) for x in enumerate_A(ctx.rank)]
     return [_class_of(x) for x in enumerate_C(ctx.rank)]

@@ -74,6 +74,9 @@ class GroupContext:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise BadInput(f"unknown family {self.family!r}")
+        # type(rank) is int, not isinstance, so a bool is refused
+        if type(self.rank) is not int:
+            raise BadInput(f"rank must be an integer, got {self.rank!r}")
         if self.is_exceptional:
             if self.rank != EXCEPTIONAL_RANK[self.family]:
                 raise BadInput(
@@ -366,7 +369,10 @@ def is_split_weyl_class(ctx: GroupContext, C: ClassSymbol) -> bool:
 
 def check_rank_bound(ctx: GroupContext, bound: int) -> None:
     """Refuse a classical context whose rank is above ``bound``, before any
-    enumeration; an exceptional context has a fixed size and passes."""
+    enumeration; an exceptional context has a fixed size and passes.  A
+    ``bound`` that is not an integer is refused in every context."""
+    if type(bound) is not int:
+        raise BadInput(f"rank bound must be an integer, got {bound!r}")
     if not ctx.is_exceptional and ctx.rank > bound:
         raise BoundExceeded(f"rank {ctx.rank} exceeds enumeration bound {bound}")
 
@@ -381,10 +387,10 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     ``bound``.  The B/C/D records come canonical from the enumerators, so
     those classes skip the checks of ``ClassSymbol.classical``.
     """
+    check_rank_bound(ctx, bound)
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
         return [ClassSymbol.exceptional(lab) for row in table.rows for lab in row.classes]
-    check_rank_bound(ctx, bound)
     if ctx.family == "A":
         return [ClassSymbol.type_a(p) for p in partitions_of(ctx.rank + 1)]
     two_n = 2 * ctx.rank

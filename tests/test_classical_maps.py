@@ -2,7 +2,7 @@ import gc
 import hashlib
 import sys
 import tracemalloc
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given
@@ -185,6 +185,47 @@ def test_minimizer_matches_brute_force(n_amb):
         _, minimizers = brute_min_fiber(c)
         assert len(minimizers) == 1, c
         assert orthogonal_fiber_minimizer(c) == minimizers[0]
+
+
+def reference_orthogonal_minimizer(c):
+    """The orthogonal fiber minimizer in its position-indexed form, kept as
+    the reference for the one-pass parity count: an odd block of even
+    multiplicity keeps two copies when it starts at an even position of the
+    odd entries; an even value goes to the swap record when it lies above
+    the kept odd entries, strictly inside an even-indexed gap of them, or
+    below all of them when they are even in number."""
+
+    def star_holds(e, r_odd):
+        s = len(r_odd)
+        if s == 0 or e > r_odd[0]:
+            return True
+        if s % 2 == 0 and r_odd[s - 1] > e:
+            return True
+        return any(r_odd[2 * v - 1] > e > r_odd[2 * v] for v in range(1, (s - 1) // 2 + 1))
+
+    r_odd, p = [], []
+    start = 1
+    for e, block in groupby(x for x in c if x % 2 == 1):
+        q = len(tuple(block))
+        keep = 1 if q % 2 == 1 else (2 if start % 2 == 0 else 0)
+        r_odd += [e] * keep
+        p += [e] * (q - keep)
+        start += q
+    r = r_odd[:]
+    for x in c:
+        if x % 2 == 0:
+            (p if star_holds(x, r_odd) else r).append(x)
+    return partition(r), partition(p)
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_minimizer_matches_the_position_indexed_reference(n):
+    for c in partitions_of(n):
+        if in_Q(c, n):
+            assert orthogonal_fiber_minimizer(c) == reference_orthogonal_minimizer(c), c
+        else:
+            with pytest.raises(BadInput, match="even value with odd multiplicity"):
+                orthogonal_fiber_minimizer(c)
 
 
 def test_phi_examples():
@@ -479,6 +520,9 @@ HELPER_ERRORS = [
     (xi, ((4,), 0), BadInput, "not a valid stable cycle record for kappa=0: (4,)"),
     (xi, ((3,), 1), BadInput, "not a valid stable cycle record for kappa=1: (3,)"),
     (xi, ((2,), 2), BadInput, "kappa must be 0 or 1, got 2"),
+    # a bool is no int: xi((4, 2), True) once answered (5, 1, 1)
+    (xi, ((4, 2), True), BadInput, "kappa must be 0 or 1, got True"),
+    (xi, ((4, 2), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
     (xi_inv, ((4, 4), 0), NotInR, "not in the image of the adjustment map: (4, 4)"),
     (xi_inv, ((5, 3), 1), BadInput, "|c|=8 has wrong parity for kappa=1"),
     (psi_even_r, ((3, 1),), BadInput, "odd value with odd multiplicity: (3, 1)"),
@@ -489,6 +533,8 @@ HELPER_ERRORS = [
     (psi_orthogonal, ((2,), 0), BadInput, "|c| must be at least 3: (2,)"),
     (psi_orthogonal, ((2, 1, 1), 0), BadInput, "even value with odd multiplicity: (2, 1, 1)"),
     (orthogonal_fiber_minimizer, ((2, 1),), BadInput, "even value with odd multiplicity: (2, 1)"),
+    (orthogonal_fiber_minimizer, ((1, 3),), BadInput, "partition entries must be weakly decreasing: (1, 3)"),
+    (psi_orthogonal, ((1, 3), 0), BadInput, "partition entries must be weakly decreasing: (1, 3)"),
 ]
 
 

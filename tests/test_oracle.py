@@ -78,6 +78,19 @@ def test_fiber_minimum_suite_small():
     assert r.counters["unique-minimum"] == r.counters["rules-match-minimum"]
 
 
+def test_fiber_minimum_suite_skips_the_rules_on_a_tied_fiber(monkeypatch):
+    # a predicate that also admits (3, 1, 1, 1) gives (3, 2, 2, 1, 1, 1) two
+    # shortest splittings, ((3, 1, 1, 1), (2, 2)) and ((3, 2, 2, 1), (1, 1))
+    real_in_R = oracle.in_R
+    monkeypatch.setattr(oracle, "in_R", lambda r: r == (3, 1, 1, 1) or real_in_R(r))
+    r = oracle.verify_fiber_minimum(10)
+    tied = "(3, 2, 2, 1, 1, 1)"
+    assert [f for f in r.failures if f[0] == "unique-minimum"] == [("unique-minimum", tied, "1", "2")]
+    # no rule check is counted for the tied Jordan type
+    assert r.counters["rules-match-minimum"] == r.counters["merge-roundtrip"] == r.counters["unique-minimum"] - 1
+    assert all(f[1] != tied for f in r.failures if f[0] != "unique-minimum")
+
+
 @pytest.mark.parametrize(
     "ctx",
     [

@@ -121,6 +121,40 @@ def test_in_r_gap_conditions():
     assert in_R((5, 4, 4, 3, 1))
 
 
+def reference_in_R(r):
+    """``in_R`` in its position-indexed form, kept as the reference for the
+    one-pass parity count: with r^1 >= ... >= r^s the odd entries, a nonempty
+    ``r`` starts odd, an even-length one also ends odd, r^u > r^{u+1} for
+    odd u, and for even u no entry lies strictly between r^u and r^{u+1}."""
+    if not in_Q(r, sum(r)):
+        raise NotInQ(f"even value with odd multiplicity: {r}")
+    tau = len(r)
+    if tau == 0:
+        return True
+    if r[0] % 2 == 0:
+        return False
+    if tau % 2 == 0 and r[tau - 1] % 2 == 0:
+        return False
+    odd = tuple(x for x in r if x % 2 == 1)
+    for u in range(1, len(odd)):
+        if u % 2 == 1:
+            if odd[u - 1] <= odd[u]:
+                return False
+        elif any(odd[u - 1] > x > odd[u] for x in r):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_in_r_matches_the_position_indexed_reference(n):
+    for r in partitions_of(n):
+        if in_Q(r, n):
+            assert in_R(r) == reference_in_R(r), r
+        else:
+            with pytest.raises(NotInQ):
+                in_R(r)
+
+
 def test_enumerate_partitions_examples():
     assert [c for c in partitions_of(4) if in_T(c, 4)] == [
         (4,),

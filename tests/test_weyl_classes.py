@@ -5,7 +5,7 @@ from weylunip.classical_maps import UnipotentSymbol, phi, psi
 from weylunip.errors import BadInput, BoundExceeded, InvalidClass, ParseError, WrongFamily
 from weylunip.exceptional_tables import TABLE_FILES, load_table
 from weylunip.partitions import MarkedPartition, partitions_of
-from weylunip.special_classes import TAU_FILES
+from weylunip.special_classes import TAU_FILES, special_classes
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
@@ -40,6 +40,31 @@ def test_context_validation():
         GroupContext("X", 1)
     with pytest.raises(WrongFamily, match="kappa undefined for family A"):
         context("A", 3).kappa
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # a bool is no int: no context prints as `A_True/good`
+        (lambda: GroupContext("A", True), "rank must be an integer, got True"),
+        (lambda: GroupContext("C", 2.0), "rank must be an integer, got 2.0"),
+        (lambda: GroupContext("B", 3.5), "rank must be an integer, got 3.5"),
+        (lambda: GroupContext("C", "3"), "rank must be an integer, got '3'"),
+        (lambda: GroupContext("C", None), "rank must be an integer, got None"),
+        (lambda: GroupContext("E8", 8.0), "rank must be an integer, got 8.0"),
+        (lambda: enumerate_classes(context("C", 3), bound="5"), "rank bound must be an integer, got '5'"),
+        (lambda: special_classes(context("C", 3), bound=2.5), "rank bound must be an integer, got 2.5"),
+        (lambda: enumerate_classes(context("E8"), bound=True), "rank bound must be an integer, got True"),
+    ],
+    ids=[
+        "rank-bool", "rank-float", "rank-fraction", "rank-text", "rank-none", "exceptional-rank-float",
+        "bound-text", "special-bound-float", "exceptional-bound-bool",
+    ],
+)
+def test_rank_and_bound_are_ints(build, message):
+    with pytest.raises(BadInput) as err:
+        build()
+    assert str(err.value) == message
 
 
 def test_one_catalogue():
