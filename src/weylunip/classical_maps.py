@@ -26,17 +26,18 @@ looking again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import groupby, product
 from math import prod
 from typing import Optional
 
 from . import exceptional_tables
+from ._value import Value
 from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
 from .partitions import (
     MarkedPartition,
     Partition,
     _trusted_marked,
+    check_kappa,
     check_partition,
     epsilon_domain,
     format_marked,
@@ -63,22 +64,38 @@ from .weyl_classes import (
 )
 
 
-@dataclass(frozen=True)
-class UnipotentSymbol:
+class UnipotentSymbol(Value):
     """A unipotent class: a Jordan type, a marked Jordan type, or a name.
 
     The constructor checks that a Jordan type is a canonical partition, and
     stores it as a tuple."""
 
-    partition: Optional[Partition] = None
-    marked: Optional[MarkedPartition] = None
-    name: Optional[str] = None
+    __slots__ = ("partition", "marked", "name")
+    partition: Optional[Partition]
+    marked: Optional[MarkedPartition]
+    name: Optional[str]
 
-    def __post_init__(self):
-        if sum(x is not None for x in (self.partition, self.marked, self.name)) != 1:
+    def __init__(
+        self,
+        partition: Optional[Partition] = None,
+        marked: Optional[MarkedPartition] = None,
+        name: Optional[str] = None,
+    ):
+        if (partition is not None) + (marked is not None) + (name is not None) != 1:
             raise BadInput("unipotent symbol must have exactly one shape")
-        if self.partition is not None:
-            object.__setattr__(self, "partition", check_partition(self.partition))
+        if partition is not None:
+            partition = check_partition(partition)
+        object.__setattr__(self, "partition", partition)
+        object.__setattr__(self, "marked", marked)
+        object.__setattr__(self, "name", name)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.partition, self.marked, self.name) == (other.partition, other.marked, other.name)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.partition, self.marked, self.name))
 
     @staticmethod
     def plain(c) -> "UnipotentSymbol":
@@ -239,6 +256,7 @@ def _xi(r: Partition, kappa: int) -> Partition:
 def xi_inv(c: Partition, kappa: int) -> Partition:
     """Inverse of ``xi``: odd entries move by (-1)^position, even entries are
     kept, and a final entry equal to ``kappa`` is dropped."""
+    check_kappa(kappa)
     if not in_R(c):
         raise NotInR(f"not in the image of the adjustment map: {c}")
     if sum(c) % 2 != kappa:
@@ -335,6 +353,7 @@ def psi_orthogonal(c: Partition, kappa: int) -> tuple[Partition, Partition]:
     exactly when an odd number of its odd entries lie above it (the paper's
     gap condition, which cuts out the image of ``xi``), then pull that string
     back through ``xi``."""
+    check_kappa(kappa)
     if sum(c) % 2 != kappa:
         raise BadInput(f"|c|={sum(c)} has wrong parity for kappa={kappa}")
     if sum(c) < 3:

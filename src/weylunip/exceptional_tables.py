@@ -13,11 +13,12 @@ every load re-runs the structural sanity checks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
 
+from ._value import Value
 from .errors import (
+    BadInput,
+    ParseError,
     TableIntegrityError,
     UnknownClass,
     UnknownContext,
@@ -97,23 +98,48 @@ _ROW_RE = re.compile(r"classes\s*=\s*(?P<classes>[^;]+?)\s*;\s*unipotent\s*=\s*(
 SUBSCRIPTED_NAME_RE = re.compile(r"^\((?P<base>.+)\)_(?P<p>[23])$")
 
 
-@dataclass(frozen=True)
-class FiberRow:
+class FiberRow(Value):
+    """The classes of one fiber, minimizer first, and the name of its
+    unipotent class."""
+
+    __slots__ = ("classes", "unipotent")
     classes: tuple[CarterLabel, ...]
     unipotent: str
 
+    def __init__(self, classes: tuple[CarterLabel, ...], unipotent: str):
+        object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "unipotent", unipotent)
 
-@dataclass(frozen=True)
-class FiberTable:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.classes, self.unipotent) == (other.classes, other.unipotent)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.classes, self.unipotent))
+
+
+class FiberTable(Value):
+    """The fiber table of an exceptional context, one row per unipotent class."""
+
+    __slots__ = ("context", "rows")
     context: GroupContext
     rows: tuple[FiberRow, ...]
 
+    def __init__(self, context: GroupContext, rows: tuple[FiberRow, ...]):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.context, self.rows) == (other.context, other.rows)
+        return NotImplemented
+
     def __hash__(self) -> int:
-        # Sound because the generated ``__eq__`` compares the context too, so
-        # equal tables have equal hashes; tables that differ only in their
-        # rows merely share a bucket, and ``_load`` builds one per context.
-        # It keeps the cached index methods below from hashing every row on
-        # each read.
+        # Sound because ``__eq__`` compares the context too, so equal tables
+        # have equal hashes; tables that differ only in their rows merely
+        # share a bucket, and ``_load`` builds one per context.  It keeps the
+        # cached index methods below from hashing every row on each read.
         return hash(self.context)
 
     @lru_cache(maxsize=None)
@@ -159,7 +185,10 @@ def _derive_variant(family: str, char: str) -> bytes:
 def _pinned_text(name: str) -> str:
     """The table text pinned under ``name`` once its SHA-256 matches: a data
     file, or a bad-characteristic fiber table derived from its good sibling."""
-    import hashlib  # here, so a process that reads no table does not load it
+    # here, so a process that reads no table loads neither (on Python 3.12
+    # and later, importlib.resources also loads inspect)
+    import hashlib
+    from importlib import resources
 
     if name in _DERIVED:
         data = _derive_variant(*_DERIVED[name])
@@ -189,6 +218,20 @@ def read_rows(name: str, row_re: re.Pattern) -> list[re.Match]:
     return rows
 
 
+def table_label(name: str, text: str) -> CarterLabel:
+    """The class label written as ``text`` in the table pinned under
+    ``name``.  A label that does not parse, or that does not print back as
+    ``text`` (as ``01A_1`` prints ``A_1``), is a fault of the table."""
+    text = text.strip()
+    try:
+        lab = parse_carter_label(text)
+    except (BadInput, ParseError) as exc:
+        raise TableIntegrityError(f"{name}: {exc}") from None
+    if str(lab) != text:
+        raise TableIntegrityError(f"{name}: label {text} does not round-trip")
+    return lab
+
+
 def table_checks(table: FiberTable, good: FiberTable):
     """Every instance of the structural invariants of a fiber table, as
     (assertion, holds, subject, expected, got): the class count with no label
@@ -216,14 +259,10 @@ def table_checks(table: FiberTable, good: FiberTable):
 def _load(family: str, char: str) -> FiberTable:
     name = TABLE_FILES[(family, char)]
     rows = tuple(
-        FiberRow(tuple(parse_carter_label(c.strip()) for c in m["classes"].split("|")), m["unip"])
+        FiberRow(tuple(table_label(name, c) for c in m["classes"].split("|")), m["unip"])
         for m in read_rows(name, _ROW_RE)
     )
     table = FiberTable(GroupContext(family, EXCEPTIONAL_RANK[family], char), rows)
-    for row in rows:
-        for lab in row.classes:
-            if parse_carter_label(str(lab)) != lab:
-                raise TableIntegrityError(f"{name}: label {lab} does not round-trip")
     names = table.unipotent_names()
     if len(set(names)) != len(names):
         raise TableIntegrityError(f"{name}: duplicate unipotent names")

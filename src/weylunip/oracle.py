@@ -29,7 +29,6 @@ import functools
 import time
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 from .classical_maps import (
     UnipotentSymbol,
@@ -88,18 +87,18 @@ from .weyl_classes import (
 )
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verifier on one context: instance counts per assertion
     class and the failures, each an (assertion, input, expected, got) tuple of
     strings.  Each check instance is one ``check``; a hot loop may ``count``
     itself once and ``fail`` each element that breaks its assertion."""
 
-    suite: str
-    context: str
-    counters: dict = field(default_factory=dict)
-    failures: list = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, suite: str, context: str):
+        self.suite = suite
+        self.context = context
+        self.counters: dict[str, int] = {}
+        self.failures: list[tuple[str, str, str, str]] = []
+        self.elapsed = 0.0
 
     @property
     def checked(self) -> int:

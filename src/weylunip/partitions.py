@@ -7,12 +7,12 @@ sequences are implemented by treating missing entries as zeros on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import lt, mod
 from typing import Iterable
 
+from ._value import Value
 from .errors import BadInput, NotInQ, ParseError
 
 Partition = tuple[int, ...]
@@ -52,11 +52,16 @@ def in_P_tilde(p: Partition) -> bool:
     return p[::2] == p[1::2]
 
 
-def in_S_kappa(r: Partition, kappa: int) -> bool:
-    """All entries even; for kappa=0 additionally an even number of entries."""
+def check_kappa(kappa) -> None:
+    """Refuse a record parity ``kappa`` that is not the int 0 or 1."""
     # type(kappa) is int, not isinstance, so a bool is refused
     if type(kappa) is not int or kappa not in (0, 1):
         raise BadInput(f"kappa must be 0 or 1, got {kappa!r}")
+
+
+def in_S_kappa(r: Partition, kappa: int) -> bool:
+    """All entries even; for kappa=0 additionally an even number of entries."""
+    check_kappa(kappa)
     if any(map(mod, r, repeat(2))):
         return False
     return kappa == 1 or len(r) % 2 == 0
@@ -114,8 +119,7 @@ def epsilon_domain(c: Partition) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
+class MarkedPartition(Value):
     """A partition together with a 0/1 marking of the qualifying even values.
 
     The marking domain is forced by the ambient partition: exactly the even
@@ -124,19 +128,30 @@ class MarkedPartition:
     marking.
     """
 
+    __slots__ = ("c", "eps")
     c: Partition
     eps: tuple[tuple[int, int], ...]  # (value, bit) pairs, decreasing values
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", check_partition(self.c))
-        dom = epsilon_domain(self.c)
-        values = tuple(j for j, _ in self.eps)
+    def __init__(self, c: Partition, eps: tuple[tuple[int, int], ...]):
+        c = check_partition(c)
+        dom = epsilon_domain(c)
+        values = tuple(j for j, _ in eps)
         if values != dom or not all(type(j) is int for j in values):
             raise BadInput(
-                f"marking domain {values} does not match required domain {dom} of {self.c}"
+                f"marking domain {values} does not match required domain {dom} of {c}"
             )
-        if any(type(b) is not int or b not in (0, 1) for _, b in self.eps):
-            raise BadInput(f"marking bits must be 0 or 1: {self.eps}")
+        if any(type(b) is not int or b not in (0, 1) for _, b in eps):
+            raise BadInput(f"marking bits must be 0 or 1: {eps}")
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "eps", eps)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.c, self.eps) == (other.c, other.eps)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.c, self.eps))
 
     @staticmethod
     def build(c: Iterable[int], marks: dict[int, int] | None = None) -> "MarkedPartition":

@@ -13,18 +13,18 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Iterator, Optional
 
+from ._value import Value
 from .errors import (
     BadInput,
     NotSpecial,
     TableIntegrityError,
     WrongFamily,
 )
-from .exceptional_tables import read_rows
+from .exceptional_tables import read_rows, table_label
 from .partitions import Partition, check_partition, format_partition, partition
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
@@ -35,7 +35,6 @@ from .weyl_classes import (
     _trusted_classical,
     check_rank_bound,
     enumerate_classes,
-    parse_carter_label,
     validate_class,
 )
 
@@ -71,15 +70,23 @@ def _trusted_bipartition(y: Partition, z: Partition) -> "Bipartition":
     return bp
 
 
-@dataclass(frozen=True, slots=True)
-class PairSequenceBC:
+class PairSequenceBC(Value):
     """Decreasing pairs (a >= b) covering a class of types B/C; the second
     slot of the last pair may be zero."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _check_pair_shape(self.pairs, 2))
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", _check_pair_shape(pairs, 2))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pairs,) == (other.pairs,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     def total(self) -> int:
         return sum(a + b for a, b in self.pairs)
@@ -88,14 +95,22 @@ class PairSequenceBC:
         return "|".join(f"{a},{b}" for a, b in self.pairs)
 
 
-@dataclass(frozen=True, slots=True)
-class PairSequenceD:
+class PairSequenceD(Value):
     """Decreasing flagged pairs (a >= b, e) covering a class of type D."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int, int], ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", _check_pair_shape(self.pairs, 3))
+    def __init__(self, pairs: tuple[tuple[int, int, int], ...]):
+        object.__setattr__(self, "pairs", _check_pair_shape(pairs, 3))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.pairs,) == (other.pairs,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.pairs,))
 
     def total(self) -> int:
         return sum(a + b for a, b, _ in self.pairs)
@@ -104,16 +119,24 @@ class PairSequenceD:
         return "|".join(f"{a},{b}:{e}" for a, b, e in self.pairs)
 
 
-@dataclass(frozen=True, slots=True)
-class Bipartition:
+class Bipartition(Value):
     """Two partitions, checked canonical by the constructor, labelling an irreducible representation."""
 
+    __slots__ = ("y", "z")
     y: Partition
     z: Partition
 
-    def __post_init__(self):
-        object.__setattr__(self, "y", check_partition(self.y))
-        object.__setattr__(self, "z", check_partition(self.z))
+    def __init__(self, y: Partition, z: Partition):
+        object.__setattr__(self, "y", check_partition(y))
+        object.__setattr__(self, "z", check_partition(z))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.y, self.z) == (other.y, other.z)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.y, self.z))
 
     def total(self) -> int:
         return sum(self.y) + sum(self.z)
@@ -555,7 +578,7 @@ def load_tau_table(family: str) -> tuple[tuple[CarterLabel, str], ...]:
     if family not in TAU_FILES:
         raise WrongFamily(f"no special-class table for family {family!r}")
     filename = TAU_FILES[family]
-    rows = tuple((parse_carter_label(m["cls"]), m["rep"]) for m in read_rows(filename, _TAU_ROW_RE))
+    rows = tuple((table_label(filename, m["cls"]), m["rep"]) for m in read_rows(filename, _TAU_ROW_RE))
     if not is_bijective_table(rows):
         raise TableIntegrityError(f"{filename}: duplicate rows")
     return rows

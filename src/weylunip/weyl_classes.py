@@ -9,9 +9,9 @@ classes are cycle types, exceptional classes are admissible-diagram labels.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
+from ._value import Value
 from .errors import (
     BadInput,
     BoundExceeded,
@@ -59,39 +59,45 @@ DEFAULT_FIBER_BOUND = 12
 SUITES = ("theorem02", "phipsi", "xi", "fiber-min", "rhopi", "tables", "special", "all")
 
 
-@dataclass(frozen=True)
-class GroupContext:
+class GroupContext(Value):
     """Simple type, rank and characteristic variant.
 
     ``char`` is one of ``good``, ``p2``, ``p3``; ``good`` stands for any
     characteristic that is not singled out for the family.
     """
 
+    __slots__ = ("family", "rank", "char")
     family: str
     rank: int
-    char: str = "good"
+    char: str
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise BadInput(f"unknown family {self.family!r}")
+    def __init__(self, family: str, rank: int, char: str = "good"):
+        if family not in FAMILIES:
+            raise BadInput(f"unknown family {family!r}")
         # type(rank) is int, not isinstance, so a bool is refused
-        if type(self.rank) is not int:
-            raise BadInput(f"rank must be an integer, got {self.rank!r}")
-        if self.is_exceptional:
-            if self.rank != EXCEPTIONAL_RANK[self.family]:
-                raise BadInput(
-                    f"rank of {self.family} is fixed at {EXCEPTIONAL_RANK[self.family]}"
-                )
-        else:
-            if self.rank < MIN_RANK[self.family]:
-                raise BadInput(
-                    f"rank of {self.family} must be >= {MIN_RANK[self.family]}"
-                )
-        if self.char not in CHAR_VARIANTS[self.family]:
+        if type(rank) is not int:
+            raise BadInput(f"rank must be an integer, got {rank!r}")
+        if family in EXCEPTIONAL_RANK:
+            if rank != EXCEPTIONAL_RANK[family]:
+                raise BadInput(f"rank of {family} is fixed at {EXCEPTIONAL_RANK[family]}")
+        elif rank < MIN_RANK[family]:
+            raise BadInput(f"rank of {family} must be >= {MIN_RANK[family]}")
+        if char not in CHAR_VARIANTS[family]:
             raise BadInput(
-                f"characteristic variant {self.char!r} not valid for {self.family} "
-                f"(allowed: {', '.join(CHAR_VARIANTS[self.family])})"
+                f"characteristic variant {char!r} not valid for {family} "
+                f"(allowed: {', '.join(CHAR_VARIANTS[family])})"
             )
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "char", char)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.family, self.rank, self.char) == (other.family, other.rank, other.char)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank, self.char))
 
     @property
     def is_exceptional(self) -> bool:
@@ -133,12 +139,40 @@ _COMPONENT_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class CarterComponent:
+class CarterComponent(Value):
+    """One simple-diagram component of a class label: ``multiplier`` copies
+    (at least 1) of ``series`` with ``subscript`` (at least 0, for A_0), and
+    an optional qualifier."""
+
+    __slots__ = ("multiplier", "series", "subscript", "qualifier")
     multiplier: int
     series: str  # "A", "~A", "B", ..., "G"
     subscript: int
-    qualifier: Optional[str] = None  # e.g. "(a_1)"
+    qualifier: Optional[str]  # e.g. "(a_1)"
+
+    def __init__(self, multiplier: int, series: str, subscript: int, qualifier: Optional[str] = None):
+        # type(x) is int, not isinstance, so a bool is refused
+        if type(multiplier) is not int or multiplier < 1:
+            raise BadInput(f"multiplier must be an integer >= 1, got {multiplier!r}")
+        if type(subscript) is not int or subscript < 0:
+            raise BadInput(f"subscript must be an integer >= 0, got {subscript!r}")
+        object.__setattr__(self, "multiplier", multiplier)
+        object.__setattr__(self, "series", series)
+        object.__setattr__(self, "subscript", subscript)
+        object.__setattr__(self, "qualifier", qualifier)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.multiplier, self.series, self.subscript, self.qualifier) == (
+                other.multiplier,
+                other.series,
+                other.subscript,
+                other.qualifier,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.multiplier, self.series, self.subscript, self.qualifier))
 
     def __str__(self) -> str:
         return self._render(0)
@@ -148,24 +182,44 @@ class CarterComponent:
         return f"{mult}{self.series}{primes * chr(39)}_{self.subscript}{self.qualifier or ''}"
 
 
-@dataclass(frozen=True)
-class CarterLabel:
+class CarterLabel(Value):
     """A class name built from simple-diagram components, e.g. D_4(a_1)+2A_1.
 
-    ``primes`` counts trailing primes; ``parenthesized`` records whether they
-    attach to the whole bracketed name, as in (3A_1)', rather than to the
-    single component letter, as in A'_5.  Printing round-trips exactly.
+    ``primes`` counts trailing primes, the int 0, 1 or 2; ``parenthesized``, a
+    bool, records whether they attach to the whole bracketed name, as in
+    (3A_1)', rather than to the single component letter, as in A'_5.
+    Printing round-trips exactly.
     """
 
+    __slots__ = ("components", "primes", "parenthesized")
     components: tuple[CarterComponent, ...]
-    primes: int = 0
-    parenthesized: bool = False
+    primes: int
+    parenthesized: bool
 
-    def __post_init__(self):
-        if self.primes not in (0, 1, 2):
+    def __init__(self, components: tuple[CarterComponent, ...], primes: int = 0, parenthesized: bool = False):
+        if type(primes) is not int:
+            raise BadInput(f"primes must be an integer, got {primes!r}")
+        if primes not in (0, 1, 2):
             raise BadInput("at most two primes supported")
-        if self.primes and not self.parenthesized and len(self.components) != 1:
+        if type(parenthesized) is not bool:
+            raise BadInput(f"parenthesized must be a bool, got {parenthesized!r}")
+        if primes and not parenthesized and len(components) != 1:
             raise BadInput("attached primes require a single component")
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "parenthesized", parenthesized)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components, self.primes, self.parenthesized) == (
+                other.components,
+                other.primes,
+                other.parenthesized,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.primes, self.parenthesized))
 
     @property
     def rank(self) -> int:
@@ -236,8 +290,7 @@ def parse_carter_label(text: str) -> CarterLabel:
 # --- class symbols ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClassSymbol:
+class ClassSymbol(Value):
     """A conjugacy class of a Weyl group, in one of three shapes.
 
     Exactly one of ``cycle_type`` (type A), the pair ``r``/``p`` (types
@@ -245,26 +298,46 @@ class ClassSymbol:
     that each record set is a canonical partition, and stores it as a tuple.
     """
 
-    cycle_type: Optional[Partition] = None
-    r: Optional[Partition] = None
-    p: Optional[Partition] = None
-    label: Optional[CarterLabel] = None
+    __slots__ = ("cycle_type", "r", "p", "label")
+    cycle_type: Optional[Partition]
+    r: Optional[Partition]
+    p: Optional[Partition]
+    label: Optional[CarterLabel]
 
-    def __post_init__(self):
-        shapes = (
-            self.cycle_type is not None,
-            self.r is not None or self.p is not None,
-            self.label is not None,
-        )
-        if sum(shapes) != 1:
+    def __init__(
+        self,
+        cycle_type: Optional[Partition] = None,
+        r: Optional[Partition] = None,
+        p: Optional[Partition] = None,
+        label: Optional[CarterLabel] = None,
+    ):
+        classical = r is not None or p is not None
+        if (cycle_type is not None) + classical + (label is not None) != 1:
             raise BadInput("class symbol must have exactly one shape")
-        if shapes[0]:
-            object.__setattr__(self, "cycle_type", check_partition(self.cycle_type))
-        elif shapes[1]:
-            if self.r is None or self.p is None:
+        if cycle_type is not None:
+            cycle_type = check_partition(cycle_type)
+        elif classical:
+            if r is None or p is None:
                 raise BadInput("classical class symbol needs both r and p")
-            object.__setattr__(self, "r", check_partition(self.r))
-            object.__setattr__(self, "p", check_partition(self.p))
+            r = check_partition(r)
+            p = check_partition(p)
+        object.__setattr__(self, "cycle_type", cycle_type)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "label", label)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.cycle_type, self.r, self.p, self.label) == (
+                other.cycle_type,
+                other.r,
+                other.p,
+                other.label,
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.cycle_type, self.r, self.p, self.label))
 
     @staticmethod
     def type_a(cycle_type) -> "ClassSymbol":

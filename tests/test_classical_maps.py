@@ -525,6 +525,12 @@ HELPER_ERRORS = [
     (xi, ((4, 2), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
     (xi_inv, ((4, 4), 0), NotInR, "not in the image of the adjustment map: (4, 4)"),
     (xi_inv, ((5, 3), 1), BadInput, "|c|=8 has wrong parity for kappa=1"),
+    # xi_inv((3, 1, 1), True) and psi_orthogonal((3, 1, 1), 1.0) once
+    # answered (2, 2) and ((2, 2), ())
+    (xi_inv, ((3, 1, 1), True), BadInput, "kappa must be 0 or 1, got True"),
+    (xi_inv, ((3, 1, 1), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
+    (psi_orthogonal, ((3, 1, 1), True), BadInput, "kappa must be 0 or 1, got True"),
+    (psi_orthogonal, ((3, 1, 1), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
     (psi_even_r, ((3, 1),), BadInput, "odd value with odd multiplicity: (3, 1)"),
     (psi_even_r, ((2, 1),), BadInput, "odd value with odd multiplicity: (2, 1)"),
     (psi_marked, (MarkedPartition((3, 1), ()),), BadInput, "invalid marked partition base: (3, 1)"),
@@ -642,10 +648,9 @@ _PAIRS = ((4, 2), (1, 1))
     ids=["classical", "plain", "marked-symbol", "marked-partition", "bipartition", "pair-sequence"],
 )
 def test_trusted_builds_take_the_memory_of_checked_builds(trusted, checked):
-    # each builder sets every declared field through object.__setattr__, as
-    # the dataclass constructor does, so its instances share their dict keys
-    # (a builder that fills ``__dict__`` with ``update`` makes them larger);
-    # a checked build keeps its caller's tuples, and copies none of them
+    # each builder sets every slot of its type through object.__setattr__,
+    # as the checked constructor does, so a trusted build is no larger; a
+    # checked build keeps its caller's tuples, and copies none of them
     assert _traced_bytes_per_object(trusted) == pytest.approx(_traced_bytes_per_object(checked), rel=0.1)
 
 
@@ -656,8 +661,8 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
     for name in ("partitions", "weyl_classes", "classical_maps"):
         module = sys.modules[f"weylunip.{name}"]
         monkeypatch.setattr(module, "check_partition", lambda p: calls.append(p) or check_partition(p))
-    post_init = MarkedPartition.__post_init__
-    monkeypatch.setattr(MarkedPartition, "__post_init__", lambda m: calls.append(m) or post_init(m))
+    init = MarkedPartition.__init__
+    monkeypatch.setattr(MarkedPartition, "__init__", lambda m, *args: calls.append(args) or init(m, *args))
     for ctx in [ctx for ctx in BCD_UP_TO_8 if ctx.rank == 5]:
         for C in enumerate_classes(ctx):
             phi(ctx, C)

@@ -330,6 +330,21 @@ def test_only_a_table_read_imports_hashlib():
     assert proc.stdout.splitlines()[-1] == "E_8"
 
 
+def test_the_cli_and_the_oracle_load_neither_dataclasses_nor_inspect():
+    # every command starts a fresh interpreter: the value types are plain
+    # slotted classes, so no import pays for these two modules
+    code = (
+        "import sys\n"
+        "import weylunip.cli\n"
+        "import weylunip.oracle\n"
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def _cli(*argv, stdout) -> subprocess.Popen:
     """``weylunip`` from this checkout in its own process, stderr piped."""
     env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
@@ -553,6 +568,15 @@ def test_repeated_marking_value_is_refused(capsys):
     code, out, err = run(capsys, "psi", "--family", "C", "--rank", "2", "--char", "p2", "c=2,2;eps=2:1;2:0")
     assert code == 2 and out == ""
     assert err == "error: marking repeats a value: '2:1;2:0'\n"
+
+
+def test_a_label_component_of_multiplier_zero_is_refused(capsys):
+    # 0A_1 once parsed, printed as A_1 and was then reported unknown
+    assert run(capsys, "phi", "--family", "E7", "0A_1") == (
+        2,
+        "",
+        "error: multiplier must be an integer >= 1, got 0\n",
+    )
 
 
 def test_a_rank_that_agrees_with_the_family_is_accepted(capsys):

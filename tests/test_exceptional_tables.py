@@ -1,6 +1,5 @@
 import hashlib
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 
@@ -274,7 +273,7 @@ def data_dir(tmp_path, monkeypatch, fresh_caches):
     for f in resources.files("weylunip.data").iterdir():
         if f.is_file():
             (tmp_path / f.name).write_bytes(f.read_bytes())
-    monkeypatch.setattr(exceptional_tables, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
     return tmp_path
 
 
@@ -336,12 +335,24 @@ def test_flipped_byte_in_tau_file_fails_tau(data_dir):
         ("tau_g2.tbl", "A_0 ; tau", "A_0 , tau", "unparsable row"),
         ("fiber_g2_good.tbl", "A_1+~A_1|~A_1", "~A_1|A_1+~A_1", "first-strictly-minimal"),
         ("tau_g2.tbl", "class = A_2 ;", "class = A_0 ;", "duplicate rows"),
-        ("fiber_g2_good.tbl", "classes = A_1 ;", "classes = 0A_1 ;", "label A_1 does not round-trip"),
+        ("fiber_g2_good.tbl", "classes = A_1 ;", "classes = 01A_1 ;", "label 01A_1 does not round-trip"),
         ("fiber_g2_good.tbl", "unipotent = G_2(a_1)", "unipotent = G_2", "duplicate unipotent names"),
+        # a label its constructor refuses, or that does not parse, is a fault
+        # of the table, not of the caller
+        (
+            "fiber_g2_good.tbl",
+            "classes = A_1 ;",
+            "classes = 0A_1 ;",
+            "fiber_g2_good.tbl: multiplier must be an integer >= 1, got 0",
+        ),
+        ("fiber_g2_good.tbl", "classes = A_1 ;", "classes = Q_1 ;", "bad class label component in 'Q_1'"),
+        ("tau_g2.tbl", "class = A_2 ;", "class = 01A_2 ;", "label 01A_2 does not round-trip"),
+        ("tau_g2.tbl", "class = A_2 ;", "class = 0A_2 ;", "multiplier must be an integer >= 1, got 0"),
     ],
     ids=[
         "fiber-unparsable", "tau-unparsable", "fiber-not-minimal", "tau-duplicate", "fiber-label-round-trip",
-        "fiber-duplicate-name",
+        "fiber-duplicate-name", "fiber-label-zero-multiplier", "fiber-label-unparsable", "tau-label-round-trip",
+        "tau-label-zero-multiplier",
     ],
 )
 def test_pinned_bad_row_fails(data_dir, monkeypatch, filename, old, new, message):

@@ -1,4 +1,22 @@
+import copy
+import inspect
+import pickle
+
+import pytest
+
 import weylunip
+from weylunip import (
+    Bipartition,
+    ClassSymbol,
+    MarkedPartition,
+    PairSequenceBC,
+    PairSequenceD,
+    UnipotentSymbol,
+    context,
+    load_table,
+    parse_carter_label,
+)
+from weylunip.weyl_classes import CarterComponent
 
 #: The names ``from weylunip import *`` binds: every public name the package
 #: imports from its submodules, and no submodule.
@@ -18,3 +36,85 @@ def test_star_import_binds_the_public_names():
     exec("from weylunip import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
     assert weylunip.__all__ == sorted(PUBLIC_NAMES)
+
+
+def _values():
+    """One value of every value type, each symbol in each of its shapes."""
+    marked = MarkedPartition((2, 2, 1), ((2, 1),))
+    table = load_table(context("G2", char="p3"))
+    return [
+        marked,
+        context("C", 3),
+        context("E8", char="p3"),
+        CarterComponent(2, "A", 1),
+        CarterComponent(1, "D", 4, "(a_1)"),
+        parse_carter_label("D_4(a_1)+2A_1"),
+        parse_carter_label("(3A_1)'"),
+        parse_carter_label("A''_7"),
+        ClassSymbol.type_a((3, 1)),
+        ClassSymbol.classical((4, 2), (1, 1)),
+        ClassSymbol.exceptional("E_8(a_1)"),
+        UnipotentSymbol.plain((4, 2)),
+        UnipotentSymbol.with_marks(marked),
+        UnipotentSymbol.named("E_8"),
+        table.rows[0],
+        table,
+        PairSequenceBC(((4, 2), (1, 1))),
+        PairSequenceD(((4, 4, 0), (2, 2, 1))),
+        Bipartition((2, 1), (1,)),
+    ]
+
+
+def _fields(x) -> list[str]:
+    # every value type's constructor takes its fields, in order, by name
+    return list(inspect.signature(type(x)).parameters)
+
+
+@pytest.mark.parametrize("x", _values(), ids=lambda x: type(x).__name__)
+def test_values_survive_pickle_and_copy(x):
+    copies = [pickle.loads(pickle.dumps(x, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for y in [*copies, copy.copy(x), copy.deepcopy(x)]:
+        assert type(y) is type(x)
+        assert y == x and hash(y) == hash(x)
+        assert repr(y) == repr(x) and str(y) == str(x)
+        assert [getattr(y, f) for f in _fields(x)] == [getattr(x, f) for f in _fields(x)]
+
+
+def test_a_copied_table_answers_lookups():
+    table = copy.deepcopy(load_table(context("E8", char="p2")))
+    label = parse_carter_label("(2A_3)'")
+    assert table._class_index()[label].unipotent == "A_3+A_2"
+
+
+@pytest.mark.parametrize("x", _values(), ids=lambda x: type(x).__name__)
+def test_values_are_immutable(x):
+    before = repr(x)
+    for f in _fields(x):
+        with pytest.raises(AttributeError):
+            setattr(x, f, None)
+        with pytest.raises(AttributeError):
+            delattr(x, f)
+    assert repr(x) == before
+
+
+@pytest.mark.parametrize("x", _values(), ids=lambda x: type(x).__name__)
+def test_equal_values_share_type_and_hash(x):
+    args = [getattr(x, f) for f in _fields(x)]
+    twin = type(x)(*args)
+    assert twin == x and hash(twin) == hash(x)
+    subtype = type("Sub", (type(x),), {"__slots__": ()})
+    assert subtype(*args) != x and x != subtype(*args)
+    assert x != tuple(args)
+
+
+def test_values_print_their_fields():
+    assert repr(context("C", 3)) == "GroupContext(family='C', rank=3, char='good')"
+    assert repr(ClassSymbol.classical((4, 2), ())) == "ClassSymbol(cycle_type=None, r=(4, 2), p=(), label=None)"
+    assert repr(parse_carter_label("2A_1")) == (
+        "CarterLabel(components=(CarterComponent(multiplier=2, series='A', subscript=1, qualifier=None),), "
+        "primes=0, parenthesized=False)"
+    )
+    assert repr(UnipotentSymbol.with_marks(MarkedPartition((2, 2), ((2, 1),)))) == (
+        "UnipotentSymbol(partition=None, marked=MarkedPartition(c=(2, 2), eps=((2, 1),)), name=None)"
+    )
+    assert repr(PairSequenceD(((2, 2, 1),))) == "PairSequenceD(pairs=((2, 2, 1),))"

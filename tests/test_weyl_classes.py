@@ -11,6 +11,7 @@ from weylunip.weyl_classes import (
     EXCEPTIONAL_RANK,
     FAMILIES,
     MIN_RANK,
+    CarterComponent,
     CarterLabel,
     ClassSymbol,
     GroupContext,
@@ -200,6 +201,28 @@ def test_parse_carter_label_errors():
             lambda: MarkedPartition((2, 2), ((2.0, 1),)),
             "marking domain (2.0,) does not match required domain (2,) of (2, 2)",
         ),
+        # A_1.0 once equalled and hashed like A_1, and phi answered for it
+        (
+            lambda: CarterLabel((CarterComponent(1.0, "A", 1.0),)),
+            "multiplier must be an integer >= 1, got 1.0",
+        ),
+        (lambda: CarterComponent(True, "A", 1), "multiplier must be an integer >= 1, got True"),
+        (lambda: CarterComponent(0, "A", 1), "multiplier must be an integer >= 1, got 0"),
+        (lambda: parse_carter_label("0A_1"), "multiplier must be an integer >= 1, got 0"),
+        (lambda: CarterComponent(1, "A", 1.0), "subscript must be an integer >= 0, got 1.0"),
+        (lambda: CarterComponent(1, "A", -1), "subscript must be an integer >= 0, got -1"),
+        (
+            lambda: CarterLabel(parse_carter_label("A_1").components, primes=True),
+            "primes must be an integer, got True",
+        ),
+        (
+            lambda: CarterLabel(parse_carter_label("A_1").components, primes=1.0),
+            "primes must be an integer, got 1.0",
+        ),
+        (
+            lambda: CarterLabel(parse_carter_label("A_1").components, parenthesized=1),
+            "parenthesized must be a bool, got 1",
+        ),
     ],
     ids=[
         "label-primes",
@@ -221,6 +244,15 @@ def test_parse_carter_label_errors():
         "marking-bool-bit",
         "marking-float-bit",
         "marking-float-value",
+        "label-float-component",
+        "component-bool-multiplier",
+        "component-zero-multiplier",
+        "label-text-zero-multiplier",
+        "component-float-subscript",
+        "component-negative-subscript",
+        "label-bool-primes",
+        "label-float-primes",
+        "label-int-parenthesized",
     ],
 )
 def test_symbols_refuse_a_wrong_shape(build, message):
