@@ -89,14 +89,6 @@ class UnipotentSymbol(Value):
         object.__setattr__(self, "marked", marked)
         object.__setattr__(self, "name", name)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.partition, self.marked, self.name) == (other.partition, other.marked, other.name)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.partition, self.marked, self.name))
-
     @staticmethod
     def plain(c) -> "UnipotentSymbol":
         return UnipotentSymbol(partition=c)

@@ -110,14 +110,6 @@ class FiberRow(Value):
         object.__setattr__(self, "classes", classes)
         object.__setattr__(self, "unipotent", unipotent)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.classes, self.unipotent) == (other.classes, other.unipotent)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.classes, self.unipotent))
-
 
 class FiberTable(Value):
     """The fiber table of an exceptional context, one row per unipotent class."""
@@ -129,11 +121,6 @@ class FiberTable(Value):
     def __init__(self, context: GroupContext, rows: tuple[FiberRow, ...]):
         object.__setattr__(self, "context", context)
         object.__setattr__(self, "rows", rows)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.context, self.rows) == (other.context, other.rows)
-        return NotImplemented
 
     def __hash__(self) -> int:
         # Sound because ``__eq__`` compares the context too, so equal tables

@@ -502,10 +502,14 @@ def run_suites(suite: str, ctx: GroupContext | None, bound: int):
     the suites of a context run on ``ctx``, or on each of
     ``acceptance_contexts(R)`` in turn, ``all`` skipping ``rhopi`` at good
     characteristic.  Before any report, a name not in ``SUITES`` is
-    refused, as it would run nothing and pass; so is ``rhopi`` on a good
-    ``ctx``, as it checks nothing there, and a classical ``ctx`` above R."""
+    refused, as it would run nothing and pass; so is a ``ctx`` the suite
+    would not read (any for ``xi`` and ``fiber-min``, a non-exceptional one
+    for ``tables``), ``rhopi`` on a good ``ctx``, as it checks nothing
+    there, and a classical ``ctx`` above R."""
     if suite not in SUITES:
         raise BadInput(f"unknown suite {suite!r}")
+    if ctx and (suite in ("xi", "fiber-min") or suite == "tables" and not ctx.is_exceptional):
+        raise BadInput(f"--suite {suite} does not read the context {ctx}")
     if suite == "rhopi" and ctx and ctx.char == "good":
         raise BadInput(f"--suite rhopi needs a bad-characteristic context, not {ctx}")
     per_context = suite in ("theorem02", "phipsi", "rhopi", "special", "all")

@@ -145,14 +145,6 @@ class MarkedPartition(Value):
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "eps", eps)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.c, self.eps) == (other.c, other.eps)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.c, self.eps))
-
     @staticmethod
     def build(c: Iterable[int], marks: dict[int, int] | None = None) -> "MarkedPartition":
         """Construct from a partition and a {value: bit} mapping."""

@@ -80,14 +80,6 @@ class PairSequenceBC(Value):
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         object.__setattr__(self, "pairs", _check_pair_shape(pairs, 2))
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pairs,) == (other.pairs,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
-
     def total(self) -> int:
         return sum(a + b for a, b in self.pairs)
 
@@ -103,14 +95,6 @@ class PairSequenceD(Value):
 
     def __init__(self, pairs: tuple[tuple[int, int, int], ...]):
         object.__setattr__(self, "pairs", _check_pair_shape(pairs, 3))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.pairs,) == (other.pairs,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.pairs,))
 
     def total(self) -> int:
         return sum(a + b for a, b, _ in self.pairs)
@@ -129,14 +113,6 @@ class Bipartition(Value):
     def __init__(self, y: Partition, z: Partition):
         object.__setattr__(self, "y", check_partition(y))
         object.__setattr__(self, "z", check_partition(z))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.y, self.z) == (other.y, other.z)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.y, self.z))
 
     def total(self) -> int:
         return sum(self.y) + sum(self.z)

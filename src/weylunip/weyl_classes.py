@@ -91,14 +91,6 @@ class GroupContext(Value):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "char", char)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.family, self.rank, self.char) == (other.family, other.rank, other.char)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.family, self.rank, self.char))
-
     @property
     def is_exceptional(self) -> bool:
         return self.family in EXCEPTIONAL_RANK
@@ -161,19 +153,6 @@ class CarterComponent(Value):
         object.__setattr__(self, "subscript", subscript)
         object.__setattr__(self, "qualifier", qualifier)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.multiplier, self.series, self.subscript, self.qualifier) == (
-                other.multiplier,
-                other.series,
-                other.subscript,
-                other.qualifier,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.multiplier, self.series, self.subscript, self.qualifier))
-
     def __str__(self) -> str:
         return self._render(0)
 
@@ -208,18 +187,6 @@ class CarterLabel(Value):
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "primes", primes)
         object.__setattr__(self, "parenthesized", parenthesized)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.components, self.primes, self.parenthesized) == (
-                other.components,
-                other.primes,
-                other.parenthesized,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.components, self.primes, self.parenthesized))
 
     @property
     def rank(self) -> int:
@@ -325,19 +292,6 @@ class ClassSymbol(Value):
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "label", label)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.cycle_type, self.r, self.p, self.label) == (
-                other.cycle_type,
-                other.r,
-                other.p,
-                other.label,
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.cycle_type, self.r, self.p, self.label))
 
     @staticmethod
     def type_a(cycle_type) -> "ClassSymbol":

@@ -459,6 +459,9 @@ USAGE_ERRORS = [
     "verify --suite xi --rank 5 --char p2 --bound 2",
     "verify --suite xi --rank 5",
     "verify --suite xi --char good",
+    "verify --suite xi --family C --rank 40 --bound 2",
+    "verify --suite fiber-min --family E8 --bound 2",
+    "verify --suite tables --family B --rank 3",
     "verify --suite rhopi --family C --rank 3",
     "verify --suite rhopi --family E6",
     "verify --suite rhopi --family A --rank 3",

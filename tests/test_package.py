@@ -1,6 +1,8 @@
 import copy
+import importlib.util
 import inspect
 import pickle
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,8 @@ import weylunip
 from weylunip import (
     Bipartition,
     ClassSymbol,
+    FiberTable,
+    GroupContext,
     MarkedPartition,
     PairSequenceBC,
     PairSequenceD,
@@ -38,8 +42,16 @@ def test_star_import_binds_the_public_names():
     assert weylunip.__all__ == sorted(PUBLIC_NAMES)
 
 
+class SubContext(GroupContext):
+    """A subtype that adds no field: it keeps its parent's, and compares,
+    hashes, prints and pickles by them."""
+
+    __slots__ = ()
+
+
 def _values():
-    """One value of every value type, each symbol in each of its shapes."""
+    """One value of every value type, each symbol in each of its shapes, and
+    one value of a subtype."""
     marked = MarkedPartition((2, 2, 1), ((2, 1),))
     table = load_table(context("G2", char="p3"))
     return [
@@ -62,6 +74,7 @@ def _values():
         PairSequenceBC(((4, 2), (1, 1))),
         PairSequenceD(((4, 4, 0), (2, 2, 1))),
         Bipartition((2, 1), (1,)),
+        SubContext("C", 3),
     ]
 
 
@@ -104,7 +117,9 @@ def test_equal_values_share_type_and_hash(x):
     assert twin == x and hash(twin) == hash(x)
     subtype = type("Sub", (type(x),), {"__slots__": ()})
     assert subtype(*args) != x and x != subtype(*args)
-    assert x != tuple(args)
+    assert x != tuple(args) and x.__eq__(tuple(args)) is NotImplemented
+    # a table hashes as its context, so its cached indexes hash no row
+    assert hash(x) == hash(x.context if type(x) is FiberTable else tuple(args))
 
 
 def test_values_print_their_fields():
@@ -118,3 +133,74 @@ def test_values_print_their_fields():
         "UnipotentSymbol(partition=None, marked=MarkedPartition(c=(2, 2), eps=((2, 1),)), name=None)"
     )
     assert repr(PairSequenceD(((2, 2, 1),))) == "PairSequenceD(pairs=((2, 2, 1),))"
+    assert repr(SubContext("C", 3)) == "SubContext(family='C', rank=3, char='good')"
+
+
+# The hand-written methods the value types had before ``Value`` compiled them
+# from the field list, for 1, 3 and 4 fields.
+
+
+def pair_sequence_eq(self, other):
+    if other.__class__ is self.__class__:
+        return (self.pairs,) == (other.pairs,)
+    return NotImplemented
+
+
+def pair_sequence_hash(self):
+    return hash((self.pairs,))
+
+
+def context_eq(self, other):
+    if other.__class__ is self.__class__:
+        return (self.family, self.rank, self.char) == (other.family, other.rank, other.char)
+    return NotImplemented
+
+
+def context_hash(self):
+    return hash((self.family, self.rank, self.char))
+
+
+def class_symbol_eq(self, other):
+    if other.__class__ is self.__class__:
+        return (self.cycle_type, self.r, self.p, self.label) == (
+            other.cycle_type,
+            other.r,
+            other.p,
+            other.label,
+        )
+    return NotImplemented
+
+
+def class_symbol_hash(self):
+    return hash((self.cycle_type, self.r, self.p, self.label))
+
+
+def test_compiled_methods_are_the_hand_written_ones():
+    # the same bytecode, so the same speed: a generic loop over the fields
+    # would be slower in every set and dict of values
+    for cls, eq, hash_ in [
+        (PairSequenceBC, pair_sequence_eq, pair_sequence_hash),
+        (GroupContext, context_eq, context_hash),
+        (ClassSymbol, class_symbol_eq, class_symbol_hash),
+    ]:
+        for compiled, written in [(cls.__eq__, eq), (cls.__hash__, hash_)]:
+            a, b = compiled.__code__, written.__code__
+            assert (a.co_code, a.co_names, a.co_consts) == (b.co_code, b.co_names, b.co_consts), compiled
+
+
+def test_the_benchmark_tracer_finds_what_it_reads():
+    # perfbench/tracer.py reads these names from outside the package, and a
+    # traced pass fails, or counts nothing, without them; this fails first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert sorted(tracer.cache_snapshot()) == sorted(
+        ["partitions_of", "tables_load", "tau_table", "class_index", "unipotent_index"]
+    )
+    modules = {short: importlib.import_module(f"weylunip.{short}") for short in tracer.MODULES}
+    read = [(short, attr) for short, attrs in tracer.PRIVATE_TRACED.items() for attr in attrs]
+    read += [("oracle", fn) for fn in tracer.SUITE_OF]
+    read += [("special_classes", fn) for group in tracer.SPECIAL_GROUPS.values() for fn in group]
+    for short, attr in read:
+        assert callable(getattr(modules[short], attr, None)), f"{short}.{attr}"
