@@ -9,14 +9,17 @@ machine-readable records).
 
 The pure maps the suites check (``phi``, ``psi``, ``m_of_class``, ``rho``,
 and ``enumerate_unipotents`` on a bound) are evaluated once per context and
-argument: every check reads the value the map gave the first time, kept in a
-small memo of the contexts in use.  The memo keeps one class list per Weyl
-group, read at its good context: a bad-characteristic table has its good
-table's classes.
-The memo is keyed on the map object, read from this module's globals at
-call time, so patching ``oracle.phi`` starts a fresh memo; a patch inside
-a map (say ``classical_maps.psi`` under ``rho``) or a rewritten table is
-not seen until ``_values.cache_clear()`` empties it.
+argument: every check reads the value the map gave the first time.  Each
+(map, context) pair has its own memo, a dict that evaluates the map on an
+argument it does not hold yet, and the twelve most recently asked for are
+kept.  A suite binds each memo it reads when it starts and then reads
+values by subscript, so a read that finds its value is one dict lookup.
+The class lists are kept once per Weyl group, read at its good context: a
+bad-characteristic table has its good table's classes.  A memo is keyed on
+the map object, read from this module's globals when the suite starts, so
+patching ``oracle.phi`` starts a fresh memo; a patch inside a map (say
+``classical_maps.psi`` under ``rho``) or a rewritten table is not seen
+until ``_values.cache_clear()`` empties the memos.
 
 Each suite does its work inside one ``_checking`` block, which times it and
 makes a failed table load or a map's refusal one counted failure, so a
@@ -168,28 +171,36 @@ def _checking(report: VerificationReport, inp):
         report.elapsed += time.perf_counter() - t0
 
 
+class _Memo(dict):
+    """The values of one map at one context so far: reading an argument not
+    yet in it evaluates the map there and stores the value, so a read is
+    one dict lookup and a refusal propagates with nothing stored."""
+
+    __slots__ = ("fn", "ctx")
+
+    def __init__(self, fn, ctx: GroupContext):
+        self.fn, self.ctx = fn, ctx
+
+    def __missing__(self, x):
+        value = self[x] = self.fn(self.ctx, x)
+        return value
+
+
 @functools.lru_cache(maxsize=12)
-def _values(fn, ctx: GroupContext) -> dict:
-    """The values of ``fn`` at ``ctx`` so far (class and unipotent lists by
-    bound).  The sweep runs context by context, each bad context after its
-    good sibling, so twelve entries hold what a group's suites read, E8's
-    three contexts' too: no entry is evicted before its last read."""
-    return {}
-
-
-def _at(fn, ctx: GroupContext, x):
-    """``fn(ctx, x)``, evaluated the first time it is asked for."""
-    values = _values(fn, ctx)
-    if x not in values:
-        values[x] = fn(ctx, x)
-    return values[x]
+def _values(fn, ctx: GroupContext) -> _Memo:
+    """The memo of ``fn`` at ``ctx`` (class and unipotent lists by bound).
+    The sweep runs context by context, each bad context after its good
+    sibling, so twelve entries hold what a group's suites read, E8's three
+    contexts' too: no entry is evicted before its last read."""
+    return _Memo(fn, ctx)
 
 
 def fiber_map(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND):
     """Full fibers of the surjection, computed by scanning every class."""
+    phis = _values(phi, ctx)
     fibers = defaultdict(list)
-    for C in _at(enumerate_classes, ctx.good(), bound):
-        fibers[_at(phi, ctx, C)].append(C)
+    for C in _values(enumerate_classes, ctx.good())[bound]:
+        fibers[phis[C]].append(C)
     return fibers
 
 
@@ -213,8 +224,9 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
     """
     report = VerificationReport("theorem02", str(ctx))
     with _checking(report, ctx):
+        ms, psis = _values(m_of_class, ctx), _values(psi, ctx)
         fibers = fiber_map(ctx, bound)
-        unipotents = _at(enumerate_unipotents, ctx, bound)
+        unipotents = _values(enumerate_unipotents, ctx)[bound]
         onto = set(fibers) == set(unipotents) and len(unipotents) == len(set(unipotents))
         report.check(
             "surjective-onto-enumeration", onto, ctx,
@@ -224,13 +236,13 @@ def verify_theorem_0_2(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> V
             fib = fibers[u]
             if not fib:  # a gap, reported by surjective-onto-enumeration
                 continue
-            ms = [_at(m_of_class, ctx, C) for C in fib]
-            mmin = min(ms)
-            n = ms.count(mmin)
+            fib_ms = [ms[C] for C in fib]
+            mmin = min(fib_ms)
+            n = fib_ms.count(mmin)
             if not report.check("unique-minimum", n == 1, u, "one minimizer", f"{n} of {len(fib)}"):
                 continue
-            argmin = fib[ms.index(mmin)]
-            section = _at(psi, ctx, u)
+            argmin = fib[fib_ms.index(mmin)]
+            section = psis[u]
             report.check("section-is-minimizer", section == argmin, u, argmin, section)
             if ctx.family == "D":
                 split = [C for C in fib if is_split_weyl_class(ctx, C)]
@@ -246,22 +258,31 @@ def verify_phi_psi_identity(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND)
     """The surjection composed with its section is the identity."""
     report = VerificationReport("phipsi", str(ctx))
     with _checking(report, ctx):
-        unipotents = _at(enumerate_unipotents, ctx, bound)
-        for u in unipotents:
-            back = _at(phi, ctx, _at(psi, ctx, u))
+        phis, psis, ms = _values(phi, ctx), _values(psi, ctx), _values(m_of_class, ctx)
+        for u in _values(enumerate_unipotents, ctx)[bound]:
+            back = phis[psis[u]]
             report.check("phi-psi-identity", back == u, u, u, back)
         # elliptic classes are fixed points of the section composed the other way
-        for C in _at(enumerate_classes, ctx.good(), bound):
-            if _at(m_of_class, ctx, C) == 0:
-                back = _at(psi, ctx, _at(phi, ctx, C))
+        for C in _values(enumerate_classes, ctx.good())[bound]:
+            if ms[C] == 0:
+                back = psis[phis[C]]
                 report.check("elliptic-fixed-point", back == C, C, C, back)
     return report
+
+
+def _check_size(n_max: int) -> None:
+    """Refuse a size bound that is not an integer >= 0."""
+    # type(n_max) is int, not isinstance, so a bool is refused
+    if type(n_max) is not int or n_max < 0:
+        raise BadInput(f"size bound must be an integer >= 0, got {n_max!r}")
 
 
 def verify_xi_bijection(n_max: int) -> VerificationReport:
     """The adjustment map is a bijection from all-even records onto the
     gap-condition set, with the stated inverse; image membership is decided
-    by the predicate, never by the map."""
+    by the predicate, never by the map.  A size ``n_max`` that is not an
+    integer >= 0 is refused."""
+    _check_size(n_max)
     report = VerificationReport("xi", f"N<={n_max}")
     with _checking(report, report.context):
         for kappa in (0, 1):
@@ -289,7 +310,9 @@ def verify_xi_bijection(n_max: int) -> VerificationReport:
 def verify_fiber_minimum(n_max: int) -> VerificationReport:
     """Uniqueness of the shortest-p splitting of every orthogonal Jordan
     type, against full fiber enumeration, and agreement with the rule-based
-    minimizer; also checks that merging the minimizer back gives the input."""
+    minimizer; also checks that merging the minimizer back gives the input.
+    A size ``n_max`` that is not an integer >= 0 is refused."""
+    _check_size(n_max)
     report = VerificationReport("fiber-min", f"n<={n_max}")
     with _checking(report, report.context):
         for n_amb in range(1, n_max + 1):
@@ -316,20 +339,21 @@ def verify_rho_pi(ctx: GroupContext, bound: int = DEFAULT_FIBER_BOUND) -> Verifi
     report = VerificationReport("rhopi", str(ctx))
     with _checking(report, ctx):
         good = ctx.good()
-        bads = _at(enumerate_unipotents, ctx, bound)
-        image = {u: _at(rho, ctx, u) for u in bads}
-        for C in _at(enumerate_classes, good, bound):
-            left = _at(rho, ctx, _at(phi, ctx, C))
-            right = _at(phi, good, C)
+        rhos, phis, good_phis = _values(rho, ctx), _values(phi, ctx), _values(phi, good)
+        psis, good_psis = _values(psi, ctx), _values(psi, good)
+        image = {u: rhos[u] for u in _values(enumerate_unipotents, ctx)[bound]}
+        for C in _values(enumerate_classes, good)[bound]:
+            left = rhos[phis[C]]
+            right = good_phis[C]
             report.check("rho-factors-phi", left == right, C, right, left)
-        goods = _at(enumerate_unipotents, good, bound)
+        goods = _values(enumerate_unipotents, good)[bound]
         pis = []
         for u0 in goods:
             img = pi(ctx, u0)
             pis.append(img)
-            got, want = _at(psi, ctx, img), _at(psi, good, u0)
+            got, want = psis[img], good_psis[u0]
             report.check("psi-factors-pi", got == want, u0, want, got)
-            back = _at(rho, ctx, img)
+            back = rhos[img]
             report.check("rho-pi-identity", back == u0, u0, u0, back)
         distinct = len(set(pis))
         report.check("pi-injective", distinct == len(pis), ctx, len(pis), distinct)
@@ -462,9 +486,10 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
             report.check("flag0-onto-diagonal", Counter(diag_images) == Counter(diag), ctx, len(diag), len(diag_images))
         if check_maps:
             good = ctx.good()
+            phis, psis = _values(phi, good), _values(psi, good)
             for x in side:
                 s = special_class_of(good, x)
-                back_s = _at(psi, good, _at(phi, good, s))
+                back_s = psis[phis[s]]
                 if back_s != s:
                     report.fail("section-fixes-special", x, s, back_s)
                 if ctx.family == "D":

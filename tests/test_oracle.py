@@ -228,14 +228,14 @@ def test_a_patched_phi_is_not_answered_from_the_memo(monkeypatch):
     # on every argument, and fails exactly as when no suite shared a value
     ctx = context("C", 6, "p2")
     suites = (oracle.verify_theorem_0_2, oracle.verify_phi_psi_identity, oracle.verify_rho_pi)
-    assert all(suite(ctx).passed for suite in suites)
+    assert all(suite(ctx).passed for suite in (*suites, oracle.verify_special))
     real_phi = oracle.phi
     wrong, other = ClassSymbol.classical((6, 6), ()), ClassSymbol.classical((8, 4), ())
 
-    def phi(ctx_, C):
-        return real_phi(ctx_, other if (ctx_, C) == (ctx, wrong) else C)
+    def wrong_at(at):
+        return lambda ctx_, C: real_phi(ctx_, other if (ctx_, C) == (at, wrong) else C)
 
-    monkeypatch.setattr(oracle, "phi", phi)
+    monkeypatch.setattr(oracle, "phi", wrong_at(ctx))
     theorem, identity, rhopi = (suite(ctx) for suite in suites)
     assert theorem.counters == {"surjective-onto-enumeration": 1, "unique-minimum": 53, "section-is-minimizer": 52}
     assert theorem.failures == [
@@ -252,6 +252,53 @@ def test_a_patched_phi_is_not_answered_from_the_memo(monkeypatch):
         "pi-injective": 1, "rho-surjective": 1, "rho-forgets-marks": 54,
     }
     assert rhopi.failures == [("rho-factors-phi", "r=6,6;p=", "6,6", "8,4")]
+    # the section-fixes-special loop reads phi at the good context, through
+    # a memo it binds when it starts: a phi wrong on the special class r=6,6
+    # there is evaluated too
+    monkeypatch.setattr(oracle, "phi", wrong_at(ctx.good()))
+    special = oracle.verify_special(ctx)
+    assert special.counters["section-fixes-special"] == 26
+    assert special.failures == [("section-fixes-special", "6,6", "r=6,6;p=", "r=8,4;p=")]
+
+
+def test_the_memo_stores_values_never_refusals(monkeypatch):
+    # a map that refuses an argument is asked again on every read of it, and
+    # the suite still ends with the one counted failure
+    ctx = context("C", 3)
+    bad = ClassSymbol.classical((4, 2), ())
+    real_phi, calls = oracle.phi, []
+
+    def phi(ctx_, C):
+        calls.append(C)
+        if C == bad:
+            raise BadInput("boom")
+        return real_phi(ctx_, C)
+
+    monkeypatch.setattr(oracle, "phi", phi)
+    phis = oracle._values(oracle.phi, ctx)
+    for _ in range(2):
+        with pytest.raises(BadInput, match="boom"):
+            phis[bad]
+    assert calls == [bad, bad] and bad not in phis
+    r = oracle.verify_theorem_0_2(ctx)
+    assert r.failures == [("maps-accept-inputs", "C_3/good", "a map that accepts its input", "boom")]
+    assert r.counters["maps-accept-inputs"] == 1
+    assert calls.count(bad) == 3 and bad not in phis
+
+
+def test_the_plan_builds_each_memo_once(monkeypatch):
+    # no memo is evicted before its last read: a pass of verify --suite all
+    # builds each (map, context) memo it asks for exactly once
+    real, keys = oracle._values, set()
+
+    def values(fn, ctx_):
+        keys.add((fn, ctx_))
+        return real(fn, ctx_)
+
+    monkeypatch.setattr(oracle, "_values", values)
+    real.cache_clear()
+    assert all(r.passed for r in oracle.run_suites("all", None, 4))
+    assert real.cache_info().misses == len(keys) == 130
 
 
 def test_rho_composition_spot_values():
@@ -322,6 +369,21 @@ def test_a_map_that_refuses_an_input_is_one_counted_failure(monkeypatch, verify,
 def test_the_callers_rank_bound_is_not_a_failure():
     with pytest.raises(BoundExceeded):
         oracle.verify_theorem_0_2(context("C", 13))
+
+
+@pytest.mark.parametrize("verify", [oracle.verify_xi_bijection, oracle.verify_fiber_minimum])
+@pytest.mark.parametrize("n_max", [True, -3, 2.0, "4"])
+def test_size_suites_refuse_a_size_that_is_not_a_natural_number(verify, n_max):
+    # True would run as 1 and -3 as an empty sweep that passes; neither
+    # builds a report
+    with pytest.raises(BadInput) as err:
+        verify(n_max)
+    assert str(err.value) == f"size bound must be an integer >= 0, got {n_max!r}"
+
+
+def test_size_suites_accept_size_zero():
+    assert oracle.verify_xi_bijection(0).context == "N<=0"
+    assert oracle.verify_fiber_minimum(0).context == "n<=0"
 
 
 def test_tables_suite_refuses_a_family_without_tables():
