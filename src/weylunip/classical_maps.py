@@ -36,7 +36,6 @@ from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
 from .partitions import (
     MarkedPartition,
     Partition,
-    _trusted_marked,
     check_kappa,
     check_partition,
     epsilon_domain,
@@ -58,7 +57,6 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
-    _trusted_classical,
     check_rank_bound,
     validate_class,
 )
@@ -75,8 +73,8 @@ class UnipotentSymbol(Value):
     marked: Optional[MarkedPartition]
     name: Optional[str]
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         partition: Optional[Partition] = None,
         marked: Optional[MarkedPartition] = None,
         name: Optional[str] = None,
@@ -85,9 +83,7 @@ class UnipotentSymbol(Value):
             raise BadInput("unipotent symbol must have exactly one shape")
         if partition is not None:
             partition = check_partition(partition)
-        object.__setattr__(self, "partition", partition)
-        object.__setattr__(self, "marked", marked)
-        object.__setattr__(self, "name", name)
+        return cls._trusted(partition, marked, name)
 
     @staticmethod
     def plain(c) -> "UnipotentSymbol":
@@ -115,18 +111,6 @@ class UnipotentSymbol(Value):
         if self.kind == "marked":
             return format_marked(self.marked)
         return self.name
-
-
-def _trusted_unipotent(
-    partition: Optional[Partition] = None, marked: Optional[MarkedPartition] = None
-) -> UnipotentSymbol:
-    """A plain or marked symbol built without the checks of its
-    constructor, for a Jordan type the library has made canonical."""
-    u = object.__new__(UnipotentSymbol)
-    object.__setattr__(u, "partition", partition)
-    object.__setattr__(u, "marked", marked)
-    object.__setattr__(u, "name", None)
-    return u
 
 
 def _jordan_size(ctx: GroupContext) -> int:
@@ -184,17 +168,19 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLab
 
 # --- the elementary maps ---------------------------------------------------
 #
-# A public map checks its input, then runs its private core, if it has one.  A
-# core assumes that check; ``phi`` and ``psi`` prove it on the same value
-# before they call the core.  Symbols follow one rule: a caller's values go
-# through the checked constructors, and values the library builds canonically
-# (an enumerator's output, a ``partition()`` result, a subsequence of a
-# checked partition) go through the trusted builders ``_trusted_classical``,
-# ``_trusted_unipotent`` and ``_trusted_marked``, which skip the re-check.
+# A public map checks its input, each record first by ``check_partition``,
+# then runs its private core, if it has one.  A core assumes that check;
+# ``phi`` and ``psi`` prove it on the same value before they call the core.
+# Symbols follow one rule: a value type's constructor checks its fields, then
+# builds the value with ``cls._trusted``.  A caller's values go through the
+# constructors; values the library builds canonically (an enumerator's output,
+# a ``partition()`` result, a subsequence of a checked partition) go straight
+# to ``_trusted``, which skips the re-check.
 
 
 def iota(r: Partition, p: Partition) -> Partition:
     """Multiset union of the two cycle records, re-sorted decreasingly."""
+    r, p = check_partition(r), check_partition(p)
     if not in_S_kappa(r, 1):
         raise BadInput(f"stable cycle record must have even entries: {r}")
     if not in_P_tilde(p):
@@ -214,7 +200,7 @@ def _iota2(r: Partition, c: Partition) -> MarkedPartition:
     ``epsilon_domain(c)`` and every bit is 0 or 1 by construction, so the
     result is built trusted."""
     r_values = set(r)
-    return _trusted_marked(c, tuple((j, int(j in r_values)) for j in epsilon_domain(c)))
+    return MarkedPartition._trusted(c, tuple((j, int(j in r_values)) for j in epsilon_domain(c)))
 
 
 def xi(r: Partition, kappa: int) -> Partition:
@@ -225,6 +211,7 @@ def xi(r: Partition, kappa: int) -> Partition:
     strictly dominates its successor (vacuously at the end), else is kept;
     a final 1 is appended when length+kappa is odd.
     """
+    r = check_partition(r)
     if not in_S_kappa(r, kappa):
         raise BadInput(f"not a valid stable cycle record for kappa={kappa}: {r}")
     return _xi(r, kappa)
@@ -248,6 +235,11 @@ def _xi(r: Partition, kappa: int) -> Partition:
 def xi_inv(c: Partition, kappa: int) -> Partition:
     """Inverse of ``xi``: odd entries move by (-1)^position, even entries are
     kept, and a final entry equal to ``kappa`` is dropped."""
+    return _xi_inv(check_partition(c), kappa)
+
+
+def _xi_inv(c: Partition, kappa: int) -> Partition:
+    # ``xi_inv`` on a canonical ``c``; ``psi`` keeps these checks as its guard
     check_kappa(kappa)
     if not in_R(c):
         raise NotInR(f"not in the image of the adjustment map: {c}")
@@ -270,6 +262,7 @@ def xi_inv(c: Partition, kappa: int) -> Partition:
 def psi_even_r(c: Partition) -> tuple[Partition, Partition]:
     """Shortest-p fiber element over a plain merge: even values go to the
     stable record, odd values to the swap record."""
+    c = check_partition(c)
     if sum(c) % 2 or not in_T(c, sum(c)):
         raise BadInput(f"odd value with odd multiplicity: {c}")
     return _psi_even_r(c)
@@ -351,7 +344,7 @@ def psi_orthogonal(c: Partition, kappa: int) -> tuple[Partition, Partition]:
     if sum(c) < 3:
         raise BadInput(f"|c| must be at least 3: {c}")
     r_mixed, p = orthogonal_fiber_minimizer(c)
-    return xi_inv(r_mixed, kappa), p
+    return _xi_inv(r_mixed, kappa), p
 
 
 # --- the main maps ---------------------------------------------------------
@@ -367,10 +360,10 @@ def phi(ctx: GroupContext, C: ClassSymbol) -> UnipotentSymbol:
     # validate_class proved r in S_kappa and p paired: iota's checks (S_0 lies
     # in S_1), so the merge is partition(r + p), and xi's
     if ctx.char == "p2":
-        return _trusted_unipotent(marked=_iota2(C.r, partition(C.r + C.p)))
+        return UnipotentSymbol._trusted(None, _iota2(C.r, partition(C.r + C.p)), None)
     if ctx.family == "C":
-        return _trusted_unipotent(partition(C.r + C.p))
-    return _trusted_unipotent(partition(_xi(C.r, ctx.kappa) + C.p))
+        return UnipotentSymbol._trusted(partition(C.r + C.p), None, None)
+    return UnipotentSymbol._trusted(partition(_xi(C.r, ctx.kappa) + C.p), None, None)
 
 
 def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
@@ -389,11 +382,11 @@ def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
     # canonical by construction; xi_inv's output is canonical by a theorem,
     # and the checked constructor is its only runtime guard
     if ctx.char == "p2":
-        return _trusted_classical(*_psi_marked(u.marked))
+        return ClassSymbol._trusted(None, *_psi_marked(u.marked), None)
     if ctx.family == "C":
-        return _trusted_classical(*_psi_even_r(u.partition))
+        return ClassSymbol._trusted(None, *_psi_even_r(u.partition), None)
     r_mixed, p = _orthogonal_fiber_minimizer(u.partition)
-    return ClassSymbol.classical(xi_inv(r_mixed, ctx.kappa), p)
+    return ClassSymbol.classical(_xi_inv(r_mixed, ctx.kappa), p)
 
 
 def rho(ctx_p: GroupContext, u: UnipotentSymbol) -> UnipotentSymbol:
@@ -456,7 +449,7 @@ def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
         if orthogonal:
             if not in_R(r):
                 continue
-            r = xi_inv(r, ctx.kappa)
+            r = _xi_inv(r, ctx.kappa)
         if not in_S_kappa(r, ctx.kappa):
             continue
         C = ClassSymbol.classical(r, p)
@@ -487,10 +480,10 @@ def enumerate_unipotents(
         return [UnipotentSymbol.named(n) for n in table.unipotent_names()]
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
     if ctx.char != "p2":
-        return [_trusted_unipotent(c) for c in cs]
+        return [UnipotentSymbol._trusted(c, None, None) for c in cs]
     out = []
     for c in cs:
         dom = epsilon_domain(c)
         for bits in product((0, 1), repeat=len(dom)):
-            out.append(_trusted_unipotent(marked=_trusted_marked(c, tuple(zip(dom, bits)))))
+            out.append(UnipotentSymbol._trusted(None, MarkedPartition._trusted(c, tuple(zip(dom, bits))), None))
     return out

@@ -106,9 +106,8 @@ class FiberRow(Value):
     classes: tuple[CarterLabel, ...]
     unipotent: str
 
-    def __init__(self, classes: tuple[CarterLabel, ...], unipotent: str):
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "unipotent", unipotent)
+    def __new__(cls, classes: tuple[CarterLabel, ...], unipotent: str):
+        return cls._trusted(classes, unipotent)
 
 
 class FiberTable(Value):
@@ -118,9 +117,8 @@ class FiberTable(Value):
     context: GroupContext
     rows: tuple[FiberRow, ...]
 
-    def __init__(self, context: GroupContext, rows: tuple[FiberRow, ...]):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "rows", rows)
+    def __new__(cls, context: GroupContext, rows: tuple[FiberRow, ...]):
+        return cls._trusted(context, rows)
 
     def __hash__(self) -> int:
         # Sound because ``__eq__`` compares the context too, so equal tables

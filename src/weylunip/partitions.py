@@ -132,7 +132,7 @@ class MarkedPartition(Value):
     c: Partition
     eps: tuple[tuple[int, int], ...]  # (value, bit) pairs, decreasing values
 
-    def __init__(self, c: Partition, eps: tuple[tuple[int, int], ...]):
+    def __new__(cls, c: Partition, eps: tuple[tuple[int, int], ...]):
         c = check_partition(c)
         dom = epsilon_domain(c)
         values = tuple(j for j, _ in eps)
@@ -142,8 +142,7 @@ class MarkedPartition(Value):
             )
         if any(type(b) is not int or b not in (0, 1) for _, b in eps):
             raise BadInput(f"marking bits must be 0 or 1: {eps}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "eps", eps)
+        return cls._trusted(c, eps)
 
     @staticmethod
     def build(c: Iterable[int], marks: dict[int, int] | None = None) -> "MarkedPartition":
@@ -158,15 +157,6 @@ class MarkedPartition(Value):
 
     def eps_map(self) -> dict[int, int]:
         return dict(self.eps)
-
-
-def _trusted_marked(c: Partition, eps: tuple[tuple[int, int], ...]) -> MarkedPartition:
-    """A marked partition built without the checks of its constructor, for a
-    canonical ``c`` marked with 0/1 bits on exactly ``epsilon_domain(c)``."""
-    m = object.__new__(MarkedPartition)
-    object.__setattr__(m, "c", c)
-    object.__setattr__(m, "eps", eps)
-    return m
 
 
 # --- enumeration -----------------------------------------------------------

@@ -32,7 +32,6 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
-    _trusted_classical,
     check_rank_bound,
     enumerate_classes,
     validate_class,
@@ -55,21 +54,6 @@ def _check_pair_shape(pairs, width: int) -> tuple:
     return pairs if rows == pairs else rows
 
 
-def _trusted(cls, pairs: tuple):
-    """A pair sequence of pairs that pass its constructor's checks, built without them."""
-    x = object.__new__(cls)
-    object.__setattr__(x, "pairs", pairs)
-    return x
-
-
-def _trusted_bipartition(y: Partition, z: Partition) -> "Bipartition":
-    """A bipartition of canonical ``y`` and ``z``, built without the checks of its constructor."""
-    bp = object.__new__(Bipartition)
-    object.__setattr__(bp, "y", y)
-    object.__setattr__(bp, "z", z)
-    return bp
-
-
 class PairSequenceBC(Value):
     """Decreasing pairs (a >= b) covering a class of types B/C; the second
     slot of the last pair may be zero."""
@@ -77,8 +61,8 @@ class PairSequenceBC(Value):
     __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", _check_pair_shape(pairs, 2))
+    def __new__(cls, pairs: tuple[tuple[int, int], ...]):
+        return cls._trusted(_check_pair_shape(pairs, 2))
 
     def total(self) -> int:
         return sum(a + b for a, b in self.pairs)
@@ -93,8 +77,8 @@ class PairSequenceD(Value):
     __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int, int], ...]
 
-    def __init__(self, pairs: tuple[tuple[int, int, int], ...]):
-        object.__setattr__(self, "pairs", _check_pair_shape(pairs, 3))
+    def __new__(cls, pairs: tuple[tuple[int, int, int], ...]):
+        return cls._trusted(_check_pair_shape(pairs, 3))
 
     def total(self) -> int:
         return sum(a + b for a, b, _ in self.pairs)
@@ -110,9 +94,8 @@ class Bipartition(Value):
     y: Partition
     z: Partition
 
-    def __init__(self, y: Partition, z: Partition):
-        object.__setattr__(self, "y", check_partition(y))
-        object.__setattr__(self, "z", check_partition(z))
+    def __new__(cls, y: Partition, z: Partition):
+        return cls._trusted(check_partition(y), check_partition(z))
 
     def total(self) -> int:
         return sum(self.y) + sum(self.z)
@@ -211,7 +194,7 @@ def h(x: PairSequenceBC) -> Bipartition:
             ys.append(a // 2)
         if b > 0:
             zs.append((b + 1) // 2)
-    return _trusted_bipartition(tuple(ys), tuple(zs))
+    return Bipartition._trusted(tuple(ys), tuple(zs))
 
 
 def h_inv(bp: Bipartition) -> PairSequenceBC:
@@ -229,7 +212,7 @@ def h_inv(bp: Bipartition) -> PairSequenceBC:
     # bp is canonical and interlaced, so its image needs no check: pair i ends in
     # 2z_i or 2y_i + 1, pair i + 1 starts with 2y_{i+1} or 2z_{i+1} - 1, y_{i+1} <= y_i, z_i
     # and z_{i+1} <= z_i order them; a zero z_i ends bp, a zero y_i makes the pair (1, 1)
-    return _trusted(PairSequenceBC, tuple(pairs))
+    return PairSequenceBC._trusted(tuple(pairs))
 
 
 def k(x: PairSequenceD) -> Bipartition:
@@ -257,7 +240,7 @@ def _k_image(x: PairSequenceD) -> Bipartition:
             z = (b - 2) // 2
         if z:
             zs.append(z)
-    return _trusted_bipartition(tuple(ys), tuple(zs))
+    return Bipartition._trusted(tuple(ys), tuple(zs))
 
 
 def k_inv(bp: Bipartition) -> PairSequenceD:
@@ -277,7 +260,7 @@ def k_inv(bp: Bipartition) -> PairSequenceD:
     # bp is canonical and interlaced, so its image needs no check: pair i ends in
     # 2z_i + min(y_i - z_i, 2), pair i + 1 starts with 2y_{i+1} - min(y_{i+1} - z_{i+1}, 2),
     # which z_{i+1} <= z_i, y_{i+1} - 1 <= z_i and y_{i+1} <= y_i order; y_i >= z_i keeps all > 0
-    return _trusted(PairSequenceD, tuple(pairs))
+    return PairSequenceD._trusted(tuple(pairs))
 
 
 # --- enumeration -----------------------------------------------------------
@@ -320,7 +303,7 @@ def enumerate_A(n: int) -> list[PairSequenceBC]:
             kept[key] = out
         return out
 
-    out = [_trusted(PairSequenceBC, pairs) for pairs in tails(2 * n, 2 * n)]
+    out = [PairSequenceBC._trusted(pairs) for pairs in tails(2 * n, 2 * n)]
     del tails
     return out
 
@@ -355,7 +338,7 @@ def enumerate_C(n: int) -> list[PairSequenceD]:
             kept[key] = out
         return out
 
-    out = [_trusted(PairSequenceD, pairs) for pairs in tails(2 * n, 2 * n, None, 0)]
+    out = [PairSequenceD._trusted(pairs) for pairs in tails(2 * n, 2 * n, None, 0)]
     del tails
     return out
 
@@ -399,7 +382,7 @@ def _interlaced(n: int, s: int) -> list[Bipartition]:
             kept[key] = got
         return got
 
-    out = list(map(_trusted_bipartition, *tails(n, n, n + 2)))
+    out = list(map(Bipartition._trusted, *tails(n, n, n + 2)))
     del tails
     return out
 
@@ -428,7 +411,7 @@ def _class_of(x) -> ClassSymbol:
             p += (a, b)
         else:
             r += (a, b) if b else (a,)
-    return _trusted_classical(tuple(r), tuple(p))
+    return ClassSymbol._trusted(None, tuple(r), tuple(p), None)
 
 
 def special_class_of(ctx: GroupContext, x) -> ClassSymbol:
@@ -453,7 +436,7 @@ def bc_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceBC]:
         return None
     merged = partition(C.r + C.p)
     padded = merged + ((0,) if len(merged) % 2 else ())
-    x = _trusted(PairSequenceBC, tuple(zip(padded[::2], padded[1::2])))
+    x = PairSequenceBC._trusted(tuple(zip(padded[::2], padded[1::2])))
     return x if in_A(x) and _class_of(x) == C else None
 
 
@@ -479,7 +462,7 @@ def d_pair_sequence_of(C: ClassSymbol) -> Optional[PairSequenceD]:
             left[a] -= 1
             left[b] -= 1
         pairs.append((a, b, e))
-    x = _trusted(PairSequenceD, tuple(pairs))
+    x = PairSequenceD._trusted(tuple(pairs))
     return x if in_C(x) and not any(left.values()) else None
 
 

@@ -71,7 +71,7 @@ class GroupContext(Value):
     rank: int
     char: str
 
-    def __init__(self, family: str, rank: int, char: str = "good"):
+    def __new__(cls, family: str, rank: int, char: str = "good"):
         if family not in FAMILIES:
             raise BadInput(f"unknown family {family!r}")
         # type(rank) is int, not isinstance, so a bool is refused
@@ -87,9 +87,7 @@ class GroupContext(Value):
                 f"characteristic variant {char!r} not valid for {family} "
                 f"(allowed: {', '.join(CHAR_VARIANTS[family])})"
             )
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "char", char)
+        return cls._trusted(family, rank, char)
 
     @property
     def is_exceptional(self) -> bool:
@@ -142,16 +140,13 @@ class CarterComponent(Value):
     subscript: int
     qualifier: Optional[str]  # e.g. "(a_1)"
 
-    def __init__(self, multiplier: int, series: str, subscript: int, qualifier: Optional[str] = None):
+    def __new__(cls, multiplier: int, series: str, subscript: int, qualifier: Optional[str] = None):
         # type(x) is int, not isinstance, so a bool is refused
         if type(multiplier) is not int or multiplier < 1:
             raise BadInput(f"multiplier must be an integer >= 1, got {multiplier!r}")
         if type(subscript) is not int or subscript < 0:
             raise BadInput(f"subscript must be an integer >= 0, got {subscript!r}")
-        object.__setattr__(self, "multiplier", multiplier)
-        object.__setattr__(self, "series", series)
-        object.__setattr__(self, "subscript", subscript)
-        object.__setattr__(self, "qualifier", qualifier)
+        return cls._trusted(multiplier, series, subscript, qualifier)
 
     def __str__(self) -> str:
         return self._render(0)
@@ -164,10 +159,11 @@ class CarterComponent(Value):
 class CarterLabel(Value):
     """A class name built from simple-diagram components, e.g. D_4(a_1)+2A_1.
 
-    ``primes`` counts trailing primes, the int 0, 1 or 2; ``parenthesized``, a
-    bool, records whether they attach to the whole bracketed name, as in
-    (3A_1)', rather than to the single component letter, as in A'_5.
-    Printing round-trips exactly.
+    ``components`` is a non-empty tuple of ``CarterComponent``; ``primes``
+    counts trailing primes, the int 0, 1 or 2; ``parenthesized``, a bool,
+    records whether they attach to the whole bracketed name, as in (3A_1)',
+    rather than to the single component letter, as in A'_5.  Printing
+    round-trips exactly.
     """
 
     __slots__ = ("components", "primes", "parenthesized")
@@ -175,7 +171,9 @@ class CarterLabel(Value):
     primes: int
     parenthesized: bool
 
-    def __init__(self, components: tuple[CarterComponent, ...], primes: int = 0, parenthesized: bool = False):
+    def __new__(cls, components: tuple[CarterComponent, ...], primes: int = 0, parenthesized: bool = False):
+        if type(components) is not tuple or {type(c) for c in components} != {CarterComponent}:
+            raise BadInput(f"components must be a non-empty tuple of CarterComponent, got {components!r}")
         if type(primes) is not int:
             raise BadInput(f"primes must be an integer, got {primes!r}")
         if primes not in (0, 1, 2):
@@ -184,9 +182,7 @@ class CarterLabel(Value):
             raise BadInput(f"parenthesized must be a bool, got {parenthesized!r}")
         if primes and not parenthesized and len(components) != 1:
             raise BadInput("attached primes require a single component")
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "parenthesized", parenthesized)
+        return cls._trusted(components, primes, parenthesized)
 
     @property
     def rank(self) -> int:
@@ -262,7 +258,8 @@ class ClassSymbol(Value):
 
     Exactly one of ``cycle_type`` (type A), the pair ``r``/``p`` (types
     B/C/D) or ``label`` (exceptional types) is set; the constructor checks
-    that each record set is a canonical partition, and stores it as a tuple.
+    that each record set is a canonical partition, and stores it as a tuple,
+    and that a label is a ``CarterLabel``.
     """
 
     __slots__ = ("cycle_type", "r", "p", "label")
@@ -271,8 +268,8 @@ class ClassSymbol(Value):
     p: Optional[Partition]
     label: Optional[CarterLabel]
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         cycle_type: Optional[Partition] = None,
         r: Optional[Partition] = None,
         p: Optional[Partition] = None,
@@ -288,10 +285,9 @@ class ClassSymbol(Value):
                 raise BadInput("classical class symbol needs both r and p")
             r = check_partition(r)
             p = check_partition(p)
-        object.__setattr__(self, "cycle_type", cycle_type)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "label", label)
+        elif not isinstance(label, CarterLabel):
+            raise BadInput(f"class label must be a CarterLabel, got {label!r}")
+        return cls._trusted(cycle_type, r, p, label)
 
     @staticmethod
     def type_a(cycle_type) -> "ClassSymbol":
@@ -321,17 +317,6 @@ class ClassSymbol(Value):
         if self.kind == "classical":
             return f"r={format_partition(self.r)};p={format_partition(self.p)}"
         return str(self.label)
-
-
-def _trusted_classical(r: Partition, p: Partition) -> ClassSymbol:
-    """A classical class symbol built without the checks of its
-    constructor, for records the library has made canonical."""
-    C = object.__new__(ClassSymbol)
-    object.__setattr__(C, "cycle_type", None)
-    object.__setattr__(C, "r", r)
-    object.__setattr__(C, "p", p)
-    object.__setattr__(C, "label", None)
-    return C
 
 
 def parse_class(ctx: GroupContext, text: str) -> ClassSymbol:
@@ -422,7 +407,7 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
         return [ClassSymbol.type_a(p) for p in partitions_of(ctx.rank + 1)]
     two_n = 2 * ctx.rank
     return [
-        _trusted_classical(r, p)
+        ClassSymbol._trusted(None, r, p, None)
         for rsum in range(two_n, -1, -2)
         for r in even_partitions_of(rsum)
         if ctx.family != "D" or len(r) % 2 == 0

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from weylunip import oracle
 from weylunip.classical_maps import (
     UnipotentSymbol,
-    _trusted_unipotent,
     enumerate_unipotents,
     fiber_of,
     iota,
@@ -33,7 +32,6 @@ from weylunip.classical_maps import (
 from weylunip.errors import BadInput, BoundExceeded, NotInR
 from weylunip.partitions import (
     MarkedPartition,
-    _trusted_marked,
     check_partition,
     epsilon_domain,
     in_P_tilde,
@@ -46,8 +44,6 @@ from weylunip.partitions import (
 from weylunip.special_classes import (
     Bipartition,
     PairSequenceBC,
-    _trusted,
-    _trusted_bipartition,
     special_classes,
 )
 from weylunip.weyl_classes import (
@@ -56,7 +52,6 @@ from weylunip.weyl_classes import (
     MIN_RANK,
     ClassSymbol,
     GroupContext,
-    _trusted_classical,
     context,
     enumerate_classes,
     m_of_class,
@@ -94,6 +89,7 @@ def test_iota_examples():
     assert iota((4,), (1, 1)) == (4, 1, 1)
     assert iota((), ()) == ()
     assert iota((2, 2), (3, 3, 1, 1)) == (3, 3, 2, 2, 1, 1)
+    assert iota([4], [1, 1]) == (4, 1, 1)  # a record may be a list
     with pytest.raises(BadInput):
         iota((3,), ())
     with pytest.raises(BadInput):
@@ -107,6 +103,7 @@ def test_iota2_examples():
     assert m.c == (2, 2, 2) and m.eps == ()
     m = iota2((4, 2), ())
     assert m.c == (4, 2) and m.eps == ()
+    assert iota2([2, 2], [4, 4]) == iota2((2, 2), (4, 4))
 
 
 def test_xi_examples():
@@ -115,6 +112,7 @@ def test_xi_examples():
     assert xi((2, 2, 2, 2), 0) == (3, 2, 2, 1)
     assert xi((), 1) == (1,)
     assert xi((), 0) == ()
+    assert xi([4, 4], 0) == (5, 3)
     with pytest.raises(BadInput):
         xi((4,), 0)  # odd length not allowed at kappa=0
 
@@ -123,6 +121,7 @@ def test_xi_inv_examples():
     assert xi_inv((5, 3), 0) == (4, 4)
     assert xi_inv((3, 1, 1), 1) == (2, 2)
     assert xi_inv((), 0) == ()
+    assert xi_inv([5, 3], 0) == (4, 4)
     with pytest.raises(NotInR):
         xi_inv((4, 4), 0)
     with pytest.raises(BadInput):
@@ -149,6 +148,7 @@ def test_psi_even_r_examples():
     assert psi_even_r((2, 1, 1)) == ((2,), (1, 1))
     assert psi_even_r((4, 4)) == ((4, 4), ())
     assert psi_even_r((1, 1, 1, 1)) == ((), (1, 1, 1, 1))
+    assert psi_even_r([2, 1, 1]) == ((2,), (1, 1))
     with pytest.raises(BadInput):
         psi_even_r((3, 1))
 
@@ -541,6 +541,14 @@ HELPER_ERRORS = [
     (orthogonal_fiber_minimizer, ((2, 1),), BadInput, "even value with odd multiplicity: (2, 1)"),
     (orthogonal_fiber_minimizer, ((1, 3),), BadInput, "partition entries must be weakly decreasing: (1, 3)"),
     (psi_orthogonal, ((1, 3), 0), BadInput, "partition entries must be weakly decreasing: (1, 3)"),
+    # every record argument must pass check_partition first: these once
+    # answered (3, 3, 1), (3.0,), (2.0,), (True, True) and ((), (1, 3, 3, 1))
+    (xi, ((2, 4), 1), BadInput, "partition entries must be weakly decreasing: (2, 4)"),
+    (xi, ((2.0,), 1), BadInput, "partition entries must be positive integers: (2.0,)"),
+    (xi_inv, ((3.0,), 1), BadInput, "partition entries must be positive integers: (3.0,)"),
+    (iota, ((), (True, True)), BadInput, "partition entries must be positive integers: (True, True)"),
+    (iota2, ((), (True, True)), BadInput, "partition entries must be positive integers: (True, True)"),
+    (psi_even_r, ((1, 3, 3, 1),), BadInput, "partition entries must be weakly decreasing: (1, 3, 3, 1)"),
 ]
 
 
@@ -638,19 +646,19 @@ _PAIRS = ((4, 2), (1, 1))
 @pytest.mark.parametrize(
     "trusted, checked",
     [
-        (lambda: _trusted_classical(_R, _P), lambda: ClassSymbol.classical(_R, _P)),
-        (lambda: _trusted_unipotent(_R), lambda: UnipotentSymbol.plain(_R)),
-        (lambda: _trusted_unipotent(marked=_MARKED), lambda: UnipotentSymbol.with_marks(_MARKED)),
-        (lambda: _trusted_marked(_MARKED.c, _MARKED.eps), lambda: MarkedPartition(_MARKED.c, _MARKED.eps)),
-        (lambda: _trusted_bipartition(_R, _P), lambda: Bipartition(_R, _P)),
-        (lambda: _trusted(PairSequenceBC, _PAIRS), lambda: PairSequenceBC(_PAIRS)),
+        (lambda: ClassSymbol._trusted(None, _R, _P, None), lambda: ClassSymbol.classical(_R, _P)),
+        (lambda: UnipotentSymbol._trusted(_R, None, None), lambda: UnipotentSymbol.plain(_R)),
+        (lambda: UnipotentSymbol._trusted(None, _MARKED, None), lambda: UnipotentSymbol.with_marks(_MARKED)),
+        (lambda: MarkedPartition._trusted(_MARKED.c, _MARKED.eps), lambda: MarkedPartition(_MARKED.c, _MARKED.eps)),
+        (lambda: Bipartition._trusted(_R, _P), lambda: Bipartition(_R, _P)),
+        (lambda: PairSequenceBC._trusted(_PAIRS), lambda: PairSequenceBC(_PAIRS)),
     ],
     ids=["classical", "plain", "marked-symbol", "marked-partition", "bipartition", "pair-sequence"],
 )
 def test_trusted_builds_take_the_memory_of_checked_builds(trusted, checked):
-    # each builder sets every slot of its type through object.__setattr__,
-    # as the checked constructor does, so a trusted build is no larger; a
-    # checked build keeps its caller's tuples, and copies none of them
+    # a checked constructor ends in its type's _trusted, so a trusted build
+    # is no larger; a checked build keeps its caller's tuples, and copies
+    # none of them
     assert _traced_bytes_per_object(trusted) == pytest.approx(_traced_bytes_per_object(checked), rel=0.1)
 
 
@@ -661,8 +669,8 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
     for name in ("partitions", "weyl_classes", "classical_maps"):
         module = sys.modules[f"weylunip.{name}"]
         monkeypatch.setattr(module, "check_partition", lambda p: calls.append(p) or check_partition(p))
-    init = MarkedPartition.__init__
-    monkeypatch.setattr(MarkedPartition, "__init__", lambda m, *args: calls.append(args) or init(m, *args))
+    new = MarkedPartition.__new__
+    monkeypatch.setattr(MarkedPartition, "__new__", lambda cls, *args: calls.append(args) or new(cls, *args))
     for ctx in [ctx for ctx in BCD_UP_TO_8 if ctx.rank == 5]:
         for C in enumerate_classes(ctx):
             phi(ctx, C)

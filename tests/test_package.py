@@ -1,3 +1,4 @@
+import ast
 import copy
 import importlib.util
 import inspect
@@ -186,6 +187,60 @@ def test_compiled_methods_are_the_hand_written_ones():
         for compiled, written in [(cls.__eq__, eq), (cls.__hash__, hash_)]:
             a, b = compiled.__code__, written.__code__
             assert (a.co_code, a.co_names, a.co_consts) == (b.co_code, b.co_names, b.co_consts), compiled
+
+
+# The hand-written trusted builders the classes had before ``Value`` compiled
+# one per class, for 4 and 2 fields.  The class symbol's set ``cycle_type``
+# and ``label`` to None; here they are arguments, like every other field.
+
+
+def trusted_class_symbol(cycle_type, r, p, label):
+    C = object.__new__(ClassSymbol)
+    object.__setattr__(C, "cycle_type", cycle_type)
+    object.__setattr__(C, "r", r)
+    object.__setattr__(C, "p", p)
+    object.__setattr__(C, "label", label)
+    return C
+
+
+def trusted_bipartition(y, z):
+    bp = object.__new__(Bipartition)
+    object.__setattr__(bp, "y", y)
+    object.__setattr__(bp, "z", z)
+    return bp
+
+
+def test_compiled_builders_are_the_hand_written_ones():
+    # the same bytecode, so a trusted build costs what it did by hand; the
+    # compiled builder reads its class as ``cls``
+    for cls, written in [(ClassSymbol, trusted_class_symbol), (Bipartition, trusted_bipartition)]:
+        a, b = cls._trusted.__code__, written.__code__
+        assert (a.co_code, a.co_consts) == (b.co_code, b.co_consts), cls
+        assert a.co_varnames[: a.co_argcount] == cls._fields
+        assert cls._trusted.__globals__["cls"] is cls
+
+
+@pytest.mark.parametrize("x", _values(), ids=lambda x: type(x).__name__)
+def test_the_trusted_builder_rebuilds_every_value(x):
+    # every checked constructor ends in its type's builder, a subtype's too
+    y = type(x)._trusted(*[getattr(x, f) for f in type(x)._fields])
+    assert type(y) is type(x)
+    assert y == x and hash(y) == hash(x) and repr(y) == repr(x)
+
+
+def test_only_the_base_builds_a_value_by_hand():
+    # a value is made and its fields are set in one place, the builder that
+    # _value.Value compiles, so no builder can drift from its class
+    package = Path(weylunip.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "_value.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                assert (node.value.id, node.attr) not in {
+                    ("object", "__new__"),
+                    ("object", "__setattr__"),
+                }, f"{path.name}:{node.lineno}"
 
 
 def test_the_benchmark_tracer_finds_what_it_reads():

@@ -223,6 +223,19 @@ def test_parse_carter_label_errors():
             lambda: CarterLabel(parse_carter_label("A_1").components, parenthesized=1),
             "parenthesized must be a bool, got 1",
         ),
+        # a text label once built a class that phi answered for and m_of_class
+        # failed on with an AttributeError; a list of components built a label
+        # that could not be hashed
+        (lambda: ClassSymbol(label="A_1"), "class label must be a CarterLabel, got 'A_1'"),
+        (
+            lambda: CarterLabel([1, 2]),
+            "components must be a non-empty tuple of CarterComponent, got [1, 2]",
+        ),
+        (lambda: CarterLabel(()), "components must be a non-empty tuple of CarterComponent, got ()"),
+        (
+            lambda: CarterLabel(("A_1",)),
+            "components must be a non-empty tuple of CarterComponent, got ('A_1',)",
+        ),
     ],
     ids=[
         "label-primes",
@@ -253,6 +266,10 @@ def test_parse_carter_label_errors():
         "label-bool-primes",
         "label-float-primes",
         "label-int-parenthesized",
+        "class-text-label",
+        "label-list-components",
+        "label-no-components",
+        "label-text-component",
     ],
 )
 def test_symbols_refuse_a_wrong_shape(build, message):
