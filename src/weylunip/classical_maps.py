@@ -66,7 +66,8 @@ class UnipotentSymbol(Value):
     """A unipotent class: a Jordan type, a marked Jordan type, or a name.
 
     The constructor checks that a Jordan type is a canonical partition, and
-    stores it as a tuple."""
+    stores it as a tuple, that a marked one is a ``MarkedPartition`` and that
+    a name is a ``str``."""
 
     __slots__ = ("partition", "marked", "name")
     partition: Optional[Partition]
@@ -83,19 +84,11 @@ class UnipotentSymbol(Value):
             raise BadInput("unipotent symbol must have exactly one shape")
         if partition is not None:
             partition = check_partition(partition)
+        elif marked is not None and not isinstance(marked, MarkedPartition):
+            raise BadInput(f"marked Jordan type must be a MarkedPartition, got {marked!r}")
+        elif name is not None and not isinstance(name, str):
+            raise BadInput(f"unipotent name must be a str, got {name!r}")
         return cls._trusted(partition, marked, name)
-
-    @staticmethod
-    def plain(c) -> "UnipotentSymbol":
-        return UnipotentSymbol(partition=c)
-
-    @staticmethod
-    def with_marks(m: MarkedPartition) -> "UnipotentSymbol":
-        return UnipotentSymbol(marked=m)
-
-    @staticmethod
-    def named(name: str) -> "UnipotentSymbol":
-        return UnipotentSymbol(name=name)
 
     @property
     def kind(self) -> str:
@@ -139,10 +132,10 @@ def parse_unipotent(ctx: GroupContext, text: str) -> UnipotentSymbol:
     ``validate_unipotent`` decides whether it is one."""
     text = text.strip()
     if ctx.is_exceptional:
-        return UnipotentSymbol.named(text)
+        return UnipotentSymbol(name=text)
     if ctx.char == "p2":
-        return UnipotentSymbol.with_marks(parse_marked(text))
-    return UnipotentSymbol.plain(parse_partition(text))
+        return UnipotentSymbol(marked=parse_marked(text))
+    return UnipotentSymbol(partition=parse_partition(text))
 
 
 def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLabel, ...] | None:
@@ -354,9 +347,9 @@ def phi(ctx: GroupContext, C: ClassSymbol) -> UnipotentSymbol:
     """The surjection from classes of the Weyl group to unipotent classes."""
     name = validate_class(ctx, C)
     if ctx.family == "A":
-        return UnipotentSymbol.plain(C.cycle_type)
+        return UnipotentSymbol._trusted(C.cycle_type, None, None)
     if ctx.is_exceptional:
-        return UnipotentSymbol.named(name)
+        return UnipotentSymbol._trusted(None, None, name)
     # validate_class proved r in S_kappa and p paired: iota's checks (S_0 lies
     # in S_1), so the merge is partition(r + p), and xi's
     if ctx.char == "p2":
@@ -371,9 +364,9 @@ def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
     fixed space."""
     fiber = validate_unipotent(ctx, u)
     if ctx.family == "A":
-        return ClassSymbol.type_a(u.partition)
+        return ClassSymbol._trusted(u.partition, None, None, None)
     if ctx.is_exceptional:
-        return ClassSymbol.exceptional(fiber[0])
+        return ClassSymbol._trusted(None, None, None, fiber[0])
     # validate_unipotent proved in_T(c, 2n) for the symplectic Jordan types,
     # which is psi_marked's and psi_even_r's check, and in_Q(c, 2n + kappa)
     # for the orthogonal ones, which is the minimizer's check and fixes
@@ -386,7 +379,7 @@ def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
     if ctx.family == "C":
         return ClassSymbol._trusted(None, *_psi_even_r(u.partition), None)
     r_mixed, p = _orthogonal_fiber_minimizer(u.partition)
-    return ClassSymbol.classical(_xi_inv(r_mixed, ctx.kappa), p)
+    return ClassSymbol(r=_xi_inv(r_mixed, ctx.kappa), p=p)
 
 
 def rho(ctx_p: GroupContext, u: UnipotentSymbol) -> UnipotentSymbol:
@@ -435,7 +428,7 @@ def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
     ``BoundExceeded``.
     """
     if ctx.is_exceptional:
-        return [ClassSymbol.exceptional(lab) for lab in validate_unipotent(ctx, u)]
+        return [ClassSymbol._trusted(None, None, None, lab) for lab in validate_unipotent(ctx, u)]
     first = psi(ctx, u)
     if ctx.family == "A":
         return [first]
@@ -452,7 +445,7 @@ def fiber_of(ctx: GroupContext, u: UnipotentSymbol) -> list[ClassSymbol]:
             r = _xi_inv(r, ctx.kappa)
         if not in_S_kappa(r, ctx.kappa):
             continue
-        C = ClassSymbol.classical(r, p)
+        C = ClassSymbol(r=r, p=p)
         if C != first and phi(ctx, C) == u:
             rest.append(C)
     # enumerate_classes order: |r| descending, then r, then p, each
@@ -470,14 +463,15 @@ def enumerate_unipotents(
     """All unipotent classes of the context, in a fixed deterministic order.
 
     Each call builds a fresh list and refuses a classical rank above
-    ``bound``.  The Jordan types come canonical from ``partitions_of`` and
-    each marking covers ``epsilon_domain`` with 0/1 bits, so the symbols
-    skip the checks of ``UnipotentSymbol.plain`` and ``MarkedPartition``.
+    ``bound``.  The names come from the checked table, the Jordan types
+    canonical from ``partitions_of``, and each marking covers
+    ``epsilon_domain`` with 0/1 bits, so every symbol is built by
+    ``_trusted``, without the constructors' checks.
     """
     check_rank_bound(ctx, bound)
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
-        return [UnipotentSymbol.named(n) for n in table.unipotent_names()]
+        return [UnipotentSymbol._trusted(None, None, n) for n in table.unipotent_names()]
     cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
     if ctx.char != "p2":
         return [UnipotentSymbol._trusted(c, None, None) for c in cs]

@@ -178,7 +178,10 @@ def _pinned_text(name: str) -> str:
     if name in _DERIVED:
         data = _derive_variant(*_DERIVED[name])
     else:
-        data = resources.files("weylunip.data").joinpath(name).read_bytes()
+        try:
+            data = resources.files("weylunip.data").joinpath(name).read_bytes()
+        except (ModuleNotFoundError, OSError) as exc:
+            raise TableIntegrityError(f"{name}: cannot read the shipped file: {exc}") from None
     digest = hashlib.sha256(data).hexdigest()
     if digest != CHECKSUMS[name]:
         raise TableIntegrityError(

@@ -431,8 +431,9 @@ def verify_special(ctx: GroupContext, check_maps: bool = True) -> VerificationRe
         if ctx.is_exceptional:
             rows, good = load_tau_table(ctx.family), load_table(ctx.good())
             section_images = {row.classes[0] for row in good.rows}
-            report.check("bijective-table", is_bijective_table(rows), ctx.family, "distinct rows", "duplicates")
-            for lab, _ in rows:
+            bijective = is_bijective_table(rows.items())
+            report.check("bijective-table", bijective, ctx.family, "distinct rows", "duplicates")
+            for lab in rows:
                 report.check("classes-are-section-images", lab in section_images, lab, "section image", "not an image")
             return report
         if ctx.family == "A":

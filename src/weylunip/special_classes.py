@@ -15,7 +15,8 @@ import re
 from collections import Counter
 from functools import lru_cache
 from itertools import zip_longest
-from typing import Iterator, Optional
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional
 
 from ._value import Value
 from .errors import (
@@ -473,7 +474,7 @@ def special_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[
     if ctx.family == "A":
         return enumerate_classes(ctx, bound=bound)
     if ctx.is_exceptional:
-        return [ClassSymbol.exceptional(lab) for lab, _ in load_tau_table(ctx.family)]
+        return [ClassSymbol._trusted(None, None, None, lab) for lab in load_tau_table(ctx.family)]
     if ctx.family in ("B", "C"):
         return [_class_of(x) for x in enumerate_A(ctx.rank)]
     return [_class_of(x) for x in enumerate_C(ctx.rank)]
@@ -490,7 +491,7 @@ def tau(ctx: GroupContext, C: ClassSymbol) -> str:
     if ctx.family == "A":
         return format_partition(C.cycle_type)
     if ctx.is_exceptional:
-        rep = _tau_index(ctx.family).get(C.label)
+        rep = load_tau_table(ctx.family).get(C.label)
     elif ctx.family in ("B", "C"):
         x = bc_pair_sequence_of(C)
         rep = None if x is None else str(h(x))
@@ -532,19 +533,13 @@ def is_bijective_table(rows) -> bool:
 
 
 @lru_cache(maxsize=None)
-def load_tau_table(family: str) -> tuple[tuple[CarterLabel, str], ...]:
-    """The (class label, representation label) rows for an exceptional family."""
+def load_tau_table(family: str) -> Mapping[CarterLabel, str]:
+    """The special-class table of an exceptional family, read-only, as
+    {class label: representation label} in file order."""
     if family not in TAU_FILES:
         raise WrongFamily(f"no special-class table for family {family!r}")
     filename = TAU_FILES[family]
-    rows = tuple((table_label(filename, m["cls"]), m["rep"]) for m in read_rows(filename, _TAU_ROW_RE))
+    rows = [(table_label(filename, m["cls"]), m["rep"]) for m in read_rows(filename, _TAU_ROW_RE)]
     if not is_bijective_table(rows):
         raise TableIntegrityError(f"{filename}: duplicate rows")
-    return rows
-
-
-@lru_cache(maxsize=None)
-def _tau_index(family: str) -> dict[CarterLabel, str]:
-    """The rows of ``load_tau_table(family)`` as {class label: representation
-    label}, built once per family."""
-    return dict(load_tau_table(family))
+    return MappingProxyType(dict(rows))

@@ -106,7 +106,7 @@ class GroupContext(Value):
 
     def good(self) -> "GroupContext":
         """The good-characteristic variant of the same group."""
-        return GroupContext(self.family, self.rank, "good")
+        return GroupContext._trusted(self.family, self.rank, "good")
 
     def __str__(self) -> str:
         return f"{self.family}{'' if self.is_exceptional else '_' + str(self.rank)}/{self.char}"
@@ -123,16 +123,18 @@ def context(family: str, rank: Optional[int] = None, char: str = "good") -> Grou
 
 # --- Carter labels ---------------------------------------------------------
 
+_SERIES = frozenset(tilde + letter for tilde in ("", "~") for letter in "ABCDEFG")
+_QUALIFIER_RE = re.compile(r"\(a_[0-9]+\)")
 _COMPONENT_RE = re.compile(
     r"(?P<mult>[0-9]+)?(?P<tilde>~)?(?P<letter>[A-G])(?P<primes>'{0,2})_(?P<sub>[0-9]+)"
-    r"(?P<qual>\((a_[0-9]+)\))?"
+    rf"(?P<qual>{_QUALIFIER_RE.pattern})?"
 )
 
 
 class CarterComponent(Value):
     """One simple-diagram component of a class label: ``multiplier`` copies
-    (at least 1) of ``series`` with ``subscript`` (at least 0, for A_0), and
-    an optional qualifier."""
+    (at least 1) of ``series`` (a letter A..G, perhaps after a tilde) with
+    ``subscript`` (at least 0, for A_0), and an optional qualifier ``(a_k)``."""
 
     __slots__ = ("multiplier", "series", "subscript", "qualifier")
     multiplier: int
@@ -144,8 +146,12 @@ class CarterComponent(Value):
         # type(x) is int, not isinstance, so a bool is refused
         if type(multiplier) is not int or multiplier < 1:
             raise BadInput(f"multiplier must be an integer >= 1, got {multiplier!r}")
+        if type(series) is not str or series not in _SERIES:
+            raise BadInput(f"series must be one of A..G or ~A..~G, got {series!r}")
         if type(subscript) is not int or subscript < 0:
             raise BadInput(f"subscript must be an integer >= 0, got {subscript!r}")
+        if qualifier is not None and not (type(qualifier) is str and _QUALIFIER_RE.fullmatch(qualifier)):
+            raise BadInput(f"qualifier must be None or of the form (a_k), got {qualifier!r}")
         return cls._trusted(multiplier, series, subscript, qualifier)
 
     def __str__(self) -> str:
@@ -289,20 +295,6 @@ class ClassSymbol(Value):
             raise BadInput(f"class label must be a CarterLabel, got {label!r}")
         return cls._trusted(cycle_type, r, p, label)
 
-    @staticmethod
-    def type_a(cycle_type) -> "ClassSymbol":
-        return ClassSymbol(cycle_type=cycle_type)
-
-    @staticmethod
-    def classical(r, p) -> "ClassSymbol":
-        return ClassSymbol(r=r, p=p)
-
-    @staticmethod
-    def exceptional(label) -> "ClassSymbol":
-        if isinstance(label, str):
-            label = parse_carter_label(label)
-        return ClassSymbol(label=label)
-
     @property
     def kind(self) -> str:
         if self.cycle_type is not None:
@@ -323,13 +315,13 @@ def parse_class(ctx: GroupContext, text: str) -> ClassSymbol:
     """Parse the text form of a class, dispatching on the context family."""
     text = text.strip()
     if ctx.family == "A":
-        return ClassSymbol.type_a(parse_partition(text))
+        return ClassSymbol(cycle_type=parse_partition(text))
     if ctx.is_classical_bcd:
         m = re.fullmatch(r"r=(?P<r>[0-9,]*);p=(?P<p>[0-9,]*)", text)
         if not m:
             raise ParseError(f"classical class must look like 'r=...;p=...': {text!r}")
-        return ClassSymbol.classical(parse_partition(m.group("r")), parse_partition(m.group("p")))
-    return ClassSymbol.exceptional(parse_carter_label(text))
+        return ClassSymbol(r=parse_partition(m.group("r")), p=parse_partition(m.group("p")))
+    return ClassSymbol(label=parse_carter_label(text))
 
 
 def validate_class(ctx: GroupContext, C: ClassSymbol) -> str | None:
@@ -396,15 +388,16 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     (split classes appear once; see ``is_split_weyl_class``).
 
     Each call builds a fresh list and refuses a classical rank above
-    ``bound``.  The B/C/D records come canonical from the enumerators, so
-    those classes skip the checks of ``ClassSymbol.classical``.
+    ``bound``.  The labels come from the checked table and the records
+    canonical from the enumerators, so every class is built by
+    ``ClassSymbol._trusted``, without the constructor's checks.
     """
     check_rank_bound(ctx, bound)
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
-        return [ClassSymbol.exceptional(lab) for row in table.rows for lab in row.classes]
+        return [ClassSymbol._trusted(None, None, None, lab) for row in table.rows for lab in row.classes]
     if ctx.family == "A":
-        return [ClassSymbol.type_a(p) for p in partitions_of(ctx.rank + 1)]
+        return [ClassSymbol._trusted(p, None, None, None) for p in partitions_of(ctx.rank + 1)]
     two_n = 2 * ctx.rank
     return [
         ClassSymbol._trusted(None, r, p, None)

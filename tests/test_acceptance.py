@@ -13,7 +13,7 @@ from weylunip.atlas import atlas_lines
 from weylunip.classical_maps import phi, psi
 from weylunip.exceptional_tables import EXPECTED_CLASS_COUNTS, load_table
 from weylunip.special_classes import load_tau_table, special_classes
-from weylunip.weyl_classes import CHAR_VARIANTS, ClassSymbol, context
+from weylunip.weyl_classes import CHAR_VARIANTS, ClassSymbol, context, parse_carter_label
 
 FIBER_BOUND = 12
 XI_BOUND = 24
@@ -120,7 +120,7 @@ def test_criterion_7_exceptional_special_tables():
         if len(rows) != want:
             failures.append((family, f"{want} rows", f"{len(rows)} rows", "Lusztig 1984 ch. 4"))
         section_images = {row.classes[0] for row in load_table(context(family)).rows}
-        for lab, _ in rows:
+        for lab, _ in rows.items():
             if lab not in section_images:
                 failures.append((family, str(lab), "section image", "not an image"))
     spot = {
@@ -133,7 +133,7 @@ def test_criterion_7_exceptional_special_tables():
     from weylunip.special_classes import tau
 
     for (family, label), want in spot.items():
-        got = tau(context(family), ClassSymbol.exceptional(label))
+        got = tau(context(family), ClassSymbol(label=parse_carter_label(label)))
         if got != want:
             failures.append((family, label, want, got))
     _finish(7, "exceptional special tables (pinned row counts)", failures, t0)

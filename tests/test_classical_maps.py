@@ -30,6 +30,7 @@ from weylunip.classical_maps import (
     xi_inv,
 )
 from weylunip.errors import BadInput, BoundExceeded, NotInR
+from weylunip.exceptional_tables import load_table
 from weylunip.partitions import (
     MarkedPartition,
     check_partition,
@@ -44,6 +45,7 @@ from weylunip.partitions import (
 from weylunip.special_classes import (
     Bipartition,
     PairSequenceBC,
+    load_tau_table,
     special_classes,
 )
 from weylunip.weyl_classes import (
@@ -229,46 +231,46 @@ def test_minimizer_matches_the_position_indexed_reference(n):
 
 
 def test_phi_examples():
-    assert phi(context("B", 4), ClassSymbol.classical((), (3, 3, 1, 1))) == UnipotentSymbol.plain(
-        (3, 3, 1, 1, 1)
+    assert phi(context("B", 4), ClassSymbol(r=(), p=(3, 3, 1, 1))) == UnipotentSymbol(
+        partition=(3, 3, 1, 1, 1)
     )
-    assert phi(context("C", 2), ClassSymbol.classical((2,), (1, 1))) == UnipotentSymbol.plain(
-        (2, 1, 1)
+    assert phi(context("C", 2), ClassSymbol(r=(2,), p=(1, 1))) == UnipotentSymbol(
+        partition=(2, 1, 1)
     )
-    assert phi(context("D", 4), ClassSymbol.classical((4, 4), ())) == UnipotentSymbol.plain((5, 3))
-    assert phi(context("A", 3), ClassSymbol.type_a((3, 1))) == UnipotentSymbol.plain((3, 1))
-    got = phi(context("C", 2, "p2"), ClassSymbol.classical((2, 2), ()))
+    assert phi(context("D", 4), ClassSymbol(r=(4, 4), p=())) == UnipotentSymbol(partition=(5, 3))
+    assert phi(context("A", 3), ClassSymbol(cycle_type=(3, 1))) == UnipotentSymbol(partition=(3, 1))
+    got = phi(context("C", 2, "p2"), ClassSymbol(r=(2, 2), p=()))
     assert got.marked == MarkedPartition.build((2, 2), {2: 1})
 
 
 def test_psi_examples():
-    assert psi(context("C", 2), UnipotentSymbol.plain((2, 1, 1))) == ClassSymbol.classical(
-        (2,), (1, 1)
+    assert psi(context("C", 2), UnipotentSymbol(partition=(2, 1, 1))) == ClassSymbol(
+        r=(2,), p=(1, 1)
     )
-    assert psi(context("D", 4), UnipotentSymbol.plain((4, 4))) == ClassSymbol.classical(
-        (), (4, 4)
+    assert psi(context("D", 4), UnipotentSymbol(partition=(4, 4))) == ClassSymbol(
+        r=(), p=(4, 4)
     )
-    assert str(psi(context("F4"), UnipotentSymbol.named("C_3(a_1)"))) == "A_3+~A_1"
+    assert str(psi(context("F4"), UnipotentSymbol(name="C_3(a_1)"))) == "A_3+~A_1"
 
 
 def test_rho_examples():
     c2p2 = context("C", 2, "p2")
     for bit in (0, 1):
-        u = UnipotentSymbol.with_marks(MarkedPartition.build((2, 2), {2: bit}))
-        assert rho(c2p2, u) == UnipotentSymbol.plain((2, 2))
-    assert rho(context("F4", char="p2"), UnipotentSymbol.named("(B_2)_2")) == UnipotentSymbol.named(
-        "B_2"
+        u = UnipotentSymbol(marked=MarkedPartition.build((2, 2), {2: bit}))
+        assert rho(c2p2, u) == UnipotentSymbol(partition=(2, 2))
+    assert rho(context("F4", char="p2"), UnipotentSymbol(name="(B_2)_2")) == UnipotentSymbol(
+        name="B_2"
     )
 
 
 def test_pi_examples():
     c2p2 = context("C", 2, "p2")
-    got = pi(c2p2, UnipotentSymbol.plain((2, 2)))
+    got = pi(c2p2, UnipotentSymbol(partition=(2, 2)))
     assert got.marked == MarkedPartition.build((2, 2), {2: 1})
-    got = pi(c2p2, UnipotentSymbol.plain((2, 1, 1)))
+    got = pi(c2p2, UnipotentSymbol(partition=(2, 1, 1)))
     assert got.marked == MarkedPartition.build((2, 1, 1), {})
-    assert pi(context("G2", char="p3"), UnipotentSymbol.named("~A_1")) == UnipotentSymbol.named(
-        "~A_1"
+    assert pi(context("G2", char="p3"), UnipotentSymbol(name="~A_1")) == UnipotentSymbol(
+        name="~A_1"
     )
 
 
@@ -309,15 +311,15 @@ def test_unique_minimum_by_full_scan(ctx):
 
 def test_validation_rejects_foreign_symbols():
     with pytest.raises(BadInput):
-        psi(context("C", 2), UnipotentSymbol.plain((3, 1)))
+        psi(context("C", 2), UnipotentSymbol(partition=(3, 1)))
     with pytest.raises(BadInput):
-        psi(context("B", 2), UnipotentSymbol.plain((4, 1)))
+        psi(context("B", 2), UnipotentSymbol(partition=(4, 1)))
     with pytest.raises(BadInput):
-        psi(context("D", 3, "p2"), UnipotentSymbol.with_marks(MarkedPartition.build((4, 1, 1), {})))
+        psi(context("D", 3, "p2"), UnipotentSymbol(marked=MarkedPartition.build((4, 1, 1), {})))
     with pytest.raises(BadInput):
-        psi(context("E6"), UnipotentSymbol.named("nonsense"))
+        psi(context("E6"), UnipotentSymbol(name="nonsense"))
     with pytest.raises(BadInput, match="3,1 is not a unipotent class of E6/good"):
-        psi(context("E6"), UnipotentSymbol.plain((3, 1)))
+        psi(context("E6"), UnipotentSymbol(partition=(3, 1)))
     with pytest.raises(BadInput, match="unipotent symbol must have exactly one shape"):
         UnipotentSymbol(partition=(2,), name="A_1")
 
@@ -355,13 +357,13 @@ def rebuild_unipotents(ctx):
         if any(c.count(v) % 2 for v in paired):
             continue
         if ctx.char != "p2":
-            out.append(UnipotentSymbol.plain(c))
+            out.append(UnipotentSymbol(partition=c))
             continue
         if ctx.family == "D" and len(c) % 2:
             continue
         marked = sorted({v for v in c if v % 2 == 0 and c.count(v) % 2 == 0}, reverse=True)
         for bits in product((0, 1), repeat=len(marked)):
-            out.append(UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(marked, bits)))))
+            out.append(UnipotentSymbol(marked=MarkedPartition.build(c, dict(zip(marked, bits)))))
     return out
 
 
@@ -406,7 +408,7 @@ def test_splittings_move_even_copies():
 
 def test_fiber_of_puts_section_first():
     ctx = context("C", 2)
-    fib = fiber_of(ctx, UnipotentSymbol.plain((2, 2)))
+    fib = fiber_of(ctx, UnipotentSymbol(partition=(2, 2)))
     assert [str(C) for C in fib] == ["r=2,2;p=", "r=;p=2,2"]
 
 
@@ -462,11 +464,11 @@ def _candidates(ctx, size):
     with every marking of its marking domain in characteristic 2."""
     for c in partitions_of(size):
         if ctx.char == "good":
-            yield c, UnipotentSymbol.plain(c)
+            yield c, UnipotentSymbol(partition=c)
             continue
         dom = epsilon_domain(c)
         for bits in product((0, 1), repeat=len(dom)):
-            yield c, UnipotentSymbol.with_marks(MarkedPartition.build(c, dict(zip(dom, bits))))
+            yield c, UnipotentSymbol(marked=MarkedPartition.build(c, dict(zip(dom, bits))))
 
 
 @pytest.mark.parametrize(
@@ -503,7 +505,7 @@ def test_validate_accepts_exactly_the_enumerated_symbols(ctx):
 def test_unknown_exceptional_name_is_refused_by_every_map(family):
     ctx = context(family, char=CHAR_VARIANTS[family][-1])
     u = parse_unipotent(ctx, " NOPE ")  # parsing only parses
-    assert u == UnipotentSymbol.named("NOPE")
+    assert u == UnipotentSymbol(name="NOPE")
     for fn, checked_in in ((psi, ctx), (rho, ctx), (fiber_of, ctx), (pi, ctx.good())):
         with pytest.raises(BadInput) as exc:
             fn(ctx, u)
@@ -567,20 +569,20 @@ def test_phi_and_psi_are_the_checked_helpers_composed(ctx):
     # the maps may skip checks their validation already made, never change a value
     for C in enumerate_classes(ctx):
         if ctx.char == "p2":
-            want = UnipotentSymbol.with_marks(iota2(C.r, C.p))
+            want = UnipotentSymbol(marked=iota2(C.r, C.p))
         elif ctx.family == "C":
-            want = UnipotentSymbol.plain(iota(C.r, C.p))
+            want = UnipotentSymbol(partition=iota(C.r, C.p))
         else:
-            want = UnipotentSymbol.plain(partition(xi(C.r, ctx.kappa) + C.p))
+            want = UnipotentSymbol(partition=partition(xi(C.r, ctx.kappa) + C.p))
         assert phi(ctx, C) == want, C
     for u in enumerate_unipotents(ctx):
         if ctx.char == "p2":
-            want = ClassSymbol.classical(*psi_marked(u.marked))
+            r, p = psi_marked(u.marked)
         elif ctx.family == "C":
-            want = ClassSymbol.classical(*psi_even_r(u.partition))
+            r, p = psi_even_r(u.partition)
         else:
-            want = ClassSymbol.classical(*psi_orthogonal(u.partition, ctx.kappa))
-        assert psi(ctx, u) == want, u
+            r, p = psi_orthogonal(u.partition, ctx.kappa)
+        assert psi(ctx, u) == ClassSymbol(r=r, p=p), u
 
 
 def _int_tuple(t) -> bool:
@@ -592,14 +594,14 @@ def _rebuilt(x):
     factories, once every field is known to be a tuple of ints."""
     if type(x) is ClassSymbol:
         assert _int_tuple(x.r) and _int_tuple(x.p), x
-        return ClassSymbol.classical(x.r, x.p)
+        return ClassSymbol(r=x.r, p=x.p)
     if x.kind == "plain":
         assert _int_tuple(x.partition), x
-        return UnipotentSymbol.plain(x.partition)
+        return UnipotentSymbol(partition=x.partition)
     m = x.marked
     assert _int_tuple(m.c) and type(m.eps) is tuple, x
     assert all(_int_tuple(pair) and len(pair) == 2 for pair in m.eps), x
-    return UnipotentSymbol.with_marks(MarkedPartition(m.c, m.eps))
+    return UnipotentSymbol(marked=MarkedPartition(m.c, m.eps))
 
 
 @pytest.mark.parametrize("ctx", BCD_UP_TO_8, ids=str)
@@ -646,9 +648,9 @@ _PAIRS = ((4, 2), (1, 1))
 @pytest.mark.parametrize(
     "trusted, checked",
     [
-        (lambda: ClassSymbol._trusted(None, _R, _P, None), lambda: ClassSymbol.classical(_R, _P)),
-        (lambda: UnipotentSymbol._trusted(_R, None, None), lambda: UnipotentSymbol.plain(_R)),
-        (lambda: UnipotentSymbol._trusted(None, _MARKED, None), lambda: UnipotentSymbol.with_marks(_MARKED)),
+        (lambda: ClassSymbol._trusted(None, _R, _P, None), lambda: ClassSymbol(r=_R, p=_P)),
+        (lambda: UnipotentSymbol._trusted(_R, None, None), lambda: UnipotentSymbol(partition=_R)),
+        (lambda: UnipotentSymbol._trusted(None, _MARKED, None), lambda: UnipotentSymbol(marked=_MARKED)),
         (lambda: MarkedPartition._trusted(_MARKED.c, _MARKED.eps), lambda: MarkedPartition(_MARKED.c, _MARKED.eps)),
         (lambda: Bipartition._trusted(_R, _P), lambda: Bipartition(_R, _P)),
         (lambda: PairSequenceBC._trusted(_PAIRS), lambda: PairSequenceBC(_PAIRS)),
@@ -664,13 +666,29 @@ def test_trusted_builds_take_the_memory_of_checked_builds(trusted, checked):
 
 def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
     # enumerator output, phi's images and psi's C and p2 sections are
-    # canonical by construction, so none of them is checked again
-    calls = []
+    # canonical by construction, as are a class label or a unipotent name
+    # read from a checked table, a type-A record of a checked symbol and the
+    # good variant of a context, so none of them is checked again
+    contexts = [context("A", 4), context("G2", char="p3"), context("F4", char="p2"), context("E8", char="p2")]
+    comparisons = [context("C", 5, "p2"), context("E8", char="p2")]
+    for ctx in contexts + comparisons:
+        # a table load checks what it reads, so the tables are loaded first
+        if ctx.is_exceptional:
+            load_table(ctx)
+            load_table(ctx.good())
+            load_tau_table(ctx.family)
+    calls, built = [], []
     for name in ("partitions", "weyl_classes", "classical_maps"):
         module = sys.modules[f"weylunip.{name}"]
         monkeypatch.setattr(module, "check_partition", lambda p: calls.append(p) or check_partition(p))
     new = MarkedPartition.__new__
     monkeypatch.setattr(MarkedPartition, "__new__", lambda cls, *args: calls.append(args) or new(cls, *args))
+    for value_type in (ClassSymbol, UnipotentSymbol, GroupContext):
+        monkeypatch.setattr(
+            value_type,
+            "__new__",
+            lambda cls, *a, new=value_type.__new__, **kw: built.append(cls.__name__) or new(cls, *a, **kw),
+        )
     for ctx in [ctx for ctx in BCD_UP_TO_8 if ctx.rank == 5]:
         for C in enumerate_classes(ctx):
             phi(ctx, C)
@@ -679,7 +697,19 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
             for u in unipotents:
                 psi(ctx, u)
         special_classes(ctx)
-    assert calls == []
+    for ctx in contexts:
+        for C in enumerate_classes(ctx):
+            phi(ctx, C)
+        for u in enumerate_unipotents(ctx):
+            psi(ctx, u)
+            fiber_of(ctx, u)
+        special_classes(ctx)
+    for ctx in comparisons:
+        for u in enumerate_unipotents(ctx):
+            rho(ctx, u)
+        for u0 in enumerate_unipotents(ctx.good()):
+            pi(ctx, u0)
+    assert calls == built == []
     # the B/D good section is canonical by a theorem, not by construction, so
     # it keeps the checked constructor: two record checks per value
     ctx = context("B", 5)
@@ -687,8 +717,37 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
     for u in unipotents:
         psi(ctx, u)
     assert len(calls) == 2 * len(unipotents)
+    assert built == ["GroupContext"] + ["ClassSymbol"] * len(unipotents)
     MarkedPartition((2, 2), ((2, 0),))
     assert len(calls) == 2 * len(unipotents) + 2
+    UnipotentSymbol(name="E_8")
+    assert built[-1] == "UnipotentSymbol"
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UnipotentSymbol(marked=(2, 2)), "marked Jordan type must be a MarkedPartition, got (2, 2)"),
+        (
+            lambda: UnipotentSymbol(marked=[(2, 2), ()]),
+            "marked Jordan type must be a MarkedPartition, got [(2, 2), ()]",
+        ),
+        (
+            lambda: psi(context("C", 2, "p2"), UnipotentSymbol(marked=(2, 2))),
+            "marked Jordan type must be a MarkedPartition, got (2, 2)",
+        ),
+        (lambda: UnipotentSymbol(name=["x"]), "unipotent name must be a str, got ['x']"),
+        (lambda: UnipotentSymbol(name=8), "unipotent name must be a str, got 8"),
+        (lambda: psi(context("E8"), UnipotentSymbol(name=("E_8",))), "unipotent name must be a str, got ('E_8',)"),
+    ],
+    ids=["tuple-marked", "list-marked", "psi-tuple-marked", "list-name", "int-name", "psi-tuple-name"],
+)
+def test_unipotent_symbols_refuse_a_wrong_field(build, message):
+    # each of these once built, and psi then raised AttributeError or hash
+    # raised TypeError
+    with pytest.raises(BadInput) as err:
+        build()
+    assert str(err.value) == message
 
 
 
@@ -697,7 +756,7 @@ def test_bare_symbols_store_their_records_as_tuples():
     u = UnipotentSymbol(partition=[4, 2])
     m = MarkedPartition([2, 2], ((2, 1),))
     assert (C.r, C.p, u.partition, m.c) == ((4, 2), (), (4, 2), (2, 2))
-    assert hash(C) == hash(ClassSymbol.classical((4, 2), ()))
+    assert hash(C) == hash(ClassSymbol(r=(4, 2), p=()))
     ctx = context("C", 3)
-    assert psi(ctx, u) == psi(ctx, UnipotentSymbol.plain((4, 2)))
+    assert psi(ctx, u) == psi(ctx, UnipotentSymbol(partition=(4, 2)))
     assert type(psi(ctx, u).r) is tuple

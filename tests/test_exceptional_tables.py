@@ -1,5 +1,7 @@
 import hashlib
+import re
 from importlib import resources
+from types import MappingProxyType
 
 import pytest
 
@@ -26,7 +28,7 @@ from weylunip.exceptional_tables import (
     load_table,
     phi_lookup,
 )
-from weylunip.special_classes import TAU_FILES, _tau_index, is_special_class, load_tau_table, tau
+from weylunip.special_classes import TAU_FILES, is_special_class, load_tau_table, special_classes, tau
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
@@ -35,6 +37,7 @@ from weylunip.weyl_classes import (
     context,
     m_of_class,
     validate_class,
+    parse_carter_label,
 )
 
 
@@ -166,7 +169,7 @@ def _message(exc_type, fn, *args) -> str:
 
 
 def _scan_tau(family, label):
-    for lab, rep in load_tau_table(family):
+    for lab, rep in load_tau_table(family).items():
         if lab == label:
             return rep
     return None
@@ -178,7 +181,7 @@ def test_lookups_agree_with_a_row_scan(family, char):
     table = load_table(ctx)
     all_rows = [row for f, c in TABLE_FILES for row in load_table(context(f, char=c)).rows]
     for label in sorted({lab for row in all_rows for lab in row.classes}, key=str):
-        C = ClassSymbol.exceptional(label)
+        C = ClassSymbol(label=label)
         row = _scan_class(table, label)
         if row is None:
             message = _message(UnknownClass, phi_lookup, ctx, label)
@@ -189,7 +192,7 @@ def test_lookups_agree_with_a_row_scan(family, char):
             continue
         validate_class(ctx, C)
         assert phi_lookup(ctx, label) == row.unipotent
-        assert phi(ctx, C) == UnipotentSymbol.named(row.unipotent)
+        assert phi(ctx, C) == UnipotentSymbol(name=row.unipotent)
         assert m_of_class(ctx, C) == ctx.rank - label.rank
         rep = _scan_tau(family, label)
         assert is_special_class(ctx, C) == (rep is not None)
@@ -203,11 +206,11 @@ def test_lookups_agree_with_a_row_scan(family, char):
             message = _message(UnknownUnipotent, fiber, ctx, name)
             assert message == f"unipotent name {name!r} not in the table for {ctx}"
             continue
-        u = UnipotentSymbol.named(name)
+        u = UnipotentSymbol(name=name)
         assert fiber(ctx, name) == row.classes
         assert fiber(ctx, name)[0] == row.classes[0]
-        assert psi(ctx, u) == ClassSymbol.exceptional(row.classes[0])
-        assert fiber_of(ctx, u) == [ClassSymbol.exceptional(lab) for lab in row.classes]
+        assert psi(ctx, u) == ClassSymbol(label=row.classes[0])
+        assert fiber_of(ctx, u) == [ClassSymbol(label=lab) for lab in row.classes]
 
 
 @pytest.mark.parametrize("family,char", list(TABLE_FILES))
@@ -222,7 +225,7 @@ def test_each_map_reads_the_table_once(monkeypatch, family, char):
 
     monkeypatch.setattr(exceptional_tables, "load_table", load_table_counted)
     for row in real_load(ctx).rows:
-        C, u = ClassSymbol.exceptional(row.classes[-1]), UnipotentSymbol.named(row.unipotent)
+        C, u = ClassSymbol(label=row.classes[-1]), UnipotentSymbol(name=row.unipotent)
         for fn, arg in ((phi, C), (m_of_class, C), (psi, u), (fiber_of, u)):
             reads.clear()
             fn(ctx, arg)
@@ -233,10 +236,21 @@ def test_each_map_reads_the_table_once(monkeypatch, family, char):
 def test_every_tau_row_is_found(family):
     ctx = context(family)
     rows = load_tau_table(family)
-    assert _tau_index(family) == dict(rows)
-    for label, rep in rows:
-        assert tau(ctx, ClassSymbol.exceptional(label)) == rep
-        assert is_special_class(ctx, ClassSymbol.exceptional(label))
+    assert type(rows) is MappingProxyType
+    for label, rep in rows.items():
+        assert tau(ctx, ClassSymbol(label=label)) == rep
+        assert is_special_class(ctx, ClassSymbol(label=label))
+
+
+def test_the_tau_table_is_one_read_only_mapping_in_file_order():
+    # tau, special_classes and the special suite all read this one cache
+    rows = load_tau_table("E7")
+    text = resources.files("weylunip.data").joinpath(TAU_FILES["E7"]).read_text(encoding="utf-8")
+    assert [(str(lab), rep) for lab, rep in rows.items()] == re.findall(r"^class = (\S+) ; tau = (\S+)$", text, re.M)
+    assert load_tau_table("E7") is rows
+    with pytest.raises(TypeError):
+        rows[parse_carter_label("E_7")] = "1_63"
+    assert special_classes(context("E7")) == [ClassSymbol(label=lab) for lab in rows]
 
 
 def test_equal_tables_hash_equal():
@@ -259,7 +273,7 @@ def test_equal_tables_hash_equal():
 def fresh_caches():
     # the oracle's memo too: a map value kept from the shipped tables would
     # answer for a table rewritten under data_dir
-    caches = (_load, load_tau_table, _tau_index, oracle._values)
+    caches = (_load, load_tau_table, oracle._values)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -318,9 +332,9 @@ def test_flipped_byte_in_tau_file_fails(data_dir):
 
 
 def test_flipped_byte_in_tau_file_fails_tau(data_dir):
-    # tau reads its own index of the tau table: the fixture must drop that
-    # index too, or tau would answer from the table loaded before the flip
-    E7 = ClassSymbol.exceptional("E_7")
+    # tau reads the cached tau table: the fixture must drop that cache, or
+    # tau would answer from the table loaded before the flip
+    E7 = ClassSymbol(label=parse_carter_label("E_7"))
     _flip_byte(data_dir / TAU_FILES["E7"], "class = E_7 ;")
     with pytest.raises(TableIntegrityError, match="checksum"):
         tau(context("E7"), E7)
@@ -435,3 +449,45 @@ def test_verify_all_reports_a_table_that_does_not_load(data_dir, capsys):
     out = capsys.readouterr().out
     assert "[FAIL] suite=theorem02 context=G2/good" in out
     assert "[pass] suite=theorem02 context=F4/good" in out
+
+
+def _no_data_package(package):
+    raise ModuleNotFoundError(f"No module named {package!r}")
+
+
+def test_a_package_without_its_data_files_reports_it(fresh_caches, monkeypatch, capsys):
+    # an install that ships no data directory: every table load is a counted
+    # failure of verify, and a point query ends in one error line
+    monkeypatch.setattr(resources, "files", _no_data_package)
+    message = "fiber_g2_good.tbl: cannot read the shipped file: No module named 'weylunip.data'"
+    assert _message(TableIntegrityError, load_table, context("G2")) == message
+    assert main(["verify", "--suite", "tables", "--format", "records"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for family in EXPECTED_CLASS_COUNTS:
+        loads = len(CHAR_VARIANTS[family])
+        want = f"suite=tables context={family} assertion=table-loads checked={loads} failures={loads} status=fail"
+        assert want in lines
+    for argv, table in (
+        (["tau", "--family", "E8", "E_8"], "fiber_e8_good.tbl"),
+        (["phi", "--family", "G2", "G_2"], "fiber_g2_good.tbl"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {table}: cannot read the shipped file: No module named 'weylunip.data'\n"
+
+
+def test_a_missing_data_file_is_a_failed_load(data_dir, capsys):
+    (data_dir / TAU_FILES["E8"]).unlink()
+    with pytest.raises(TableIntegrityError, match=r"^tau_e8\.tbl: cannot read the shipped file: .*tau_e8\.tbl"):
+        load_tau_table("E8")
+    assert main(["tau", "--family", "E8", "E_8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tau_e8.tbl: cannot read the shipped file: ") and err.count("\n") == 1
+    assert main(["tau", "--family", "E7", "E_7"]) == 0
+    assert capsys.readouterr().out == "1_0\n"
+    (data_dir / TABLE_FILES[("G2", "good")]).unlink()
+    assert main(["verify", "--suite", "tables", "--format", "records"]) == 1
+    out = capsys.readouterr().out
+    assert "suite=tables context=G2 assertion=table-loads checked=2 failures=2 status=fail\n" in out
+    assert "[pass] suite=tables context=F4 " in out

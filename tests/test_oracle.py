@@ -111,10 +111,10 @@ def test_rho_validates_the_section_value(monkeypatch):
     # so a section value with an odd stable record is refused, not mapped
     ctx = context("C", 4, "p2")
     real_psi = classical_maps.psi
-    wrong = UnipotentSymbol.with_marks(MarkedPartition.build((4, 4), {4: 1}))
+    wrong = UnipotentSymbol(marked=MarkedPartition.build((4, 4), {4: 1}))
 
     def psi(ctx_, u):
-        return ClassSymbol.classical((3, 1), (2, 2)) if u == wrong else real_psi(ctx_, u)
+        return ClassSymbol(r=(3, 1), p=(2, 2)) if u == wrong else real_psi(ctx_, u)
 
     monkeypatch.setattr(classical_maps, "psi", psi)
     message = "invalid stable cycle record (3, 1) for C_4/good"
@@ -135,8 +135,8 @@ def test_rho_pi_suite_reports_a_wrong_rho_on_one_marked_class(monkeypatch):
     ctx = context("C", 4, "p2")
     counters = oracle.verify_rho_pi(ctx).counters
     real_rho = oracle.rho
-    wrong = UnipotentSymbol.with_marks(MarkedPartition.build((4, 4), {4: 1}))
-    other = UnipotentSymbol.plain((4, 2, 2))
+    wrong = UnipotentSymbol(marked=MarkedPartition.build((4, 4), {4: 1}))
+    other = UnipotentSymbol(partition=(4, 2, 2))
 
     def rho(ctx_, u):
         return other if u == wrong else real_rho(ctx_, u)
@@ -230,7 +230,7 @@ def test_a_patched_phi_is_not_answered_from_the_memo(monkeypatch):
     suites = (oracle.verify_theorem_0_2, oracle.verify_phi_psi_identity, oracle.verify_rho_pi)
     assert all(suite(ctx).passed for suite in (*suites, oracle.verify_special))
     real_phi = oracle.phi
-    wrong, other = ClassSymbol.classical((6, 6), ()), ClassSymbol.classical((8, 4), ())
+    wrong, other = ClassSymbol(r=(6, 6), p=()), ClassSymbol(r=(8, 4), p=())
 
     def wrong_at(at):
         return lambda ctx_, C: real_phi(ctx_, other if (ctx_, C) == (at, wrong) else C)
@@ -265,7 +265,7 @@ def test_the_memo_stores_values_never_refusals(monkeypatch):
     # a map that refuses an argument is asked again on every read of it, and
     # the suite still ends with the one counted failure
     ctx = context("C", 3)
-    bad = ClassSymbol.classical((4, 2), ())
+    bad = ClassSymbol(r=(4, 2), p=())
     real_phi, calls = oracle.phi, []
 
     def phi(ctx_, C):
@@ -303,9 +303,9 @@ def test_the_plan_builds_each_memo_once(monkeypatch):
 
 def test_rho_composition_spot_values():
     g2p3 = context("G2", char="p3")
-    assert oracle.rho(g2p3, UnipotentSymbol.named("(~A_1)_3")).name == "~A_1"
+    assert oracle.rho(g2p3, UnipotentSymbol(name="(~A_1)_3")).name == "~A_1"
     e7p2 = context("E7", char="p2")
-    assert oracle.rho(e7p2, UnipotentSymbol.named("(A_3+A_2)_2")).name == "A_3+A_2"
+    assert oracle.rho(e7p2, UnipotentSymbol(name="(A_3+A_2)_2")).name == "A_3+A_2"
 
 
 @pytest.mark.parametrize("family", ["G2", "F4", "E6", "E7", "E8"])
@@ -553,7 +553,7 @@ def test_special_suite_reports_a_bipartition_that_is_no_image(monkeypatch):
     "name, wrong, failed",
     [
         ("is_split_weyl_class", lambda real: lambda ctx, C: not real(ctx, C), {"split-coherence": 9}),
-        ("psi", lambda real: lambda ctx, u: ClassSymbol.classical((), (1,) * 8), {"section-fixes-special": 8}),
+        ("psi", lambda real: lambda ctx, u: ClassSymbol(r=(), p=(1,) * 8), {"section-fixes-special": 8}),
     ],
     ids=["split-negated", "section-to-identity"],
 )

@@ -3,6 +3,7 @@ import copy
 import importlib.util
 import inspect
 import pickle
+import pkgutil
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,7 @@ from weylunip import (
     load_table,
     parse_carter_label,
 )
+from weylunip._value import Value
 from weylunip.weyl_classes import CarterComponent
 
 #: The names ``from weylunip import *`` binds: every public name the package
@@ -64,12 +66,12 @@ def _values():
         parse_carter_label("D_4(a_1)+2A_1"),
         parse_carter_label("(3A_1)'"),
         parse_carter_label("A''_7"),
-        ClassSymbol.type_a((3, 1)),
-        ClassSymbol.classical((4, 2), (1, 1)),
-        ClassSymbol.exceptional("E_8(a_1)"),
-        UnipotentSymbol.plain((4, 2)),
-        UnipotentSymbol.with_marks(marked),
-        UnipotentSymbol.named("E_8"),
+        ClassSymbol(cycle_type=(3, 1)),
+        ClassSymbol(r=(4, 2), p=(1, 1)),
+        ClassSymbol(label=parse_carter_label("E_8(a_1)")),
+        UnipotentSymbol(partition=(4, 2)),
+        UnipotentSymbol(marked=marked),
+        UnipotentSymbol(name="E_8"),
         table.rows[0],
         table,
         PairSequenceBC(((4, 2), (1, 1))),
@@ -125,12 +127,12 @@ def test_equal_values_share_type_and_hash(x):
 
 def test_values_print_their_fields():
     assert repr(context("C", 3)) == "GroupContext(family='C', rank=3, char='good')"
-    assert repr(ClassSymbol.classical((4, 2), ())) == "ClassSymbol(cycle_type=None, r=(4, 2), p=(), label=None)"
+    assert repr(ClassSymbol(r=(4, 2), p=())) == "ClassSymbol(cycle_type=None, r=(4, 2), p=(), label=None)"
     assert repr(parse_carter_label("2A_1")) == (
         "CarterLabel(components=(CarterComponent(multiplier=2, series='A', subscript=1, qualifier=None),), "
         "primes=0, parenthesized=False)"
     )
-    assert repr(UnipotentSymbol.with_marks(MarkedPartition((2, 2), ((2, 1),)))) == (
+    assert repr(UnipotentSymbol(marked=MarkedPartition((2, 2), ((2, 1),)))) == (
         "UnipotentSymbol(partition=None, marked=MarkedPartition(c=(2, 2), eps=((2, 1),)), name=None)"
     )
     assert repr(PairSequenceD(((2, 2, 1),))) == "PairSequenceD(pairs=((2, 2, 1),))"
@@ -241,6 +243,27 @@ def test_only_the_base_builds_a_value_by_hand():
                     ("object", "__new__"),
                     ("object", "__setattr__"),
                 }, f"{path.name}:{node.lineno}"
+
+
+def test_a_value_type_has_one_constructor_and_one_builder():
+    # a caller's values go through the checked constructor, __new__, and the
+    # library's canonical ones through _trusted; no value type keeps a third
+    # spelling but MarkedPartition.build, which takes the marking as a dict
+    for module in pkgutil.iter_modules(weylunip.__path__):
+        importlib.import_module(f"weylunip.{module.name}")
+    types, pending = [], [Value]
+    while pending:
+        subtypes = pending.pop().__subclasses__()
+        types += [t for t in subtypes if t.__module__.startswith("weylunip.")]
+        pending += subtypes
+    assert len(types) == 11
+    extra = [
+        (t.__name__, name)
+        for t in types
+        for name, attr in vars(t).items()
+        if isinstance(attr, (staticmethod, classmethod)) and name not in ("__new__", "_trusted")
+    ]
+    assert extra == [("MarkedPartition", "build")]
 
 
 def test_the_benchmark_tracer_finds_what_it_reads():

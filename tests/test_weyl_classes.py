@@ -163,8 +163,8 @@ def test_parse_carter_label_errors():
         (lambda: ClassSymbol(), "class symbol must have exactly one shape"),
         (lambda: ClassSymbol(cycle_type=(1,), r=(), p=()), "class symbol must have exactly one shape"),
         (lambda: ClassSymbol(r=(2,)), "classical class symbol needs both r and p"),
-        (lambda: ClassSymbol.classical((2, 4), ()), "partition entries must be weakly decreasing: (2, 4)"),
-        (lambda: ClassSymbol.classical((2,), (1, 1, 0)), "partition entries must be positive integers: (1, 1, 0)"),
+        (lambda: ClassSymbol(r=(2, 4), p=()), "partition entries must be weakly decreasing: (2, 4)"),
+        (lambda: ClassSymbol(r=(2,), p=(1, 1, 0)), "partition entries must be positive integers: (1, 1, 0)"),
         (lambda: ClassSymbol(cycle_type=(1, 2)), "partition entries must be weakly decreasing: (1, 2)"),
         # a caller's symbol built through the bare dataclass is checked where
         # it is built, so no map can answer with a non-canonical record
@@ -188,11 +188,11 @@ def test_parse_carter_label_errors():
             lambda: psi(context("C", 3, "p2"), UnipotentSymbol(marked=MarkedPartition((2, 4), ()))),
             "partition entries must be weakly decreasing: (2, 4)",
         ),
-        (lambda: UnipotentSymbol.plain((0,)), "partition entries must be positive integers: (0,)"),
+        (lambda: UnipotentSymbol(partition=(0,)), "partition entries must be positive integers: (0,)"),
         (lambda: MarkedPartition((2, 2), ((2, 2),)), "marking bits must be 0 or 1: ((2, 2),)"),
         # a bool is no int: no map can answer with `3,True,True`
         (
-            lambda: phi(context("B", 2), ClassSymbol.classical((2,), (True, True))),
+            lambda: phi(context("B", 2), ClassSymbol(r=(2,), p=(True, True))),
             "partition entries must be positive integers: (True, True)",
         ),
         (lambda: MarkedPartition((2, 2), ((2, True),)), "marking bits must be 0 or 1: ((2, True),)"),
@@ -236,6 +236,28 @@ def test_parse_carter_label_errors():
             lambda: CarterLabel(("A_1",)),
             "components must be a non-empty tuple of CarterComponent, got ('A_1',)",
         ),
+        # a list series or qualifier once built a component that could not be
+        # hashed, and an int qualifier one that printed A_13
+        (lambda: CarterComponent(1, ["A"], 1), "series must be one of A..G or ~A..~G, got ['A']"),
+        (lambda: CarterComponent(1, "H", 1), "series must be one of A..G or ~A..~G, got 'H'"),
+        (lambda: CarterComponent(1, "A~", 1), "series must be one of A..G or ~A..~G, got 'A~'"),
+        (lambda: CarterComponent(1, "A", 1, qualifier=3), "qualifier must be None or of the form (a_k), got 3"),
+        (
+            lambda: CarterComponent(1, "A", 1, qualifier=["x"]),
+            "qualifier must be None or of the form (a_k), got ['x']",
+        ),
+        (
+            lambda: CarterComponent(1, "D", 4, qualifier="a_1"),
+            "qualifier must be None or of the form (a_k), got 'a_1'",
+        ),
+        # a tuple marking once built a symbol psi failed on with an
+        # AttributeError, and a list name one that could not be hashed
+        (lambda: UnipotentSymbol(marked=(2, 2)), "marked Jordan type must be a MarkedPartition, got (2, 2)"),
+        (
+            lambda: psi(context("C", 2, "p2"), UnipotentSymbol(marked=(2, 2))),
+            "marked Jordan type must be a MarkedPartition, got (2, 2)",
+        ),
+        (lambda: UnipotentSymbol(name=["x"]), "unipotent name must be a str, got ['x']"),
     ],
     ids=[
         "label-primes",
@@ -270,6 +292,15 @@ def test_parse_carter_label_errors():
         "label-list-components",
         "label-no-components",
         "label-text-component",
+        "component-list-series",
+        "component-unknown-series",
+        "component-trailing-tilde-series",
+        "component-int-qualifier",
+        "component-list-qualifier",
+        "component-bare-qualifier",
+        "unipotent-tuple-marked",
+        "psi-tuple-marked",
+        "unipotent-list-name",
     ],
 )
 def test_symbols_refuse_a_wrong_shape(build, message):
@@ -288,28 +319,28 @@ def test_labels_round_trip_through_text(family):
 
 
 def test_m_of_class_examples():
-    assert m_of_class(context("C", 3), ClassSymbol.classical((4,), (1, 1))) == 1
-    assert m_of_class(context("D", 4), ClassSymbol.classical((4, 4), ())) == 0
-    assert m_of_class(context("F4"), ClassSymbol.exceptional("~A_1")) == 3
-    assert m_of_class(context("A", 3), ClassSymbol.type_a((2, 1, 1))) == 2
+    assert m_of_class(context("C", 3), ClassSymbol(r=(4,), p=(1, 1))) == 1
+    assert m_of_class(context("D", 4), ClassSymbol(r=(4, 4), p=())) == 0
+    assert m_of_class(context("F4"), ClassSymbol(label=parse_carter_label("~A_1"))) == 3
+    assert m_of_class(context("A", 3), ClassSymbol(cycle_type=(2, 1, 1))) == 2
 
 
 def test_m_of_class_validates():
     with pytest.raises(InvalidClass):
-        m_of_class(context("C", 3), ClassSymbol.classical((3,), (1, 1, 1)))
+        m_of_class(context("C", 3), ClassSymbol(r=(3,), p=(1, 1, 1)))
     with pytest.raises(InvalidClass):
-        m_of_class(context("D", 4), ClassSymbol.classical((4,), (2, 2)))
+        m_of_class(context("D", 4), ClassSymbol(r=(4,), p=(2, 2)))
     with pytest.raises(InvalidClass):
-        m_of_class(context("G2"), ClassSymbol.exceptional("B_2"))
+        m_of_class(context("G2"), ClassSymbol(label=parse_carter_label("B_2")))
 
 
 def test_split_class_examples():
     d4 = context("D", 4)
-    assert is_split_weyl_class(d4, ClassSymbol.classical((), (4, 4)))
-    assert not is_split_weyl_class(d4, ClassSymbol.classical((4, 4), ()))
-    assert not is_split_weyl_class(d4, ClassSymbol.classical((), (3, 3, 1, 1)))
+    assert is_split_weyl_class(d4, ClassSymbol(r=(), p=(4, 4)))
+    assert not is_split_weyl_class(d4, ClassSymbol(r=(4, 4), p=()))
+    assert not is_split_weyl_class(d4, ClassSymbol(r=(), p=(3, 3, 1, 1)))
     with pytest.raises(WrongFamily):
-        is_split_weyl_class(context("C", 4), ClassSymbol.classical((), (4, 4)))
+        is_split_weyl_class(context("C", 4), ClassSymbol(r=(), p=(4, 4)))
 
 
 def test_enumerate_classes_c2():
@@ -353,7 +384,7 @@ def rebuild_classes(ctx):
                 continue
             for p in partitions_of(2 * ctx.rank - rsum):
                 if p[::2] == p[1::2]:
-                    out.append(ClassSymbol.classical(r, p))
+                    out.append(ClassSymbol(r=r, p=p))
     return out
 
 
@@ -367,7 +398,7 @@ def test_enumerate_classes_returns_a_fresh_list():
     first = enumerate_classes(ctx)
     assert enumerate_classes(ctx) is not first
     first.reverse()
-    first.append(ClassSymbol.classical((), ()))
+    first.append(ClassSymbol(r=(), p=()))
     # a changed list reaches no later call, at either characteristic
     assert enumerate_classes(context("D", 5)) == rebuild_classes(ctx)
 
@@ -415,8 +446,8 @@ def test_class_text_reads_only_ascii_digits(ctx, text):
 
 
 def test_parse_class_dispatch():
-    assert parse_class(context("A", 3), "2,1,1") == ClassSymbol.type_a((2, 1, 1))
-    assert parse_class(context("D", 4), "r=4,4;p=") == ClassSymbol.classical((4, 4), ())
-    assert parse_class(context("F4"), "A_3+~A_1") == ClassSymbol.exceptional("A_3+~A_1")
+    assert parse_class(context("A", 3), "2,1,1") == ClassSymbol(cycle_type=(2, 1, 1))
+    assert parse_class(context("D", 4), "r=4,4;p=") == ClassSymbol(r=(4, 4), p=())
+    assert parse_class(context("F4"), "A_3+~A_1") == ClassSymbol(label=parse_carter_label("A_3+~A_1"))
     with pytest.raises(ParseError):
         parse_class(context("D", 4), "4,4")
