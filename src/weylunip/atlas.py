@@ -1,6 +1,5 @@
 """The atlas: a full, deterministic dump of one group context as
-``record=<kind> key=value ...`` lines, and the split tag that marks the
-split type-D classes in it and in the command line's class listings.
+``record=<kind> key=value ...`` lines.
 """
 
 from __future__ import annotations
@@ -9,18 +8,11 @@ from .classical_maps import enumerate_unipotents, phi, pi, psi, rho
 from .special_classes import special_classes, tau
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
-    ClassSymbol,
     GroupContext,
     enumerate_classes,
-    is_split_weyl_class,
     m_of_class,
+    split_tag,
 )
-
-
-def split_tag(ctx: GroupContext, C: ClassSymbol, tag: str = " [split]") -> str:
-    """``tag`` if C is a type-D class that splits in the index-2 subgroup,
-    else the empty string; the atlas writes the tag as ``" split=1"``."""
-    return tag if ctx.family == "D" and is_split_weyl_class(ctx, C) else ""
 
 
 def atlas_lines(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> list[str]:

@@ -1,7 +1,9 @@
 """Command-line front end: one subcommand per map, plus fibers, special-class
 listings, full per-context dumps, and the verification suites.
 
-The front end only parses, dispatches and prints.  All output is
+The front end only parses, dispatches and prints.  Each command imports
+only the modules it reads: ``special_classes``, ``atlas`` and ``oracle``
+are imported inside the handlers that need them.  All output is
 deterministic; exit status is 2 with a one-line ``error:`` message on
 usage or parse errors, 1 on verification failure, and 141 with nothing on
 stderr when the reader closes stdout early.
@@ -13,11 +15,9 @@ import argparse
 import os
 import sys
 
-from .atlas import atlas_lines, split_tag
 from .classical_maps import fiber_of, parse_unipotent, phi, pi, psi, rho
 from .errors import WeylUnipError
 from .partitions import _digits
-from .special_classes import special_classes, tau
 from .weyl_classes import (
     CHAR_VARIANTS,
     DEFAULT_FIBER_BOUND,
@@ -29,7 +29,16 @@ from .weyl_classes import (
     context,
     m_of_class,
     parse_class,
+    split_tag,
 )
+
+
+def _tau(ctx: GroupContext, C: ClassSymbol) -> str:
+    """``special_classes.tau``, imported by the one query that reads it."""
+    from .special_classes import tau
+
+    return tau(ctx, C)
+
 
 #: The point queries: name -> (payload parser, map, whether the class the
 #: query reads or returns carries the split tag, payload help).
@@ -40,7 +49,7 @@ QUERIES = {
     "rho": (parse_unipotent, rho, False, "bad-characteristic unipotent text form"),
     "pi": (lambda ctx, text: parse_unipotent(ctx.good(), text), pi, False,
            "good-characteristic unipotent text form"),
-    "tau": (parse_class, tau, True, "special class text form"),
+    "tau": (parse_class, _tau, True, "special class text form"),
 }
 
 
@@ -73,11 +82,15 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_special(args) -> int:
+    from .special_classes import special_classes
+
     ctx = _context(args)
     return _print_classes(ctx, special_classes(ctx, args.bound))
 
 
 def cmd_atlas(args) -> int:
+    from .atlas import atlas_lines
+
     for line in atlas_lines(_context(args), args.bound):
         print(line)
     return 0
@@ -86,7 +99,7 @@ def cmd_atlas(args) -> int:
 def cmd_verify(args) -> int:
     """Prints each report of ``oracle.run_suites`` as it is made.  ``--rank``
     or ``--char`` without ``--family`` is refused: no suite would read them."""
-    from . import oracle  # imported here: no other subcommand needs it
+    from . import oracle
 
     if not args.family and (args.rank is not None or args.char is not None):
         raise WeylUnipError("--rank and --char need --family")

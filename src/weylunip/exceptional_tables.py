@@ -107,6 +107,10 @@ class FiberRow(Value):
     unipotent: str
 
     def __new__(cls, classes: tuple[CarterLabel, ...], unipotent: str):
+        if type(classes) is not tuple or {type(lab) for lab in classes} != {CarterLabel}:
+            raise BadInput(f"classes must be a non-empty tuple of CarterLabel, got {classes!r}")
+        if type(unipotent) is not str:
+            raise BadInput(f"unipotent name must be a str, got {unipotent!r}")
         return cls._trusted(classes, unipotent)
 
 
@@ -118,6 +122,10 @@ class FiberTable(Value):
     rows: tuple[FiberRow, ...]
 
     def __new__(cls, context: GroupContext, rows: tuple[FiberRow, ...]):
+        if not (isinstance(context, GroupContext) and context.is_exceptional):
+            raise BadInput(f"table context must be an exceptional GroupContext, got {context!r}")
+        if type(rows) is not tuple or {type(row) for row in rows} != {FiberRow}:
+            raise BadInput(f"rows must be a non-empty tuple of FiberRow, got {rows!r}")
         return cls._trusted(context, rows)
 
     def __hash__(self) -> int:
@@ -247,10 +255,10 @@ def table_checks(table: FiberTable, good: FiberTable):
 def _load(family: str, char: str) -> FiberTable:
     name = TABLE_FILES[(family, char)]
     rows = tuple(
-        FiberRow(tuple(table_label(name, c) for c in m["classes"].split("|")), m["unip"])
+        FiberRow._trusted(tuple(table_label(name, c) for c in m["classes"].split("|")), m["unip"])
         for m in read_rows(name, _ROW_RE)
     )
-    table = FiberTable(GroupContext(family, EXCEPTIONAL_RANK[family], char), rows)
+    table = FiberTable._trusted(GroupContext(family, EXCEPTIONAL_RANK[family], char), rows)
     names = table.unipotent_names()
     if len(set(names)) != len(names):
         raise TableIntegrityError(f"{name}: duplicate unipotent names")

@@ -215,14 +215,13 @@ def _parse_components(text: str, offset: int) -> tuple[tuple[CarterComponent, ..
         primes = len(m.group("primes"))
         if primes:
             attached = primes
-        comps.append(
-            CarterComponent(
-                multiplier=int(m.group("mult") or 1),
-                series=("~" if m.group("tilde") else "") + m.group("letter"),
-                subscript=int(m.group("sub")),
-                qualifier=m.group("qual"),
-            )
-        )
+        # the pattern proves every field of the component but this bound, so
+        # the component is built without the constructor's other checks
+        multiplier = int(m.group("mult") or 1)
+        if multiplier < 1:
+            raise BadInput(f"multiplier must be an integer >= 1, got {multiplier}")
+        series = ("~" if m.group("tilde") else "") + m.group("letter")
+        comps.append(CarterComponent._trusted(multiplier, series, int(m.group("sub")), m.group("qual")))
         pos = m.end()
         if pos == len(text):
             break
@@ -369,6 +368,12 @@ def is_split_weyl_class(ctx: GroupContext, C: ClassSymbol) -> bool:
         raise WrongFamily(f"split classes only exist in type D, not {ctx.family}")
     validate_class(ctx, C)
     return C.r == () and all(x % 2 == 0 for x in C.p)
+
+
+def split_tag(ctx: GroupContext, C: ClassSymbol, tag: str = " [split]") -> str:
+    """``tag`` if C is a type-D class that splits in the index-2 subgroup,
+    else the empty string; the atlas writes the tag as ``" split=1"``."""
+    return tag if ctx.family == "D" and is_split_weyl_class(ctx, C) else ""
 
 
 def check_rank_bound(ctx: GroupContext, bound: int) -> None:

@@ -30,7 +30,7 @@ from weylunip.classical_maps import (
     xi_inv,
 )
 from weylunip.errors import BadInput, BoundExceeded, NotInR
-from weylunip.exceptional_tables import load_table
+from weylunip.exceptional_tables import TABLE_FILES, FiberRow, FiberTable, _load, load_table
 from weylunip.partitions import (
     MarkedPartition,
     check_partition,
@@ -43,6 +43,7 @@ from weylunip.partitions import (
     partitions_of,
 )
 from weylunip.special_classes import (
+    TAU_FILES,
     Bipartition,
     PairSequenceBC,
     load_tau_table,
@@ -52,6 +53,7 @@ from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
     MIN_RANK,
+    CarterComponent,
     ClassSymbol,
     GroupContext,
     context,
@@ -722,6 +724,22 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
     assert len(calls) == 2 * len(unipotents) + 2
     UnipotentSymbol(name="E_8")
     assert built[-1] == "UnipotentSymbol"
+    # a table load builds each label component from the pattern that proved
+    # its fields, and each row and table from the checked labels
+    for value_type in (CarterComponent, FiberRow, FiberTable):
+        monkeypatch.setattr(
+            value_type,
+            "__new__",
+            lambda cls, *a, new=value_type.__new__, **kw: built.append(cls.__name__) or new(cls, *a, **kw),
+        )
+    built.clear()
+    _load.cache_clear()
+    load_tau_table.cache_clear()
+    for family, char in TABLE_FILES:
+        _load(family, char)
+    for family in TAU_FILES:
+        load_tau_table(family)
+    assert set(built) <= {"GroupContext"}
 
 
 @pytest.mark.parametrize(

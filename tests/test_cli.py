@@ -298,20 +298,49 @@ def test_special_records_are_byte_identical(capsys):
     assert digest == "04290fc85280a8d7508b6e720ad948cfd5d5e5581ffe4e6c6c3032e87e82196f"
 
 
-def test_only_verify_imports_the_oracle():
-    code = (
-        "import sys\n"
-        "from weylunip.cli import main\n"
-        "assert 'weylunip.oracle' not in sys.modules\n"
-        "assert main(['phi', '--family', 'E8', 'E_8']) == 0\n"
-        "assert 'weylunip.oracle' not in sys.modules\n"
-        "assert main(['verify', '--suite', 'tables', '--family', 'G2']) == 0\n"
-        "assert 'weylunip.oracle' in sys.modules\n"
-    )
+#: The modules every command loads; a point query or a fiber reads no other.
+CLI_MODULES = {"_value", "errors", "partitions", "weyl_classes", "exceptional_tables", "classical_maps", "cli"}
+
+#: Each command, classical and exceptional, with the modules it adds to those.
+COMMAND_MODULES = [
+    (["phi", "--family", "D", "--rank", "4", "r=4,4;p="], set()),
+    (["phi", "--family", "E8", "E_8"], set()),
+    (["m", "--family", "D", "--rank", "4", "r=4,4;p="], set()),
+    (["m", "--family", "E8", "E_8"], set()),
+    (["psi", "--family", "D", "--rank", "4", "5,3"], set()),
+    (["psi", "--family", "F4", "C_3(a_1)"], set()),
+    (["rho", "--family", "C", "--rank", "3", "--char", "p2", "c=4,2;eps="], set()),
+    (["rho", "--family", "E8", "--char", "p2", "A_3+A_2"], set()),
+    (["pi", "--family", "C", "--rank", "3", "--char", "p2", "4,2"], set()),
+    (["pi", "--family", "E8", "--char", "p2", "A_3+A_2"], set()),
+    (["fiber", "--family", "D", "--rank", "4", "5,3"], set()),
+    (["fiber", "--family", "E8", "E_8"], set()),
+    (["tau", "--family", "D", "--rank", "4", "r=4,4;p="], {"special_classes"}),
+    (["tau", "--family", "E8", "E_8"], {"special_classes"}),
+    (["special", "--family", "D", "--rank", "4"], {"special_classes"}),
+    (["special", "--family", "G2"], {"special_classes"}),
+    (["atlas", "--family", "D", "--rank", "4"], {"special_classes", "atlas"}),
+    (["verify", "--suite", "tables", "--family", "G2"], {"special_classes", "oracle"}),
+]
+
+
+def _loaded_submodules(code: str) -> set[str]:
+    """The ``weylunip`` submodules a fresh interpreter has loaded after
+    ``code``, bar the namespace package a shipped-table read opens."""
+    code += "\nprint(*sorted(m for m in sys.modules if m.startswith('weylunip.')), file=sys.stderr)"
     env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "E_8"
+    return {m.removeprefix("weylunip.") for m in proc.stderr.split()} - {"data"}
+
+
+def test_only_verify_imports_the_oracle():
+    # every command starts a fresh interpreter, which imports each module it
+    # loads, so a command loads only the modules it reads
+    assert _loaded_submodules("import sys, weylunip") == set()
+    for argv, extra in COMMAND_MODULES:
+        code = f"import sys\nfrom weylunip.cli import main\nassert main({argv!r}) == 0"
+        assert _loaded_submodules(code) == CLI_MODULES | extra, argv
 
 
 def test_only_a_table_read_imports_hashlib():

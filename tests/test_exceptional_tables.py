@@ -9,6 +9,7 @@ from weylunip import exceptional_tables, oracle
 from weylunip.classical_maps import UnipotentSymbol, fiber_of, phi, psi
 from weylunip.cli import main
 from weylunip.errors import (
+    BadInput,
     InvalidClass,
     NotSpecial,
     TableIntegrityError,
@@ -264,6 +265,49 @@ def test_equal_tables_hash_equal():
     assert hash(a) == hash(b)
     assert b._class_index() == a._class_index()
     assert b._unipotent_index() == a._unipotent_index()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # a list of labels once built a row that could not be hashed, and a
+        # text context a table that read as a table of no group
+        (lambda rows: FiberRow(["A_1"], 3), "classes must be a non-empty tuple of CarterLabel, got ['A_1']"),
+        (lambda rows: FiberRow((), "A_1"), "classes must be a non-empty tuple of CarterLabel, got ()"),
+        (
+            lambda rows: FiberRow(("A_1",), "A_1"),
+            "classes must be a non-empty tuple of CarterLabel, got ('A_1',)",
+        ),
+        (lambda rows: FiberRow(rows[0].classes, 3), "unipotent name must be a str, got 3"),
+        (lambda rows: FiberTable("E8", rows), "table context must be an exceptional GroupContext, got 'E8'"),
+        (
+            lambda rows: FiberTable(context("C", 3), rows),
+            "table context must be an exceptional GroupContext, got "
+            "GroupContext(family='C', rank=3, char='good')",
+        ),
+        (lambda rows: FiberTable(context("G2"), ()), "rows must be a non-empty tuple of FiberRow, got ()"),
+        (lambda rows: FiberTable(context("G2"), []), "rows must be a non-empty tuple of FiberRow, got []"),
+        (
+            lambda rows: FiberTable(context("G2"), ("A_1",)),
+            "rows must be a non-empty tuple of FiberRow, got ('A_1',)",
+        ),
+    ],
+    ids=[
+        "row-list-classes",
+        "row-no-classes",
+        "row-text-classes",
+        "row-int-unipotent",
+        "table-text-context",
+        "table-classical-context",
+        "table-no-rows",
+        "table-list-rows",
+        "table-text-rows",
+    ],
+)
+def test_table_values_refuse_a_wrong_field(build, message):
+    with pytest.raises(BadInput) as err:
+        build(load_table(context("G2")).rows)
+    assert str(err.value) == message
 
 
 # --- tampered data: every load must refuse it -----------------------------

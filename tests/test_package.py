@@ -2,8 +2,11 @@ import ast
 import copy
 import importlib.util
 import inspect
+import os
 import pickle
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,6 +46,28 @@ def test_star_import_binds_the_public_names():
     exec("from weylunip import *", namespace)
     assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC_NAMES)
     assert weylunip.__all__ == sorted(PUBLIC_NAMES)
+
+
+def test_every_name_resolves_on_first_use():
+    # the package imports a name's module when the name is first read, so
+    # the names are read in a fresh interpreter that has imported none yet
+    submodules = [module.name for module in pkgutil.iter_modules(weylunip.__path__)]
+    code = (
+        "import sys, types, weylunip\n"
+        "assert set(weylunip.__all__) <= set(dir(weylunip))\n"
+        f"for name in {PUBLIC_NAMES!r}:\n"
+        "    assert not isinstance(getattr(weylunip, name), types.ModuleType), name\n"
+        "    assert name in vars(weylunip), name\n"
+        "assert not hasattr(weylunip, 'oracle.verify_tables') and 'weylunip.oracle' not in sys.modules\n"
+        f"for name in {submodules!r}:\n"
+        "    assert getattr(weylunip, name) is sys.modules['weylunip.' + name], name\n"
+        "assert not hasattr(weylunip, 'no_such_name')\n"
+        "weylunip.no_such_name\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(weylunip.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.stderr.splitlines()[-1] == "AttributeError: module 'weylunip' has no attribute 'no_such_name'"
+    assert len(submodules) == 10
 
 
 class SubContext(GroupContext):
