@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from itertools import groupby, product
 from math import prod
-from typing import Optional
+from typing import Callable, Optional
 
 from . import exceptional_tables
 from ._value import Value
@@ -114,17 +114,18 @@ def _jordan_size(ctx: GroupContext) -> int:
     return 2 * ctx.rank + (ctx.family == "B" and ctx.char == "good")
 
 
-def _is_jordan_type(ctx: GroupContext, c: Partition) -> bool:
-    """Whether ``c`` is the Jordan type of a unipotent class of the A/B/C/D
-    context: orthogonal (even values paired) for B/D in good characteristic,
-    symplectic (odd values paired) otherwise, of even length for D in
-    characteristic 2."""
+def _is_jordan_type(ctx: GroupContext) -> Callable[[Partition], bool]:
+    """The test, picked once per context, of whether a partition is the Jordan
+    type of a unipotent class: of size ``_jordan_size(ctx)``, orthogonal (even
+    values paired) for B/D in good characteristic, symplectic (odd values
+    paired) otherwise, of even length for D in characteristic 2."""
     n = _jordan_size(ctx)
     if ctx.family == "A":
-        return sum(c) == n
+        return lambda c: sum(c) == n
     if ctx.family in ("B", "D") and ctx.char == "good":
-        return in_Q(c, n)
-    return in_T(c, n) and not (ctx.family == "D" and len(c) % 2)
+        return lambda c: in_Q(c, n)
+    even_length = ctx.family == "D"
+    return lambda c: in_T(c, n) and not (even_length and len(c) % 2)
 
 
 def parse_unipotent(ctx: GroupContext, text: str) -> UnipotentSymbol:
@@ -152,9 +153,9 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLab
         except UnknownUnipotent:
             raise BadInput(f"unknown unipotent name {u.name!r} for {ctx}") from None
     if ctx.char == "p2":
-        ok = u.kind == "marked" and _is_jordan_type(ctx, u.marked.c)
+        ok = u.kind == "marked" and _is_jordan_type(ctx)(u.marked.c)
     else:
-        ok = u.kind == "plain" and _is_jordan_type(ctx, u.partition)
+        ok = u.kind == "plain" and _is_jordan_type(ctx)(u.partition)
     if not ok:
         raise BadInput(f"{u} is not a unipotent class of {ctx}")
 
@@ -403,17 +404,19 @@ FIBER_SPLITTING_LIMIT = 2**16
 
 def splittings(c: Partition) -> list[tuple[Partition, Partition]]:
     """Every way to move an even number of copies of each value of ``c``
-    into a paired record ``p``, leaving the rest as ``r``."""
-    values = sorted(set(c), reverse=True)
-    counts = [multiplicity(c, v) for v in values]
+    into a paired record ``p``, leaving the rest as ``r``.  The values are
+    walked in decreasing order, so both records come out canonical."""
+    choices = []
+    for v, run in groupby(sorted(c, reverse=True)):
+        q = len(list(run))
+        choices.append([((v,) * (q - 2 * t), (v,) * (2 * t)) for t in range(q // 2 + 1)])
     out = []
-    for picks in product(*[range(0, q // 2 + 1) for q in counts]):
-        p = []
-        r = []
-        for v, q, take in zip(values, counts, picks):
-            p += [v] * (2 * take)
-            r += [v] * (q - 2 * take)
-        out.append((partition(r), partition(p)))
+    for picks in product(*choices):
+        r = p = ()
+        for kept, moved in picks:
+            r += kept
+            p += moved
+        out.append((r, p))
     return out
 
 
@@ -472,7 +475,7 @@ def enumerate_unipotents(
     if ctx.is_exceptional:
         table = exceptional_tables.load_table(ctx)
         return [UnipotentSymbol._trusted(None, None, n) for n in table.unipotent_names()]
-    cs = [c for c in partitions_of(_jordan_size(ctx)) if _is_jordan_type(ctx, c)]
+    cs = list(filter(_is_jordan_type(ctx), partitions_of(_jordan_size(ctx))))
     if ctx.char != "p2":
         return [UnipotentSymbol._trusted(c, None, None) for c in cs]
     out = []

@@ -68,19 +68,23 @@ def in_S_kappa(r: Partition, kappa: int) -> bool:
 
 
 def in_T(c: Partition, two_n: int) -> bool:
-    """|c| = two_n and every odd value occurs an even number of times."""
+    """|c| = two_n and every odd value occurs an even number of times: in a
+    weakly decreasing ``c``, its odd entries pair up in place (``in_P_tilde``'s rule)."""
     if two_n % 2:
         raise BadInput(f"two_n must be even, got {two_n}")
     if sum(c) != two_n:
         return False
-    return not any(c.count(j) % 2 for j in set(c) if j % 2)
+    odds = [x for x in c if x % 2]
+    return odds[::2] == odds[1::2]
 
 
 def in_Q(c: Partition, N: int) -> bool:
-    """|c| = N and every even value occurs an even number of times."""
+    """|c| = N and every even value occurs an even number of times: in a
+    weakly decreasing ``c``, its even entries pair up in place (``in_P_tilde``'s rule)."""
     if sum(c) != N:
         return False
-    return not any(c.count(j) % 2 for j in set(c) if j % 2 == 0)
+    evens = [x for x in c if x % 2 == 0]
+    return evens[::2] == evens[1::2]
 
 
 def in_R(r: Partition) -> bool:
@@ -162,6 +166,13 @@ class MarkedPartition(Value):
 # --- enumeration -----------------------------------------------------------
 
 
+def _check_size(n: int) -> None:
+    """Refuse a size to enumerate that is not an integer >= 0."""
+    # type(n) is int, not isinstance, so a bool is refused
+    if type(n) is not int or n < 0:
+        raise BadInput(f"cannot partition {n!r}")
+
+
 @lru_cache(maxsize=256)
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of ``n``, lexicographically decreasing.
@@ -172,8 +183,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     after ``h`` holds 1. Each step lowers ``x[h]`` by one and packs the
     freed units after it into parts of at most that size.
     """
-    if n < 0:
-        raise BadInput(f"cannot partition {n}")
+    _check_size(n)
     if n == 0:
         return ((),)
     x = [1] * n
@@ -206,6 +216,7 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 def even_partitions_of(n: int) -> list[Partition]:
     """Partitions of ``n`` with all parts even, lexicographically decreasing."""
+    _check_size(n)
     if n % 2:
         return []
     return [tuple(2 * x for x in q) for q in partitions_of(n // 2)]
@@ -213,6 +224,7 @@ def even_partitions_of(n: int) -> list[Partition]:
 
 def paired_partitions_of(n: int) -> list[Partition]:
     """Partitions of ``n`` whose entries pair up in place (p1=p2, p3=p4, ...)."""
+    _check_size(n)
     if n % 2:
         return []
     out = []
@@ -229,7 +241,7 @@ def paired_partitions_of(n: int) -> list[Partition]:
 
 def format_partition(p: Partition) -> str:
     """Comma-separated decreasing entries; the empty partition prints as ''."""
-    return ",".join(str(x) for x in p)
+    return ",".join(map(str, p))
 
 
 def _digits(tok: str) -> int:

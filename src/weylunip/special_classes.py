@@ -26,7 +26,7 @@ from .errors import (
     WrongFamily,
 )
 from .exceptional_tables import read_rows, table_label
-from .partitions import Partition, check_partition, format_partition, partition
+from .partitions import Partition, _check_size, check_partition, format_partition, partition
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
     EXCEPTIONAL_RANK,
@@ -277,6 +277,7 @@ def k_inv(bp: Bipartition) -> PairSequenceD:
 
 def enumerate_A(n: int) -> list[PairSequenceBC]:
     """All pair sequences of total 2n in the B/C special set; deterministic."""
+    _check_size(n)
     kept = {}
 
     def tails(remaining: int, max_a: int) -> list[tuple]:
@@ -311,6 +312,7 @@ def enumerate_A(n: int) -> list[PairSequenceBC]:
 
 def enumerate_C(n: int) -> list[PairSequenceD]:
     """All flagged pair sequences of total 2n in the D special set."""
+    _check_size(n)
     kept = {}
 
     def tails(remaining: int, max_a: int, prev_b: Optional[int], prev_e: int) -> list[tuple]:
@@ -353,6 +355,7 @@ def _interlaced(n: int, s: int) -> list[Bipartition]:
     positive entries are kept, and a tail is a pair of parallel lists of
     the y and z tails, which are finished partitions at the top.
     """
+    _check_size(n)
     kept = {}
 
     def tails(rem: int, ymax: int, zmax: int) -> tuple[list, list]:

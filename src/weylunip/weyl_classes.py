@@ -407,9 +407,10 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     return [
         ClassSymbol._trusted(None, r, p, None)
         for rsum in range(two_n, -1, -2)
+        for paired in [paired_partitions_of(two_n - rsum)]
         for r in even_partitions_of(rsum)
         if ctx.family != "D" or len(r) % 2 == 0
-        for p in paired_partitions_of(two_n - rsum)
+        for p in paired
     ]
 
 

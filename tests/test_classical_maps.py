@@ -374,6 +374,35 @@ def test_enumerate_unipotents_matches_a_rebuild(ctx):
     assert enumerate_unipotents(ctx) == rebuild_unipotents(ctx)
 
 
+#: Every B/C/D context up to rank 12, at every characteristic variant.
+BCD_UP_TO_12 = [
+    GroupContext(family, n, char)
+    for family in ("B", "C", "D")
+    for n in range(MIN_RANK[family], 13)
+    for char in CHAR_VARIANTS[family]
+]
+
+
+def reference_is_jordan_type(ctx, c):
+    """The Jordan-type rule in its per-partition form, with value counts in
+    place of the paired-parity predicates: the reference for
+    ``enumerate_unipotents``, which picks its test once per call."""
+    orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
+    if sum(c) != 2 * ctx.rank + (ctx.family == "B" and orthogonal):
+        return False
+    if any(c.count(v) % 2 for v in set(c) if v % 2 == (0 if orthogonal else 1)):
+        return False
+    return not (ctx.family == "D" and not orthogonal and len(c) % 2)
+
+
+@pytest.mark.parametrize("ctx", BCD_UP_TO_12, ids=str)
+def test_enumerate_unipotents_matches_the_per_partition_filter(ctx):
+    size = 2 * ctx.rank + (ctx.family == "B" and ctx.char == "good")
+    listed = [u.marked.c if u.kind == "marked" else u.partition for u in enumerate_unipotents(ctx)]
+    expected = [c for c in partitions_of(size) if reference_is_jordan_type(ctx, c)]
+    assert [c for c, _ in groupby(listed)] == expected
+
+
 def test_classical_enumerations_keep_their_text():
     """SHA-256 of the text of both enumerations of every B/C/D context up
     to rank 12, as first recorded: their order and text form are fixed."""
@@ -406,6 +435,29 @@ def test_enumerate_unipotents_checks_the_bound_on_every_call():
 def test_splittings_move_even_copies():
     assert splittings((2, 2, 1)) == [((2, 2, 1), ()), ((1,), (2, 2))]
     assert splittings(()) == [((), ())]
+
+
+def reference_splittings(c):
+    """``splittings`` in its re-sorting form, kept as the reference for the
+    walk in decreasing value order: each record goes through ``partition()``."""
+    values = sorted(set(c), reverse=True)
+    counts = [multiplicity(c, v) for v in values]
+    out = []
+    for picks in product(*[range(0, q // 2 + 1) for q in counts]):
+        p = []
+        r = []
+        for v, q, take in zip(values, counts, picks):
+            p += [v] * (2 * take)
+            r += [v] * (q - 2 * take)
+        out.append((partition(r), partition(p)))
+    return out
+
+
+@pytest.mark.parametrize("n", range(0, 26))
+def test_splittings_match_the_re_sorting_reference(n):
+    # same records, same order, up to the fiber-min suite's bound n <= 25
+    for c in partitions_of(n):
+        assert splittings(c) == reference_splittings(c), c
 
 
 def test_fiber_of_puts_section_first():

@@ -434,6 +434,10 @@ DIGESTS = [
     ("fiber --family D --rank 6 3,2,2,2,2,1", 0, "c730841329f3351d544106daed9ea260f1c00a2b4e05d64f318d412d41fe26e6"),
     ("fiber --family D --rank 6 4,4,2,2", 0, "3801fbd158791e693f227efd02ede819b4e43eaba5d84c4bc9c6f3707d539494"),
     ("special --family D --rank 6", 0, "2690f62c9ee63dddf58910dc09c25616ab7eaa8cf1858c6625a6fe39fc2a1ccb"),
+    # the benchmark-size dumps of perfbench/golden.json
+    ("atlas --family B --rank 16", 0, "89dd2b424acb6cadbb932fc98fbe8d10c03670d270a644399d441cb1df766d1a"),
+    ("atlas --family C --rank 12 --char p2", 0, "2c687fb13553c7a553dc14119d292bb6e6b58f81180dbd937cde8bb7d101e615"),
+    ("fiber --family D --rank 18 35,1", 0, "aa1dbb03824cba9a89784741b1b82eb7f9faf9b35b7b01287119c39a9cc296f3"),
     ("phi --family D --rank 4 --format records r=;p=4,4", 0, "9b7c2bc41e532480db2103ec48fa230f1d4abb7dc4e54dbef7ed7f7883707e54"),
     ("psi --family D --rank 4 --format records 4,4", 0, "27de971f13b9c0fccb0cae052c3b0bf4779578183dfff96fa8516c52a35ed3b2"),
     ("m --family E8 --char p2 --format records E_8", 0, "9927da96f6f91b2b98064b6771e658b4e5c08382a05192700cb5751663943836"),

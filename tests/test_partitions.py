@@ -1,3 +1,4 @@
+import re
 from functools import lru_cache
 
 import pytest
@@ -101,6 +102,38 @@ def test_in_q_examples():
     assert in_Q((3, 3, 1, 1, 1), 9)
 
 
+def reference_in_T(c, two_n):
+    """``in_T`` in its count form, kept as the reference for the paired-parity
+    rule: every odd value occurs an even number of times."""
+    if two_n % 2:
+        raise BadInput(f"two_n must be even, got {two_n}")
+    if sum(c) != two_n:
+        return False
+    return not any(c.count(j) % 2 for j in set(c) if j % 2)
+
+
+def reference_in_Q(c, N):
+    """``in_Q`` in its count form, kept as the reference for the paired-parity
+    rule: every even value occurs an even number of times."""
+    if sum(c) != N:
+        return False
+    return not any(c.count(j) % 2 for j in set(c) if j % 2 == 0)
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_paired_parity_predicates_match_the_count_forms(n):
+    # N = |c| decides by the pairing; N != |c| must refuse, and an odd two_n
+    # is refused by in_T before the size is read
+    for c in partitions_of(n):
+        for N in (n, n + 1, n + 2):
+            assert in_Q(c, N) == reference_in_Q(c, N), (c, N)
+            if N % 2 == 0:
+                assert in_T(c, N) == reference_in_T(c, N), (c, N)
+            else:
+                with pytest.raises(BadInput, match="two_n must be even"):
+                    in_T(c, N)
+
+
 def test_in_r_examples():
     # the four conditions checked by hand on a mixed-parity value
     assert in_R((3, 2, 2, 1))
@@ -171,6 +204,13 @@ def test_enumerate_partitions_examples():
         (2, 2, 1),
         (1, 1, 1, 1, 1),
     ]
+
+
+@pytest.mark.parametrize("enumerator", [partitions_of, even_partitions_of, paired_partitions_of])
+@pytest.mark.parametrize("n", [-1, -2, True, False, 2.0, "4", None])
+def test_enumerators_refuse_a_size_that_is_not_an_int_at_least_0(enumerator, n):
+    with pytest.raises(BadInput, match=re.escape(f"cannot partition {n!r}")):
+        enumerator(n)
 
 
 @pytest.mark.parametrize("n", range(0, 26))

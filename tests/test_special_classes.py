@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import re
 import sys
 import types
 from collections import Counter
@@ -70,6 +71,13 @@ def test_in_A_enumeration_n2():
     got = {x.pairs for x in enumerate_A(2)}
     assert got == {((4, 0),), ((2, 2),), ((1, 1), (1, 1))}
     assert got == brute_A(2)
+
+
+@pytest.mark.parametrize("enumerator", [enumerate_A, enumerate_C, enumerate_A_prime, enumerate_C_prime])
+@pytest.mark.parametrize("n", [-1, True, False, 2.0, "4", None])
+def test_enumerators_refuse_a_size_that_is_not_an_int_at_least_0(enumerator, n):
+    with pytest.raises(BadInput, match=re.escape(f"cannot partition {n!r}")):
+        enumerator(n)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

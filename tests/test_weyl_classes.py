@@ -4,7 +4,7 @@ from weylunip import oracle
 from weylunip.classical_maps import UnipotentSymbol, phi, psi
 from weylunip.errors import BadInput, BoundExceeded, InvalidClass, ParseError, WrongFamily
 from weylunip.exceptional_tables import TABLE_FILES, load_table
-from weylunip.partitions import MarkedPartition, partitions_of
+from weylunip.partitions import MarkedPartition, even_partitions_of, paired_partitions_of, partitions_of
 from weylunip.special_classes import TAU_FILES, special_classes
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
@@ -391,6 +391,35 @@ def rebuild_classes(ctx):
 @pytest.mark.parametrize("ctx", CLASSICAL_CONTEXTS, ids=str)
 def test_enumerate_classes_matches_a_rebuild(ctx):
     assert enumerate_classes(ctx) == rebuild_classes(ctx)
+
+
+#: Every classical context up to rank 12, at every characteristic variant.
+CLASSICAL_UP_TO_12 = [
+    GroupContext(family, n, char)
+    for family in MIN_RANK
+    for n in range(MIN_RANK[family], 13)
+    for char in CHAR_VARIANTS[family]
+]
+
+
+def reference_enumerate_classes(ctx):
+    """``enumerate_classes`` with the paired list rebuilt for every stable
+    record, kept as the reference for the list fetched once per ``|r|``."""
+    if ctx.family == "A":
+        return [ClassSymbol(cycle_type=p) for p in partitions_of(ctx.rank + 1)]
+    two_n = 2 * ctx.rank
+    return [
+        ClassSymbol(r=r, p=p)
+        for rsum in range(two_n, -1, -2)
+        for r in even_partitions_of(rsum)
+        if ctx.family != "D" or len(r) % 2 == 0
+        for p in paired_partitions_of(two_n - rsum)
+    ]
+
+
+@pytest.mark.parametrize("ctx", CLASSICAL_UP_TO_12, ids=str)
+def test_enumerate_classes_matches_the_per_record_reference(ctx):
+    assert enumerate_classes(ctx) == reference_enumerate_classes(ctx)
 
 
 def test_enumerate_classes_returns_a_fresh_list():
