@@ -28,10 +28,7 @@ _EXPORTS = {
         CarterLabel ClassSymbol GroupContext context enumerate_classes is_split_weyl_class m_of_class
         parse_carter_label
     """,
-    "classical_maps": """
-        UnipotentSymbol enumerate_unipotents fiber_of iota iota2 phi pi psi psi_even_r psi_marked
-        psi_orthogonal rho xi xi_inv
-    """,
+    "classical_maps": "UnipotentSymbol enumerate_unipotents fiber_of phi pi psi rho xi xi_inv",
     "exceptional_tables": "FiberTable fiber load_table phi_lookup",
     "special_classes": """
         Bipartition PairSequenceBC PairSequenceD h h_inv in_A in_C in_C0 is_special_class k k_inv

@@ -12,16 +12,19 @@ For the classical types everything is partition combinatorics:
   records.
 
 The section ``psi`` picks, in every fiber, the unique pair whose swap-cycle
-record is shortest; the per-case rules live in ``psi_even_r``,
-``psi_marked`` and ``psi_orthogonal``.  Exceptional types are table lookups.
+record is shortest: in type C, even values go to the stable record and odd
+ones to the swap record; in characteristic 2, an even value marked 0 goes to
+the swap record too; in types B/D, the mixed-parity minimizer
+(``orthogonal_fiber_minimizer``) is pulled back through ``xi``.  Exceptional
+types are table lookups.
 
-Public maps check their input once.  Each public helper (``iota``, ``xi``,
-``psi_marked``, ...) checks its own input before it computes.  ``phi`` and
-``psi`` compute without those checks, through private cores such as ``_xi``,
-only after ``validate_class`` or ``validate_unipotent`` has proved, on the
-same value, a predicate that implies them.  In an exceptional context the
-validation is the table lookup, and the map reads its answer instead of
-looking again.
+Each map checks its input once, ``phi`` by ``validate_class`` and ``psi`` by
+``validate_unipotent``, then runs a private core per case (``_iota2``,
+``_xi``, ``_psi_marked``, ...) that assumes what the validation proved.  The
+three record helpers ``xi``, ``xi_inv`` and ``orthogonal_fiber_minimizer``
+check their own input before they run their cores.  In an exceptional
+context the validation is the table lookup, and the map reads its answer
+instead of looking again.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .partitions import (
     epsilon_domain,
     format_marked,
     format_partition,
-    in_P_tilde,
     in_Q,
     in_R,
     in_S_kappa,
@@ -172,27 +174,12 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLab
 # to ``_trusted``, which skips the re-check.
 
 
-def iota(r: Partition, p: Partition) -> Partition:
-    """Multiset union of the two cycle records, re-sorted decreasingly."""
-    r, p = check_partition(r), check_partition(p)
-    if not in_S_kappa(r, 1):
-        raise BadInput(f"stable cycle record must have even entries: {r}")
-    if not in_P_tilde(p):
-        raise BadInput(f"swap-cycle record must pair up: {p}")
-    return partition(r + p)
-
-
-def iota2(r: Partition, p: Partition) -> MarkedPartition:
-    """Merge and mark: an even value of even multiplicity gets bit 1 exactly
-    when it occurs in the stable record ``r``."""
-    return _iota2(r, iota(r, p))
-
-
 def _iota2(r: Partition, c: Partition) -> MarkedPartition:
-    """The marking of ``iota2``, given ``c``, the canonical merge of the
-    stable record ``r`` with a swap record.  The domain is
-    ``epsilon_domain(c)`` and every bit is 0 or 1 by construction, so the
-    result is built trusted."""
+    """The characteristic-2 marking of ``phi``, given ``c``, the canonical
+    merge of the stable record ``r`` with a swap record: an even value of
+    even multiplicity gets bit 1 exactly when it occurs in ``r``.  The
+    domain is ``epsilon_domain(c)`` and every bit is 0 or 1 by construction,
+    so the result is built trusted."""
     r_values = set(r)
     return MarkedPartition._trusted(c, tuple((j, int(j in r_values)) for j in epsilon_domain(c)))
 
@@ -251,32 +238,15 @@ def _xi_inv(c: Partition, kappa: int) -> Partition:
 
 
 # --- fiber minimizers ------------------------------------------------------
-
-
-def psi_even_r(c: Partition) -> tuple[Partition, Partition]:
-    """Shortest-p fiber element over a plain merge: even values go to the
-    stable record, odd values to the swap record."""
-    c = check_partition(c)
-    if sum(c) % 2 or not in_T(c, sum(c)):
-        raise BadInput(f"odd value with odd multiplicity: {c}")
-    return _psi_even_r(c)
+#
+# ``psi``'s cores for type C and for characteristic 2, each run on a Jordan
+# type that ``validate_unipotent`` accepted, and the orthogonal minimizer.
 
 
 def _psi_even_r(c: Partition) -> tuple[Partition, Partition]:
     r = tuple(x for x in c if x % 2 == 0)
     p = tuple(x for x in c if x % 2 == 1)
     return r, p
-
-
-def psi_marked(cm: MarkedPartition) -> tuple[Partition, Partition]:
-    """Shortest-p fiber element over a marked merge.
-
-    Odd values always go to the swap record, as do even values of even
-    multiplicity marked 0; every other even value goes to the stable record.
-    """
-    if sum(cm.c) % 2 or not in_T(cm.c, sum(cm.c)):
-        raise BadInput(f"invalid marked partition base: {cm.c}")
-    return _psi_marked(cm)
 
 
 def _psi_marked(cm: MarkedPartition) -> tuple[Partition, Partition]:
@@ -326,21 +296,6 @@ def _orthogonal_fiber_minimizer(c: Partition) -> tuple[Partition, Partition]:
     return tuple(r), tuple(p)
 
 
-def psi_orthogonal(c: Partition, kappa: int) -> tuple[Partition, Partition]:
-    """Shortest-p fiber element over the merge that follows ``xi``: compute
-    the mixed-parity minimizer, whose stable string keeps an even value
-    exactly when an odd number of its odd entries lie above it (the paper's
-    gap condition, which cuts out the image of ``xi``), then pull that string
-    back through ``xi``."""
-    check_kappa(kappa)
-    if sum(c) % 2 != kappa:
-        raise BadInput(f"|c|={sum(c)} has wrong parity for kappa={kappa}")
-    if sum(c) < 3:
-        raise BadInput(f"|c| must be at least 3: {c}")
-    r_mixed, p = orthogonal_fiber_minimizer(c)
-    return _xi_inv(r_mixed, kappa), p
-
-
 # --- the main maps ---------------------------------------------------------
 
 
@@ -351,8 +306,8 @@ def phi(ctx: GroupContext, C: ClassSymbol) -> UnipotentSymbol:
         return UnipotentSymbol._trusted(C.cycle_type, None, None)
     if ctx.is_exceptional:
         return UnipotentSymbol._trusted(None, None, name)
-    # validate_class proved r in S_kappa and p paired: iota's checks (S_0 lies
-    # in S_1), so the merge is partition(r + p), and xi's
+    # validate_class proved r in S_kappa and p paired, so the merge is
+    # partition(r + p), and r passes xi's check
     if ctx.char == "p2":
         return UnipotentSymbol._trusted(None, _iota2(C.r, partition(C.r + C.p)), None)
     if ctx.family == "C":
@@ -369,9 +324,9 @@ def psi(ctx: GroupContext, u: UnipotentSymbol) -> ClassSymbol:
     if ctx.is_exceptional:
         return ClassSymbol._trusted(None, None, None, fiber[0])
     # validate_unipotent proved in_T(c, 2n) for the symplectic Jordan types,
-    # which is psi_marked's and psi_even_r's check, and in_Q(c, 2n + kappa)
-    # for the orthogonal ones, which is the minimizer's check and fixes
-    # psi_orthogonal's parity and size (at least 5 for B, 6 for D).  The C and
+    # which the C and p2 cores assume, and in_Q(c, 2n + kappa) for the
+    # orthogonal ones, which is the minimizer's check and fixes the parity
+    # that _xi_inv checks again.  The C and
     # p2 records are subsequences of the checked Jordan type, so they are
     # canonical by construction; xi_inv's output is canonical by a theorem,
     # and the checked constructor is its only runtime guard

@@ -278,10 +278,8 @@ def load_table(ctx: GroupContext) -> FiberTable:
     return _load(ctx.family, ctx.char)
 
 
-def phi_lookup(ctx: GroupContext, label: CarterLabel | str) -> str:
+def phi_lookup(ctx: GroupContext, label: CarterLabel) -> str:
     """Unipotent name of the fiber containing ``label``."""
-    if isinstance(label, str):
-        label = parse_carter_label(label)
     table = load_table(ctx)
     row = table._class_index().get(label)
     if row is None:

@@ -148,17 +148,6 @@ class MarkedPartition(Value):
             raise BadInput(f"marking bits must be 0 or 1: {eps}")
         return cls._trusted(c, eps)
 
-    @staticmethod
-    def build(c: Iterable[int], marks: dict[int, int] | None = None) -> "MarkedPartition":
-        """Construct from a partition and a {value: bit} mapping."""
-        c = partition(c)
-        marks = marks or {}
-        dom = epsilon_domain(c)
-        extra = set(marks) - set(dom)
-        if extra:
-            raise BadInput(f"marks {sorted(extra)} outside marking domain {dom}")
-        return MarkedPartition(c, tuple((j, marks.get(j, 0)) for j in dom))
-
     def eps_map(self) -> dict[int, int]:
         return dict(self.eps)
 
@@ -296,8 +285,9 @@ def parse_marked(text: str) -> MarkedPartition:
         raise ParseError(f"marked partition must look like 'c=...;eps=...': {text!r}")
     c_part, eps_part = text[2:].split(";eps=", 1)
     c = parse_partition(c_part)
-    eps = dict(parse_epsilon(eps_part))
-    unmarked = [j for j in epsilon_domain(c) if j not in eps]
+    eps = parse_epsilon(eps_part)
+    marked = {j for j, _ in eps}
+    unmarked = [j for j in epsilon_domain(c) if j not in marked]
     if unmarked:
         raise ParseError(f"marking leaves {format_partition(unmarked)} unmarked: {text!r}")
-    return MarkedPartition.build(c, eps)
+    return MarkedPartition(c, eps)

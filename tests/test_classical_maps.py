@@ -13,23 +13,18 @@ from weylunip.classical_maps import (
     UnipotentSymbol,
     enumerate_unipotents,
     fiber_of,
-    iota,
-    iota2,
     orthogonal_fiber_minimizer,
     parse_unipotent,
     phi,
     pi,
     psi,
-    psi_even_r,
-    psi_marked,
-    psi_orthogonal,
     rho,
     splittings,
     validate_unipotent,
     xi,
     xi_inv,
 )
-from weylunip.errors import BadInput, BoundExceeded, NotInR
+from weylunip.errors import BadInput, BoundExceeded, InvalidClass, NotInR
 from weylunip.exceptional_tables import TABLE_FILES, FiberRow, FiberTable, _load, load_table
 from weylunip.partitions import (
     MarkedPartition,
@@ -90,24 +85,24 @@ def brute_min_fiber(c):
 
 
 def test_iota_examples():
-    assert iota((4,), (1, 1)) == (4, 1, 1)
-    assert iota((), ()) == ()
-    assert iota((2, 2), (3, 3, 1, 1)) == (3, 3, 2, 2, 1, 1)
-    assert iota([4], [1, 1]) == (4, 1, 1)  # a record may be a list
-    with pytest.raises(BadInput):
-        iota((3,), ())
-    with pytest.raises(BadInput):
-        iota((2,), (2, 1))
+    # the merge iota is phi in type C, good characteristic
+    assert str(phi(context("C", 3), ClassSymbol(r=(4,), p=(1, 1)))) == "4,1,1"
+    assert str(phi(context("C", 6), ClassSymbol(r=(2, 2), p=(3, 3, 1, 1)))) == "3,3,2,2,1,1"
+    # a record may be a list
+    assert phi(context("C", 3), ClassSymbol(r=[4], p=[1, 1])) == UnipotentSymbol(partition=(4, 1, 1))
+    with pytest.raises(InvalidClass):
+        phi(context("C", 2), ClassSymbol(r=(3,), p=()))
+    with pytest.raises(InvalidClass):
+        phi(context("C", 2), ClassSymbol(r=(2,), p=(2, 1)))
 
 
 def test_iota2_examples():
-    m = iota2((2, 2), (4, 4))
-    assert m.c == (4, 4, 2, 2) and m.eps_map() == {4: 0, 2: 1}
-    m = iota2((2,), (2, 2))
-    assert m.c == (2, 2, 2) and m.eps == ()
-    m = iota2((4, 2), ())
-    assert m.c == (4, 2) and m.eps == ()
-    assert iota2([2, 2], [4, 4]) == iota2((2, 2), (4, 4))
+    # the marked merge iota2 is phi in characteristic 2
+    assert str(phi(context("C", 6, "p2"), ClassSymbol(r=(2, 2), p=(4, 4)))) == "c=4,4,2,2;eps=4:0;2:1"
+    assert str(phi(context("C", 3, "p2"), ClassSymbol(r=(2,), p=(2, 2)))) == "c=2,2,2;eps="
+    assert str(phi(context("C", 3, "p2"), ClassSymbol(r=(4, 2), p=()))) == "c=4,2;eps="
+    ctx = context("C", 6, "p2")
+    assert phi(ctx, ClassSymbol(r=[2, 2], p=[4, 4])) == phi(ctx, ClassSymbol(r=(2, 2), p=(4, 4)))
 
 
 def test_xi_examples():
@@ -148,37 +143,40 @@ def test_xi_round_trip_and_landing(r, kappa):
     assert xi_inv(img, kappa) == r
 
 
+def _psi_text(ctx, text):
+    return str(psi(ctx, parse_unipotent(ctx, text)))
+
+
 def test_psi_even_r_examples():
-    assert psi_even_r((2, 1, 1)) == ((2,), (1, 1))
-    assert psi_even_r((4, 4)) == ((4, 4), ())
-    assert psi_even_r((1, 1, 1, 1)) == ((), (1, 1, 1, 1))
-    assert psi_even_r([2, 1, 1]) == ((2,), (1, 1))
+    # type C, good characteristic: even values to r, odd values to p
+    assert _psi_text(context("C", 2), "2,1,1") == "r=2;p=1,1"
+    assert _psi_text(context("C", 4), "4,4") == "r=4,4;p="
+    assert _psi_text(context("C", 2), "1,1,1,1") == "r=;p=1,1,1,1"
+    assert psi(context("C", 2), UnipotentSymbol(partition=[2, 1, 1])) == ClassSymbol(r=(2,), p=(1, 1))
     with pytest.raises(BadInput):
-        psi_even_r((3, 1))
+        psi(context("C", 2), UnipotentSymbol(partition=(3, 1)))
 
 
 def test_psi_marked_examples():
-    m = MarkedPartition.build((4, 4, 2, 2), {4: 1, 2: 0})
-    assert psi_marked(m) == ((4, 4), (2, 2))
-    m = MarkedPartition.build((2, 2, 2), {})
-    assert psi_marked(m) == ((2, 2, 2), ())
-    m = MarkedPartition.build((3, 3), {})
-    assert psi_marked(m) == ((), (3, 3))
+    # characteristic 2: an even value marked 0 goes to p with the odd values
+    assert _psi_text(context("C", 6, "p2"), "c=4,4,2,2;eps=4:1;2:0") == "r=4,4;p=2,2"
+    assert _psi_text(context("C", 3, "p2"), "c=2,2,2;eps=") == "r=2,2,2;p="
+    assert _psi_text(context("C", 3, "p2"), "c=3,3;eps=") == "r=;p=3,3"
 
 
 def test_psi_orthogonal_examples_with_brute_force():
     # (5,3): the only fiber element
     fiber, minimizers = brute_min_fiber((5, 3))
     assert fiber == [((5, 3), ())]
-    assert psi_orthogonal((5, 3), 0) == ((4, 4), ())
+    assert _psi_text(context("D", 4), "5,3") == "r=4,4;p="
     # (4,4): singleton fiber with everything on the paired side
     fiber, minimizers = brute_min_fiber((4, 4))
     assert fiber == [((), (4, 4))]
-    assert psi_orthogonal((4, 4), 0) == ((), (4, 4))
+    assert _psi_text(context("D", 4), "4,4") == "r=;p=4,4"
     # (3,3,1,1,1): the 1-block keeps a copy that the inverse then drops
     fiber, minimizers = brute_min_fiber((3, 3, 1, 1, 1))
     assert minimizers == [((1,), (3, 3, 1, 1))]
-    assert psi_orthogonal((3, 3, 1, 1, 1), 1) == ((), (3, 3, 1, 1))
+    assert _psi_text(context("B", 4), "3,3,1,1,1") == "r=;p=3,3,1,1"
 
 
 @pytest.mark.parametrize("n_amb", range(3, 16))
@@ -242,7 +240,7 @@ def test_phi_examples():
     assert phi(context("D", 4), ClassSymbol(r=(4, 4), p=())) == UnipotentSymbol(partition=(5, 3))
     assert phi(context("A", 3), ClassSymbol(cycle_type=(3, 1))) == UnipotentSymbol(partition=(3, 1))
     got = phi(context("C", 2, "p2"), ClassSymbol(r=(2, 2), p=()))
-    assert got.marked == MarkedPartition.build((2, 2), {2: 1})
+    assert got.marked == MarkedPartition((2, 2), ((2, 1),))
 
 
 def test_psi_examples():
@@ -258,7 +256,7 @@ def test_psi_examples():
 def test_rho_examples():
     c2p2 = context("C", 2, "p2")
     for bit in (0, 1):
-        u = UnipotentSymbol(marked=MarkedPartition.build((2, 2), {2: bit}))
+        u = UnipotentSymbol(marked=MarkedPartition((2, 2), ((2, bit),)))
         assert rho(c2p2, u) == UnipotentSymbol(partition=(2, 2))
     assert rho(context("F4", char="p2"), UnipotentSymbol(name="(B_2)_2")) == UnipotentSymbol(
         name="B_2"
@@ -268,9 +266,9 @@ def test_rho_examples():
 def test_pi_examples():
     c2p2 = context("C", 2, "p2")
     got = pi(c2p2, UnipotentSymbol(partition=(2, 2)))
-    assert got.marked == MarkedPartition.build((2, 2), {2: 1})
+    assert got.marked == MarkedPartition((2, 2), ((2, 1),))
     got = pi(c2p2, UnipotentSymbol(partition=(2, 1, 1)))
-    assert got.marked == MarkedPartition.build((2, 1, 1), {})
+    assert got.marked == MarkedPartition((2, 1, 1), ())
     assert pi(context("G2", char="p3"), UnipotentSymbol(name="~A_1")) == UnipotentSymbol(
         name="~A_1"
     )
@@ -317,7 +315,7 @@ def test_validation_rejects_foreign_symbols():
     with pytest.raises(BadInput):
         psi(context("B", 2), UnipotentSymbol(partition=(4, 1)))
     with pytest.raises(BadInput):
-        psi(context("D", 3, "p2"), UnipotentSymbol(marked=MarkedPartition.build((4, 1, 1), {})))
+        psi(context("D", 3, "p2"), UnipotentSymbol(marked=MarkedPartition((4, 1, 1), ())))
     with pytest.raises(BadInput):
         psi(context("E6"), UnipotentSymbol(name="nonsense"))
     with pytest.raises(BadInput, match="3,1 is not a unipotent class of E6/good"):
@@ -344,28 +342,43 @@ def test_enumerate_unipotents_counts():
     ]
 
 
+def reference_is_jordan_type(ctx, c):
+    """The Jordan types of the unipotent classes, written out with value
+    counts in place of the paired-parity predicates: any partition of rank+1
+    for A; of 2n+1 with every even value paired for B in good
+    characteristic; of 2n with every even value paired for D in good
+    characteristic; otherwise of 2n with every odd value paired, and of even
+    length for D in characteristic 2."""
+    n = ctx.rank
+    if ctx.family == "A":
+        return sum(c) == n + 1
+    if ctx.char == "good" and ctx.family in ("B", "D"):
+        size, paired = 2 * n + (ctx.family == "B"), 0
+    else:
+        size, paired = 2 * n, 1
+    if sum(c) != size:
+        return False
+    if any(c.count(j) % 2 for j in set(c) if j % 2 == paired):
+        return False
+    return not (ctx.family == "D" and ctx.char == "p2" and len(c) % 2)
+
+
 def rebuild_unipotents(ctx):
-    """The B/C/D unipotent classes from scratch: the partitions of the
-    Jordan size in which every even value (orthogonal: B and D in good
-    characteristic) or every odd value (symplectic: otherwise) occurs an
-    even number of times, of even length for D in characteristic 2; in
-    characteristic 2 each carries every marking of its even values of even
-    multiplicity, the bits counted up from all zeros."""
-    orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
-    size = 2 * ctx.rank + (ctx.family == "B" and orthogonal)
+    """The B/C/D unipotent classes from scratch: the Jordan types, in
+    ``partitions_of`` order; in characteristic 2 each carries every marking
+    of its even values of even multiplicity, the bits counted up from all
+    zeros."""
+    size = 2 * ctx.rank + (ctx.family == "B" and ctx.char == "good")
     out = []
     for c in partitions_of(size):
-        paired = [v for v in set(c) if v % 2 == (0 if orthogonal else 1)]
-        if any(c.count(v) % 2 for v in paired):
+        if not reference_is_jordan_type(ctx, c):
             continue
         if ctx.char != "p2":
             out.append(UnipotentSymbol(partition=c))
             continue
-        if ctx.family == "D" and len(c) % 2:
-            continue
         marked = sorted({v for v in c if v % 2 == 0 and c.count(v) % 2 == 0}, reverse=True)
         for bits in product((0, 1), repeat=len(marked)):
-            out.append(UnipotentSymbol(marked=MarkedPartition.build(c, dict(zip(marked, bits)))))
+            out.append(UnipotentSymbol(marked=MarkedPartition(c, tuple(zip(marked, bits)))))
     return out
 
 
@@ -383,20 +396,10 @@ BCD_UP_TO_12 = [
 ]
 
 
-def reference_is_jordan_type(ctx, c):
-    """The Jordan-type rule in its per-partition form, with value counts in
-    place of the paired-parity predicates: the reference for
-    ``enumerate_unipotents``, which picks its test once per call."""
-    orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
-    if sum(c) != 2 * ctx.rank + (ctx.family == "B" and orthogonal):
-        return False
-    if any(c.count(v) % 2 for v in set(c) if v % 2 == (0 if orthogonal else 1)):
-        return False
-    return not (ctx.family == "D" and not orthogonal and len(c) % 2)
-
-
 @pytest.mark.parametrize("ctx", BCD_UP_TO_12, ids=str)
 def test_enumerate_unipotents_matches_the_per_partition_filter(ctx):
+    # enumerate_unipotents picks its test once per call; the reference runs
+    # the rule on each partition
     size = 2 * ctx.rank + (ctx.family == "B" and ctx.char == "good")
     listed = [u.marked.c if u.kind == "marked" else u.partition for u in enumerate_unipotents(ctx)]
     expected = [c for c in partitions_of(size) if reference_is_jordan_type(ctx, c)]
@@ -460,6 +463,20 @@ def test_splittings_match_the_re_sorting_reference(n):
         assert splittings(c) == reference_splittings(c), c
 
 
+def test_splittings_of_an_orthogonal_type_stay_orthogonal():
+    # each value loses an even number of copies, so r keeps every even value
+    # paired: the fiber-min suite filters splittings by in_R alone, which
+    # would refuse an r outside Q with NotInQ
+    count = 0
+    for n in range(1, 26):
+        for c in partitions_of(n):
+            if in_Q(c, n):
+                for r, _ in splittings(c):
+                    assert in_Q(r, sum(r)), (c, r)
+                    count += 1
+    assert count == 16984
+
+
 def test_fiber_of_puts_section_first():
     ctx = context("C", 2)
     fib = fiber_of(ctx, UnipotentSymbol(partition=(2, 2)))
@@ -493,26 +510,6 @@ def test_fiber_of_matches_whole_group_scan(ctx):
         assert fiber_of(ctx, u) == [first] + [C for C in fibers[u] if C != first], u
 
 
-def _is_jordan_type_reference(ctx, c):
-    """The Jordan types of the unipotent classes, written out: any partition
-    of rank+1 for A; of 2n+1 with every even value paired for B in good
-    characteristic; of 2n with every even value paired for D in good
-    characteristic; otherwise of 2n with every odd value paired, and of even
-    length for D in characteristic 2."""
-    n = ctx.rank
-    if ctx.family == "A":
-        return sum(c) == n + 1
-    if ctx.char == "good" and ctx.family in ("B", "D"):
-        size, paired = 2 * n + (ctx.family == "B"), 0
-    else:
-        size, paired = 2 * n, 1
-    if sum(c) != size:
-        return False
-    if any(multiplicity(c, j) % 2 for j in set(c) if j % 2 == paired):
-        return False
-    return not (ctx.family == "D" and ctx.char == "p2" and len(c) % 2)
-
-
 def _candidates(ctx, size):
     """Every partition of ``size`` in the context's text shape: plain, or
     with every marking of its marking domain in characteristic 2."""
@@ -522,7 +519,7 @@ def _candidates(ctx, size):
             continue
         dom = epsilon_domain(c)
         for bits in product((0, 1), repeat=len(dom)):
-            yield c, UnipotentSymbol(marked=MarkedPartition.build(c, dict(zip(dom, bits))))
+            yield c, UnipotentSymbol(marked=MarkedPartition(c, tuple(zip(dom, bits))))
 
 
 @pytest.mark.parametrize(
@@ -548,9 +545,9 @@ def test_validate_accepts_exactly_the_enumerated_symbols(ctx):
             try:
                 validate_unipotent(ctx, u)
             except BadInput:
-                assert not _is_jordan_type_reference(ctx, c), u
+                assert not reference_is_jordan_type(ctx, c), u
             else:
-                assert _is_jordan_type_reference(ctx, c), u
+                assert reference_is_jordan_type(ctx, c), u
                 accepted.add(u)
     assert accepted == set(enumerated)
 
@@ -568,11 +565,6 @@ def test_unknown_exceptional_name_is_refused_by_every_map(family):
 
 # Each public helper checks its own input, whatever phi and psi prove first.
 HELPER_ERRORS = [
-    (iota, ((3,), ()), BadInput, "stable cycle record must have even entries: (3,)"),
-    (iota, ((2,), (2,)), BadInput, "swap-cycle record must pair up: (2,)"),
-    (iota, ((2,), (2, 1)), BadInput, "swap-cycle record must pair up: (2, 1)"),
-    (iota2, ((4, 1), ()), BadInput, "stable cycle record must have even entries: (4, 1)"),
-    (iota2, ((2,), (3, 1)), BadInput, "swap-cycle record must pair up: (3, 1)"),
     (xi, ((4,), 0), BadInput, "not a valid stable cycle record for kappa=0: (4,)"),
     (xi, ((3,), 1), BadInput, "not a valid stable cycle record for kappa=1: (3,)"),
     (xi, ((2,), 2), BadInput, "kappa must be 0 or 1, got 2"),
@@ -581,35 +573,71 @@ HELPER_ERRORS = [
     (xi, ((4, 2), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
     (xi_inv, ((4, 4), 0), NotInR, "not in the image of the adjustment map: (4, 4)"),
     (xi_inv, ((5, 3), 1), BadInput, "|c|=8 has wrong parity for kappa=1"),
-    # xi_inv((3, 1, 1), True) and psi_orthogonal((3, 1, 1), 1.0) once
-    # answered (2, 2) and ((2, 2), ())
+    # xi_inv((3, 1, 1), True) once answered (2, 2)
     (xi_inv, ((3, 1, 1), True), BadInput, "kappa must be 0 or 1, got True"),
     (xi_inv, ((3, 1, 1), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
-    (psi_orthogonal, ((3, 1, 1), True), BadInput, "kappa must be 0 or 1, got True"),
-    (psi_orthogonal, ((3, 1, 1), 1.0), BadInput, "kappa must be 0 or 1, got 1.0"),
-    (psi_even_r, ((3, 1),), BadInput, "odd value with odd multiplicity: (3, 1)"),
-    (psi_even_r, ((2, 1),), BadInput, "odd value with odd multiplicity: (2, 1)"),
-    (psi_marked, (MarkedPartition((3, 1), ()),), BadInput, "invalid marked partition base: (3, 1)"),
-    (psi_marked, (MarkedPartition((2, 1), ()),), BadInput, "invalid marked partition base: (2, 1)"),
-    (psi_orthogonal, ((4,), 1), BadInput, "|c|=4 has wrong parity for kappa=1"),
-    (psi_orthogonal, ((2,), 0), BadInput, "|c| must be at least 3: (2,)"),
-    (psi_orthogonal, ((2, 1, 1), 0), BadInput, "even value with odd multiplicity: (2, 1, 1)"),
     (orthogonal_fiber_minimizer, ((2, 1),), BadInput, "even value with odd multiplicity: (2, 1)"),
     (orthogonal_fiber_minimizer, ((1, 3),), BadInput, "partition entries must be weakly decreasing: (1, 3)"),
-    (psi_orthogonal, ((1, 3), 0), BadInput, "partition entries must be weakly decreasing: (1, 3)"),
     # every record argument must pass check_partition first: these once
-    # answered (3, 3, 1), (3.0,), (2.0,), (True, True) and ((), (1, 3, 3, 1))
+    # answered (3, 3, 1), (3.0,) and (2.0,)
     (xi, ((2, 4), 1), BadInput, "partition entries must be weakly decreasing: (2, 4)"),
     (xi, ((2.0,), 1), BadInput, "partition entries must be positive integers: (2.0,)"),
     (xi_inv, ((3.0,), 1), BadInput, "partition entries must be positive integers: (3.0,)"),
-    (iota, ((), (True, True)), BadInput, "partition entries must be positive integers: (True, True)"),
-    (iota2, ((), (True, True)), BadInput, "partition entries must be positive integers: (True, True)"),
-    (psi_even_r, ((1, 3, 3, 1),), BadInput, "partition entries must be weakly decreasing: (1, 3, 3, 1)"),
+]
+
+
+def _map_error(call, thunk, error, message):
+    """A refusal of ``phi`` or ``psi``, named by the call of the per-case
+    helper that once refused the same records with its own check."""
+    return pytest.param(thunk, (), error, message, id=call)
+
+
+# The per-case helpers of phi and psi are gone.  The maps check a record
+# once, by validate_class or validate_unipotent, or the symbol's constructor
+# refuses it first; each row pins that refusal of records a helper once
+# refused, under the id of the helper's call.
+MAP_ERRORS = [
+    _map_error("iota((3,), ())", lambda: phi(context("C", 2), ClassSymbol(r=(3,), p=())),
+               InvalidClass, "invalid stable cycle record (3,) for C_2/good"),
+    _map_error("iota((2,), (2,))", lambda: phi(context("C", 2), ClassSymbol(r=(2,), p=(2,))),
+               InvalidClass, "unpaired swap-cycle record (2,) for C_2/good"),
+    _map_error("iota((2,), (2, 1))", lambda: phi(context("C", 2), ClassSymbol(r=(2,), p=(2, 1))),
+               InvalidClass, "unpaired swap-cycle record (2, 1) for C_2/good"),
+    _map_error("iota((), (True, True))", lambda: phi(context("C", 2), ClassSymbol(r=(), p=(True, True))),
+               BadInput, "partition entries must be positive integers: (True, True)"),
+    _map_error("iota2((4, 1), ())", lambda: phi(context("C", 3, "p2"), ClassSymbol(r=(4, 1), p=())),
+               InvalidClass, "invalid stable cycle record (4, 1) for C_3/p2"),
+    _map_error("iota2((2,), (3, 1))", lambda: phi(context("C", 3, "p2"), ClassSymbol(r=(2,), p=(3, 1))),
+               InvalidClass, "unpaired swap-cycle record (3, 1) for C_3/p2"),
+    _map_error("iota2((), (True, True))", lambda: phi(context("C", 2, "p2"), ClassSymbol(r=(), p=(True, True))),
+               BadInput, "partition entries must be positive integers: (True, True)"),
+    _map_error("psi_even_r((3, 1),)", lambda: psi(context("C", 2), UnipotentSymbol(partition=(3, 1))),
+               BadInput, "3,1 is not a unipotent class of C_2/good"),
+    _map_error("psi_even_r((2, 1),)", lambda: psi(context("C", 2), UnipotentSymbol(partition=(2, 1))),
+               BadInput, "2,1 is not a unipotent class of C_2/good"),
+    _map_error("psi_even_r((1, 3, 3, 1),)", lambda: psi(context("C", 4), UnipotentSymbol(partition=(1, 3, 3, 1))),
+               BadInput, "partition entries must be weakly decreasing: (1, 3, 3, 1)"),
+    _map_error("psi_marked(MarkedPartition(c=(3, 1), eps=()),)",
+               lambda: psi(context("C", 2, "p2"), UnipotentSymbol(marked=MarkedPartition((3, 1), ()))),
+               BadInput, "c=3,1;eps= is not a unipotent class of C_2/p2"),
+    _map_error("psi_marked(MarkedPartition(c=(2, 1), eps=()),)",
+               lambda: psi(context("C", 2, "p2"), UnipotentSymbol(marked=MarkedPartition((2, 1), ()))),
+               BadInput, "c=2,1;eps= is not a unipotent class of C_2/p2"),
+    _map_error("psi_orthogonal((4,), 1)", lambda: psi(context("B", 2), UnipotentSymbol(partition=(4,))),
+               BadInput, "4 is not a unipotent class of B_2/good"),
+    _map_error("psi_orthogonal((2,), 0)", lambda: psi(context("D", 3), UnipotentSymbol(partition=(2,))),
+               BadInput, "2 is not a unipotent class of D_3/good"),
+    _map_error("psi_orthogonal((2, 1, 1), 0)", lambda: psi(context("D", 3), UnipotentSymbol(partition=(2, 1, 1))),
+               BadInput, "2,1,1 is not a unipotent class of D_3/good"),
+    _map_error("psi_orthogonal((1, 3), 0)", lambda: psi(context("D", 3), UnipotentSymbol(partition=(1, 3))),
+               BadInput, "partition entries must be weakly decreasing: (1, 3)"),
 ]
 
 
 @pytest.mark.parametrize(
-    "fn, args, error, message", HELPER_ERRORS, ids=[f"{fn.__name__}{args}" for fn, args, *_ in HELPER_ERRORS]
+    "fn, args, error, message",
+    [*HELPER_ERRORS, *MAP_ERRORS],
+    ids=[f"{fn.__name__}{args}" for fn, args, *_ in HELPER_ERRORS] + [None] * len(MAP_ERRORS),
 )
 def test_public_helpers_keep_their_checks(fn, args, error, message):
     with pytest.raises(BadInput) as exc:
@@ -618,24 +646,37 @@ def test_public_helpers_keep_their_checks(fn, args, error, message):
     assert str(exc.value) == message
 
 
+def reference_marking(r, c):
+    """Bit 1 exactly on the doubled even values of ``c`` (each an even value
+    of even multiplicity) that occur in the stable record ``r``."""
+    doubled = sorted({x for x in c if x % 2 == 0 and c.count(x) % 2 == 0}, reverse=True)
+    return MarkedPartition(c, tuple((x, int(x in r)) for x in doubled))
+
+
 @pytest.mark.parametrize("ctx", BCD_UP_TO_8, ids=str)
 def test_phi_and_psi_are_the_checked_helpers_composed(ctx):
-    # the maps may skip checks their validation already made, never change a value
+    # the maps skip the checks their validation already made; each case
+    # gives what its definition, written out here, gives
+    orthogonal = ctx.family in ("B", "D") and ctx.char == "good"
     for C in enumerate_classes(ctx):
+        r = xi(C.r, ctx.kappa) if orthogonal else C.r
+        c = tuple(sorted(r + C.p, reverse=True))
         if ctx.char == "p2":
-            want = UnipotentSymbol(marked=iota2(C.r, C.p))
-        elif ctx.family == "C":
-            want = UnipotentSymbol(partition=iota(C.r, C.p))
+            want = UnipotentSymbol(marked=reference_marking(C.r, c))
         else:
-            want = UnipotentSymbol(partition=partition(xi(C.r, ctx.kappa) + C.p))
+            want = UnipotentSymbol(partition=c)
         assert phi(ctx, C) == want, C
     for u in enumerate_unipotents(ctx):
         if ctx.char == "p2":
-            r, p = psi_marked(u.marked)
+            c, eps = u.marked.c, u.marked.eps_map()
+            p = tuple(x for x in c if x % 2 or eps.get(x) == 0)
+            r = tuple(x for x in c if x % 2 == 0 and eps.get(x) != 0)
         elif ctx.family == "C":
-            r, p = psi_even_r(u.partition)
+            p = tuple(x for x in u.partition if x % 2)
+            r = tuple(x for x in u.partition if x % 2 == 0)
         else:
-            r, p = psi_orthogonal(u.partition, ctx.kappa)
+            r_mixed, p = reference_orthogonal_minimizer(u.partition)
+            r = xi_inv(r_mixed, ctx.kappa)
         assert psi(ctx, u) == ClassSymbol(r=r, p=p), u
 
 

@@ -606,6 +606,12 @@ def test_repeated_marking_value_is_refused(capsys):
     assert err == "error: marking repeats a value: '2:1;2:0'\n"
 
 
+def test_a_mark_outside_the_marking_domain_is_refused(capsys):
+    code, out, err = run(capsys, "psi", "--family", "C", "--rank", "2", "--char", "p2", "c=2,2;eps=2:1;4:0")
+    assert code == 2 and out == ""
+    assert err == "error: marking domain (4, 2) does not match required domain (2,) of (2, 2)\n"
+
+
 def test_a_label_component_of_multiplier_zero_is_refused(capsys):
     # 0A_1 once parsed, printed as A_1 and was then reported unknown
     assert run(capsys, "phi", "--family", "E7", "0A_1") == (

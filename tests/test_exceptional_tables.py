@@ -58,11 +58,11 @@ def test_load_table_variants():
 
 
 def test_phi_lookup_examples():
-    assert phi_lookup(context("G2"), "A_2") == "G_2(a_1)"
-    assert phi_lookup(context("E6"), "E_6(a_2)") == "A_5+A_1"
-    assert phi_lookup(context("E8"), "E_8(a_8)") == "2A_4"
+    assert phi_lookup(context("G2"), parse_carter_label("A_2")) == "G_2(a_1)"
+    assert phi_lookup(context("E6"), parse_carter_label("E_6(a_2)")) == "A_5+A_1"
+    assert phi_lookup(context("E8"), parse_carter_label("E_8(a_8)")) == "2A_4"
     with pytest.raises(UnknownClass):
-        phi_lookup(context("G2"), "B_2")
+        phi_lookup(context("G2"), parse_carter_label("B_2"))
 
 
 def test_fiber_examples():

@@ -111,7 +111,7 @@ def test_rho_validates_the_section_value(monkeypatch):
     # so a section value with an odd stable record is refused, not mapped
     ctx = context("C", 4, "p2")
     real_psi = classical_maps.psi
-    wrong = UnipotentSymbol(marked=MarkedPartition.build((4, 4), {4: 1}))
+    wrong = UnipotentSymbol(marked=MarkedPartition((4, 4), ((4, 1),)))
 
     def psi(ctx_, u):
         return ClassSymbol(r=(3, 1), p=(2, 2)) if u == wrong else real_psi(ctx_, u)
@@ -135,7 +135,7 @@ def test_rho_pi_suite_reports_a_wrong_rho_on_one_marked_class(monkeypatch):
     ctx = context("C", 4, "p2")
     counters = oracle.verify_rho_pi(ctx).counters
     real_rho = oracle.rho
-    wrong = UnipotentSymbol(marked=MarkedPartition.build((4, 4), {4: 1}))
+    wrong = UnipotentSymbol(marked=MarkedPartition((4, 4), ((4, 1),)))
     other = UnipotentSymbol(partition=(4, 2, 2))
 
     def rho(ctx_, u):

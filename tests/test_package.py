@@ -35,9 +35,8 @@ BadInput Bipartition BoundExceeded CarterLabel ClassSymbol FiberTable GroupConte
 MarkedPartition NotInQ NotInR NotSpecial PairSequenceBC PairSequenceD ParseError Partition
 TableIntegrityError UnipotentSymbol UnknownClass UnknownContext UnknownUnipotent WeylUnipError
 WrongFamily context enumerate_classes enumerate_unipotents fiber fiber_of h h_inv in_A in_C in_C0
-in_P_tilde in_Q in_R in_S_kappa in_T iota iota2 is_special_class is_split_weyl_class k k_inv
-load_table m_of_class multiplicity parse_carter_label phi phi_lookup pi psi psi_even_r psi_marked
-psi_orthogonal rho special_class_of tau xi xi_inv
+in_P_tilde in_Q in_R in_S_kappa in_T is_special_class is_split_weyl_class k k_inv load_table
+m_of_class multiplicity parse_carter_label phi phi_lookup pi psi rho special_class_of tau xi xi_inv
 """.split()
 
 
@@ -273,7 +272,7 @@ def test_only_the_base_builds_a_value_by_hand():
 def test_a_value_type_has_one_constructor_and_one_builder():
     # a caller's values go through the checked constructor, __new__, and the
     # library's canonical ones through _trusted; no value type keeps a third
-    # spelling but MarkedPartition.build, which takes the marking as a dict
+    # spelling
     for module in pkgutil.iter_modules(weylunip.__path__):
         importlib.import_module(f"weylunip.{module.name}")
     types, pending = [], [Value]
@@ -288,7 +287,31 @@ def test_a_value_type_has_one_constructor_and_one_builder():
         for name, attr in vars(t).items()
         if isinstance(attr, (staticmethod, classmethod)) and name not in ("__new__", "_trusted")
     ]
-    assert extra == [("MarkedPartition", "build")]
+    assert extra == []
+
+
+def _unread_imports(source: str) -> list[str]:
+    """The names an ``import`` or ``from ... import`` binds in ``source``
+    that the module never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+def test_every_imported_name_is_read():
+    # no linter runs on the package, so an import left behind by a deleted
+    # caller is caught here
+    package = Path(weylunip.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert _unread_imports(path.read_text()) == [], path.name
+    assert _unread_imports("from .partitions import in_P_tilde, in_Q\nin_Q(())\n") == ["in_P_tilde"]
+    assert _unread_imports("import os.path\nimport re as regex\nos.sep\n") == ["regex"]
 
 
 def test_the_benchmark_tracer_finds_what_it_reads():

@@ -262,9 +262,9 @@ def test_epsilon_domain():
 
 
 def test_marked_partition_validation():
-    MarkedPartition.build((4, 4, 2, 2), {4: 1})
-    with pytest.raises(BadInput):
-        MarkedPartition.build((2, 2, 2), {2: 1})
+    MarkedPartition((4, 4, 2, 2), ((4, 1), (2, 0)))
+    with pytest.raises(BadInput, match=r"marking domain \(2,\) does not match required domain \(\) of \(2, 2, 2\)"):
+        MarkedPartition((2, 2, 2), ((2, 1),))
     with pytest.raises(BadInput):
         MarkedPartition((4, 4), ((4, 2),))
     with pytest.raises(BadInput, match=r"marking domain \(4,\) does not match required domain \(4, 2\)"):
@@ -275,7 +275,7 @@ def test_text_forms_round_trip():
     assert format_partition(()) == ""
     assert parse_partition("") == ()
     assert parse_partition("4,2,2,1") == (4, 2, 2, 1)
-    m = MarkedPartition.build((4, 4, 2, 2), {4: 0, 2: 1})
+    m = MarkedPartition((4, 4, 2, 2), ((4, 0), (2, 1)))
     assert format_marked(m) == "c=4,4,2,2;eps=4:0;2:1"
     assert parse_marked(format_marked(m)) == m
     with pytest.raises(ParseError):
@@ -295,7 +295,7 @@ def test_partition_text_is_ascii_digit_runs(text):
 
 def test_partition_text_allows_whitespace_around_entries():
     assert parse_partition(" 6 , 4\t") == (6, 4)
-    assert parse_marked(" c= 2,2 ;eps= 2 : 1 ") == MarkedPartition.build((2, 2), {2: 1})
+    assert parse_marked(" c= 2,2 ;eps= 2 : 1 ") == MarkedPartition((2, 2), ((2, 1),))
 
 
 @pytest.mark.parametrize("eps", ["2:0_1", "2:+1", "2:١", "+2:1", "2_0:1", "2:1:0", "21"])
