@@ -220,12 +220,21 @@ def table_label(name: str, text: str) -> CarterLabel:
     ``text`` (as ``01A_1`` prints ``A_1``), is a fault of the table."""
     text = text.strip()
     try:
-        lab = parse_carter_label(text)
+        lab = _round_trip_label(text)
     except (BadInput, ParseError) as exc:
         raise TableIntegrityError(f"{name}: {exc}") from None
-    if str(lab) != text:
+    if lab is None:
         raise TableIntegrityError(f"{name}: label {text} does not round-trip")
     return lab
+
+
+@lru_cache(maxsize=None)
+def _round_trip_label(text: str) -> CarterLabel | None:
+    # Keyed on the text alone, so all tables share one label object per text
+    # and a lookup across a family's tables matches by identity; the caller
+    # adds the table's name, and a raised error is not cached.
+    lab = parse_carter_label(text)
+    return lab if str(lab) == text else None
 
 
 def table_checks(table: FiberTable, good: FiberTable):

@@ -25,7 +25,7 @@ from weylunip.classical_maps import (
     xi_inv,
 )
 from weylunip.errors import BadInput, BoundExceeded, InvalidClass, NotInR
-from weylunip.exceptional_tables import TABLE_FILES, FiberRow, FiberTable, _load, load_table
+from weylunip.exceptional_tables import TABLE_FILES, FiberRow, FiberTable, _load, _round_trip_label, load_table
 from weylunip.partitions import (
     MarkedPartition,
     check_partition,
@@ -826,8 +826,8 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
             lambda cls, *a, new=value_type.__new__, **kw: built.append(cls.__name__) or new(cls, *a, **kw),
         )
     built.clear()
-    _load.cache_clear()
-    load_tau_table.cache_clear()
+    for cache in (_load, load_tau_table, _round_trip_label):
+        cache.cache_clear()
     for family, char in TABLE_FILES:
         _load(family, char)
     for family in TAU_FILES:

@@ -28,8 +28,9 @@ from weylunip.exceptional_tables import (
     fiber,
     load_table,
     phi_lookup,
+    read_rows,
 )
-from weylunip.special_classes import TAU_FILES, is_special_class, load_tau_table, special_classes, tau
+from weylunip.special_classes import _TAU_ROW_RE, TAU_FILES, is_special_class, load_tau_table, special_classes, tau
 from weylunip.weyl_classes import (
     CHAR_VARIANTS,
     EXCEPTIONAL_RANK,
@@ -317,7 +318,7 @@ def test_table_values_refuse_a_wrong_field(build, message):
 def fresh_caches():
     # the oracle's memo too: a map value kept from the shipped tables would
     # answer for a table rewritten under data_dir
-    caches = (_load, load_tau_table, oracle._values)
+    caches = (_load, load_tau_table, exceptional_tables._round_trip_label, oracle._values)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -420,6 +421,45 @@ def test_pinned_bad_row_fails(data_dir, monkeypatch, filename, old, new, message
             load_tau_table("G2")
         else:
             load_table(context("G2"))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("01A_1", "label 01A_1 does not round-trip"), ("Q_1", "bad class label component in 'Q_1' (at position 0)")],
+    ids=["round-trip", "unparsable"],
+)
+def test_a_bad_label_text_fails_each_table_under_its_own_name(data_dir, monkeypatch, text, message):
+    # the labels are parsed once per text for all tables, but each failing
+    # load still names the table that holds the text
+    _rewrite_pinned(data_dir / "fiber_g2_good.tbl", monkeypatch, "classes = A_1 ;", f"classes = {text} ;")
+    _rewrite_pinned(data_dir / "tau_g2.tbl", monkeypatch, "class = A_2 ;", f"class = {text} ;")
+    assert _message(TableIntegrityError, load_table, context("G2")) == f"fiber_g2_good.tbl: {message}"
+    assert _message(TableIntegrityError, load_tau_table, "G2") == f"tau_g2.tbl: {message}"
+    assert _message(TableIntegrityError, load_table, context("G2")) == f"fiber_g2_good.tbl: {message}"
+
+
+def test_each_label_text_is_parsed_once_and_shared_by_the_tables(fresh_caches, monkeypatch):
+    # the 655 label cells of the fiber and tau files hold 140 texts: each is
+    # parsed once, and every table of a family holds its good table's object
+    cells = [m["classes"] for name in TABLE_FILES.values() for m in read_rows(name, exceptional_tables._ROW_RE)]
+    cells += [m["cls"] for name in TAU_FILES.values() for m in read_rows(name, _TAU_ROW_RE)]
+    texts = {text.strip() for cell in cells for text in cell.split("|")}
+    parsed = []
+    monkeypatch.setattr(
+        exceptional_tables, "parse_carter_label", lambda text: parsed.append(text) or parse_carter_label(text)
+    )
+    for family, char in TABLE_FILES:
+        load_table(context(family, char=char))
+    for family in TAU_FILES:
+        load_tau_table(family)
+    assert sorted(parsed) == sorted(texts)
+    assert len(texts) == 140
+    for family, char in TABLE_FILES:
+        good = {str(lab): lab for row in load_table(context(family)).rows for lab in row.classes}
+        labels = [lab for row in load_table(context(family, char=char)).rows for lab in row.classes]
+        if char == "good":
+            labels += list(load_tau_table(family))
+        assert all(lab is good[str(lab)] for lab in labels)
 
 
 @pytest.mark.parametrize(
