@@ -33,7 +33,6 @@ from itertools import groupby, product
 from math import prod
 from typing import Callable, Optional
 
-from . import exceptional_tables
 from ._value import Value
 from .errors import BadInput, BoundExceeded, NotInR, UnknownUnipotent
 from .partitions import (
@@ -59,6 +58,7 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    _package,
     check_rank_bound,
     validate_class,
 )
@@ -151,7 +151,7 @@ def validate_unipotent(ctx: GroupContext, u: UnipotentSymbol) -> tuple[CarterLab
         if u.kind != "named":
             raise BadInput(f"{u} is not a unipotent class of {ctx}")
         try:
-            return exceptional_tables.fiber(ctx, u.name)
+            return _package.exceptional_tables.fiber(ctx, u.name)
         except UnknownUnipotent:
             raise BadInput(f"unknown unipotent name {u.name!r} for {ctx}") from None
     if ctx.char == "p2":
@@ -428,7 +428,7 @@ def enumerate_unipotents(
     """
     check_rank_bound(ctx, bound)
     if ctx.is_exceptional:
-        table = exceptional_tables.load_table(ctx)
+        table = _package.exceptional_tables.load_table(ctx)
         return [UnipotentSymbol._trusted(None, None, n) for n in table.unipotent_names()]
     cs = list(filter(_is_jordan_type(ctx), partitions_of(_jordan_size(ctx))))
     if ctx.char != "p2":

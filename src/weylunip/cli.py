@@ -3,10 +3,10 @@ listings, full per-context dumps, and the verification suites.
 
 The front end only parses, dispatches and prints.  Each command imports
 only the modules it reads: ``special_classes``, ``atlas`` and ``oracle``
-are imported inside the handlers that need them.  All output is
-deterministic; exit status is 2 with a one-line ``error:`` message on
-usage or parse errors, 1 on verification failure, and 141 with nothing on
-stderr when the reader closes stdout early.
+in its handler, ``exceptional_tables`` on its first exceptional read.
+All output is deterministic; exit status is 2 with a one-line ``error:``
+message on usage or parse errors, 1 on verification failure, and 141
+with nothing on stderr when the reader closes stdout early.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from .errors import (
     TableIntegrityError,
     WrongFamily,
 )
-from .exceptional_tables import read_rows, table_label
 from .partitions import Partition, _check_size, check_partition, format_partition, partition
 from .weyl_classes import (
     DEFAULT_RANK_BOUND,
@@ -33,6 +32,7 @@ from .weyl_classes import (
     CarterLabel,
     ClassSymbol,
     GroupContext,
+    _package,
     check_rank_bound,
     enumerate_classes,
     validate_class,
@@ -542,7 +542,8 @@ def load_tau_table(family: str) -> Mapping[CarterLabel, str]:
     if family not in TAU_FILES:
         raise WrongFamily(f"no special-class table for family {family!r}")
     filename = TAU_FILES[family]
-    rows = [(table_label(filename, m["cls"]), m["rep"]) for m in read_rows(filename, _TAU_ROW_RE)]
+    et = _package.exceptional_tables
+    rows = [(et.table_label(filename, m["cls"]), m["rep"]) for m in et.read_rows(filename, _TAU_ROW_RE)]
     if not is_bijective_table(rows):
         raise TableIntegrityError(f"{filename}: duplicate rows")
     return MappingProxyType(dict(rows))

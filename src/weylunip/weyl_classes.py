@@ -9,6 +9,7 @@ classes are cycle types, exceptional classes are admissible-diagram labels.
 from __future__ import annotations
 
 import re
+import sys
 from typing import Optional
 
 from ._value import Value
@@ -31,6 +32,8 @@ from .partitions import (
     parse_partition,
     partitions_of,
 )
+
+_package = sys.modules[__package__]  # exceptional_tables is read through it, imported on first use (PEP 562)
 
 # The catalogue of simple types: the least rank of each classical family, the
 # fixed rank of each exceptional one, and the characteristic variants of
@@ -346,7 +349,7 @@ def validate_class(ctx: GroupContext, C: ClassSymbol) -> str | None:
     if C.kind != "exceptional":
         raise InvalidClass(f"{C} is not a class of {ctx}")
     try:
-        return exceptional_tables.phi_lookup(ctx, C.label)
+        return _package.exceptional_tables.phi_lookup(ctx, C.label)
     except UnknownClass:
         raise InvalidClass(f"label {C.label} unknown in {ctx}") from None
 
@@ -399,7 +402,7 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
     """
     check_rank_bound(ctx, bound)
     if ctx.is_exceptional:
-        table = exceptional_tables.load_table(ctx)
+        table = _package.exceptional_tables.load_table(ctx)
         return [ClassSymbol._trusted(None, None, None, lab) for row in table.rows for lab in row.classes]
     if ctx.family == "A":
         return [ClassSymbol._trusted(p, None, None, None) for p in partitions_of(ctx.rank + 1)]
@@ -412,7 +415,3 @@ def enumerate_classes(ctx: GroupContext, bound: int = DEFAULT_RANK_BOUND) -> lis
         if ctx.family != "D" or len(r) % 2 == 0
         for p in paired
     ]
-
-
-# imported last: the table reader itself reads the symbols defined above
-from . import exceptional_tables  # noqa: E402

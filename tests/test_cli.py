@@ -298,29 +298,31 @@ def test_special_records_are_byte_identical(capsys):
     assert digest == "04290fc85280a8d7508b6e720ad948cfd5d5e5581ffe4e6c6c3032e87e82196f"
 
 
-#: The modules every command loads; a point query or a fiber reads no other.
-CLI_MODULES = {"_value", "errors", "partitions", "weyl_classes", "exceptional_tables", "classical_maps", "cli"}
+#: The modules every command loads; a classical point query or fiber reads no
+#: other, and an exceptional one adds only the table reader.
+CLI_MODULES = {"_value", "errors", "partitions", "weyl_classes", "classical_maps", "cli"}
+TABLES = {"exceptional_tables"}
 
 #: Each command, classical and exceptional, with the modules it adds to those.
 COMMAND_MODULES = [
     (["phi", "--family", "D", "--rank", "4", "r=4,4;p="], set()),
-    (["phi", "--family", "E8", "E_8"], set()),
+    (["phi", "--family", "E8", "E_8"], TABLES),
     (["m", "--family", "D", "--rank", "4", "r=4,4;p="], set()),
-    (["m", "--family", "E8", "E_8"], set()),
+    (["m", "--family", "E8", "E_8"], TABLES),
     (["psi", "--family", "D", "--rank", "4", "5,3"], set()),
-    (["psi", "--family", "F4", "C_3(a_1)"], set()),
+    (["psi", "--family", "F4", "C_3(a_1)"], TABLES),
     (["rho", "--family", "C", "--rank", "3", "--char", "p2", "c=4,2;eps="], set()),
-    (["rho", "--family", "E8", "--char", "p2", "A_3+A_2"], set()),
+    (["rho", "--family", "E8", "--char", "p2", "A_3+A_2"], TABLES),
     (["pi", "--family", "C", "--rank", "3", "--char", "p2", "4,2"], set()),
-    (["pi", "--family", "E8", "--char", "p2", "A_3+A_2"], set()),
+    (["pi", "--family", "E8", "--char", "p2", "A_3+A_2"], TABLES),
     (["fiber", "--family", "D", "--rank", "4", "5,3"], set()),
-    (["fiber", "--family", "E8", "E_8"], set()),
+    (["fiber", "--family", "E8", "E_8"], TABLES),
     (["tau", "--family", "D", "--rank", "4", "r=4,4;p="], {"special_classes"}),
-    (["tau", "--family", "E8", "E_8"], {"special_classes"}),
+    (["tau", "--family", "E8", "E_8"], {"special_classes", *TABLES}),
     (["special", "--family", "D", "--rank", "4"], {"special_classes"}),
-    (["special", "--family", "G2"], {"special_classes"}),
+    (["special", "--family", "G2"], {"special_classes", *TABLES}),
     (["atlas", "--family", "D", "--rank", "4"], {"special_classes", "atlas"}),
-    (["verify", "--suite", "tables", "--family", "G2"], {"special_classes", "oracle"}),
+    (["verify", "--suite", "tables", "--family", "G2"], {"special_classes", "oracle", *TABLES}),
 ]
 
 
@@ -380,6 +382,22 @@ def _cli(*argv, stdout) -> subprocess.Popen:
     return subprocess.Popen(
         [sys.executable, "-m", "weylunip.cli", *argv], stdout=stdout, stderr=subprocess.PIPE, env=env
     )
+
+
+@pytest.mark.parametrize(
+    "command, err",
+    [
+        ("phi --family E8 A_9", "error: label A_9 unknown in E8/good\n"),
+        ("psi --family E8 NOPE", "error: unknown unipotent name 'NOPE' for E8/good\n"),
+        ("tau --family E8 3A_1", "error: 3A_1 is not special in E8/good\n"),
+    ],
+)
+def test_a_first_table_read_that_refuses_ends_in_one_error_line(command, err):
+    # a fresh interpreter imports the table reader on this first exceptional
+    # read, so the import happens inside the refusal and must not change it
+    with _cli(*command.split(), stdout=subprocess.PIPE) as proc:
+        out, stderr = proc.communicate()
+    assert (proc.returncode, out, stderr.decode()) == (2, b"", err)
 
 
 def test_a_reader_that_closes_stdout_after_one_line_ends_the_dump_quietly():

@@ -314,6 +314,28 @@ def test_every_imported_name_is_read():
     assert _unread_imports("import os.path\nimport re as regex\nos.sep\n") == ["regex"]
 
 
+def _function_imports(source: str) -> list[int]:
+    """The line of each ``import`` or ``from ... import`` inside a function
+    body of ``source``."""
+    return sorted(
+        node.lineno
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_no_library_function_imports_on_each_call():
+    # an import in a function body runs on every call; the exceptional
+    # branches reach the table reader through the package instead, which
+    # imports it once, on first use
+    package = Path(weylunip.__file__).parent
+    for name in ("partitions", "weyl_classes", "classical_maps", "special_classes", "atlas"):
+        assert _function_imports((package / f"{name}.py").read_text()) == [], name
+    assert _function_imports("import re\ndef f():\n    from . import exceptional_tables\n") == [3]
+
+
 def test_the_benchmark_tracer_finds_what_it_reads():
     # perfbench/tracer.py reads these names from outside the package, and a
     # traced pass fails, or counts nothing, without them; this fails first
