@@ -34,13 +34,7 @@ class BoundExceeded(WeylUnipError):
 
 
 class ParseError(WeylUnipError, ValueError):
-    """Malformed text form; carries the offending position when known."""
-
-    def __init__(self, message, position=None):
-        if position is not None:
-            message = f"{message} (at position {position})"
-        super().__init__(message)
-        self.position = position
+    """Malformed text form."""
 
 
 class UnknownContext(BadInput):

@@ -30,7 +30,10 @@ def partition(parts: Iterable[int]) -> Partition:
 
 def check_partition(p) -> Partition:
     """Validate that ``p`` already is a canonical partition and return it."""
-    p = tuple(p)
+    try:
+        p = tuple(p)
+    except TypeError:
+        raise BadInput(f"partition must be a sequence of integers, got {p!r}") from None
     # type(x) is int, not isinstance, so a bool is refused
     if p and (not all(type(x) is int for x in p) or min(p) <= 0):
         raise BadInput(f"partition entries must be positive integers: {p}")
@@ -139,7 +142,10 @@ class MarkedPartition(Value):
     def __new__(cls, c: Partition, eps: tuple[tuple[int, int], ...]):
         c = check_partition(c)
         dom = epsilon_domain(c)
-        values = tuple(j for j, _ in eps)
+        try:
+            values = tuple(j for j, _ in eps)
+        except (TypeError, ValueError):
+            raise BadInput(f"marking must be a sequence of (value, bit) pairs, got {eps!r}") from None
         if values != dom or not all(type(j) is int for j in values):
             raise BadInput(
                 f"marking domain {values} does not match required domain {dom} of {c}"

@@ -45,7 +45,10 @@ def _check_pair_shape(pairs, width: int) -> tuple:
     """The pairs as a tuple of ``width``-tuples (the caller's own, if it is one);
     the first two slots, read left to right, pass ``check_partition`` but for a
     final integer 0, and a third slot is a flag, the int 0 or 1."""
-    rows = tuple(map(tuple, pairs))
+    try:
+        rows = tuple(map(tuple, pairs))
+    except TypeError:
+        raise BadInput(f"pairs must be a sequence of {width}-tuples, got {pairs!r}") from None
     if any(len(row) != width for row in rows):
         raise BadInput(f"each pair must have {width} entries: {rows}")
     if any(type(e) is not int or e not in (0, 1) for row in rows for e in row[2:]):
@@ -315,33 +318,30 @@ def enumerate_C(n: int) -> list[PairSequenceD]:
     _check_size(n)
     kept = {}
 
-    def tails(remaining: int, max_a: int, prev_b: Optional[int], prev_e: int) -> list[tuple]:
+    def tails(remaining: int, max_a: int, prev_e: int) -> list[tuple]:
         if remaining == 0:
             return [()]
-        key = (remaining, max_a, prev_b, prev_e)
+        key = (remaining, max_a, prev_e)
         out = kept.get(key)
         if out is not None:
             return out
         out = []
         for a in range(min(max_a, remaining), 0, -1):
-            # an even pair whose first slot touches the previous second slot
-            # forces flag 0 on both sides
-            touching = prev_b is not None and a == prev_b and a % 2 == 0
-            if a % 2 == 1:
-                if 2 * a <= remaining:
-                    out += map(((a, a, 0),).__add__, tails(remaining - 2 * a, a, a, 0))
-                continue
-            if 2 * a <= remaining and not (touching and prev_e != 0):
-                out += map(((a, a, 0),).__add__, tails(remaining - 2 * a, a, a, 0))
-            if not touching:
+            # an even pair whose first slot touches the previous second slot,
+            # max_a, forces flag 0 on both sides (at the top, a = 2n leaves
+            # no room for a pair either way); an odd pair is flagged 0
+            touching = a == max_a and a % 2 == 0
+            if 2 * a <= remaining and not (touching and prev_e):
+                out += map(((a, a, 0),).__add__, tails(remaining - 2 * a, a, 0))
+            if a % 2 == 0 and not touching:
                 top = min(a, remaining - a)
                 for b in range(top - (top % 2), 1, -2):
-                    out += map(((a, b, 1),).__add__, tails(remaining - a - b, b, b, 1))
+                    out += map(((a, b, 1),).__add__, tails(remaining - a - b, b, 1))
         if remaining <= n:
             kept[key] = out
         return out
 
-    out = [PairSequenceD._trusted(pairs) for pairs in tails(2 * n, 2 * n, None, 0)]
+    out = [PairSequenceD._trusted(pairs) for pairs in tails(2 * n, 2 * n, 0)]
     del tails
     return out
 

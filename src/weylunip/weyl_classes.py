@@ -129,8 +129,15 @@ def context(family: str, rank: Optional[int] = None, char: str = "good") -> Grou
 _SERIES = frozenset(tilde + letter for tilde in ("", "~") for letter in "ABCDEFG")
 _QUALIFIER_RE = re.compile(r"\(a_[0-9]+\)")
 _COMPONENT_RE = re.compile(
-    r"(?P<mult>[0-9]+)?(?P<tilde>~)?(?P<letter>[A-G])(?P<primes>'{0,2})_(?P<sub>[0-9]+)"
-    rf"(?P<qual>{_QUALIFIER_RE.pattern})?"
+    rf"(?P<mult>[0-9]+)?(?P<series>~?[A-G])'{{0,2}}_(?P<sub>[0-9]+)(?P<qual>{_QUALIFIER_RE.pattern})?"
+)
+# a label is one component with primes on its letter and no tilde, a sum of
+# unprimed components, or such a sum in parentheses followed by primes
+_UNPRIMED = rf"[0-9]*~?[A-G]_[0-9]+(?:{_QUALIFIER_RE.pattern})?"
+_LABEL_RE = re.compile(
+    rf"[0-9]*[A-G]'{{1,2}}_[0-9]+(?:{_QUALIFIER_RE.pattern})?"
+    rf"|{_UNPRIMED}(?:\+{_UNPRIMED})*"
+    rf"|\({_UNPRIMED}(?:\+{_UNPRIMED})*\)'*"
 )
 
 
@@ -207,55 +214,22 @@ class CarterLabel(Value):
         return body
 
 
-def _parse_components(text: str, offset: int) -> tuple[tuple[CarterComponent, ...], int]:
-    comps = []
-    attached = 0
-    pos = 0
-    while True:
-        m = _COMPONENT_RE.match(text, pos)
-        if not m or (m.group("tilde") and m.group("primes")):
-            raise ParseError(f"bad class label component in {text!r}", offset + pos)
-        primes = len(m.group("primes"))
-        if primes:
-            attached = primes
-        # the pattern proves every field of the component but this bound, so
-        # the component is built without the constructor's other checks
-        multiplier = int(m.group("mult") or 1)
-        if multiplier < 1:
-            raise BadInput(f"multiplier must be an integer >= 1, got {multiplier}")
-        series = ("~" if m.group("tilde") else "") + m.group("letter")
-        comps.append(CarterComponent._trusted(multiplier, series, int(m.group("sub")), m.group("qual")))
-        pos = m.end()
-        if pos == len(text):
-            break
-        if text[pos] != "+":
-            raise ParseError(f"expected '+' in {text!r}", offset + pos)
-        pos += 1
-    if attached and len(comps) != 1:
-        raise ParseError(f"attached primes only allowed on a single component: {text!r}", offset)
-    return tuple(comps), attached
-
-
 def parse_carter_label(text: str) -> CarterLabel:
     """Parse a printed class label; tildes are written '~', primes \"'\"."""
     s = text.strip()
-    if not s:
-        raise ParseError("empty class label", 0)
-    if s.startswith("("):
-        # only primes may follow the outer ")", and a body that parses has
-        # balanced (a_k) qualifiers, so the outer ")" is the last one
-        close = s.rfind(")")
-        if close < 0:
-            raise ParseError(f"unbalanced parenthesis in {s!r}", 0)
-        tail = s[close + 1 :]
-        if tail and set(tail) != {"'"}:
-            raise ParseError(f"unexpected trailing text {tail!r} in {s!r}", close + 1)
-        comps, attached = _parse_components(s[1:close], 1)
-        if attached:
-            raise ParseError(f"primes inside parentheses not supported: {s!r}", 1)
-        return CarterLabel(comps, primes=len(tail), parenthesized=True)
-    comps, attached = _parse_components(s, 0)
-    return CarterLabel(comps, primes=attached, parenthesized=False)
+    if not _LABEL_RE.fullmatch(s):
+        raise ParseError(f"bad class label {s!r}")
+    comps = []
+    for m in _COMPONENT_RE.finditer(s):
+        # the pattern proves every field of the component but this bound, so
+        # the component is built without the constructor's other checks
+        multiplier = int(m["mult"] or 1)
+        if multiplier < 1:
+            raise BadInput(f"multiplier must be an integer >= 1, got {multiplier}")
+        comps.append(CarterComponent._trusted(multiplier, m["series"], int(m["sub"]), m["qual"]))
+    # the pattern puts every prime of a label in one place, on its single
+    # letter or after its closing parenthesis
+    return CarterLabel(tuple(comps), s.count("'"), s[0] == "(")
 
 
 # --- class symbols ---------------------------------------------------------

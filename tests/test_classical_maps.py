@@ -850,8 +850,19 @@ def test_library_built_symbols_skip_the_constructor_checks(monkeypatch):
         (lambda: UnipotentSymbol(name=["x"]), "unipotent name must be a str, got ['x']"),
         (lambda: UnipotentSymbol(name=8), "unipotent name must be a str, got 8"),
         (lambda: psi(context("E8"), UnipotentSymbol(name=("E_8",))), "unipotent name must be a str, got ('E_8',)"),
+        # each of these once raised a TypeError or ValueError, not BadInput
+        (lambda: ClassSymbol(r=5, p=()), "partition must be a sequence of integers, got 5"),
+        (lambda: UnipotentSymbol(partition=3), "partition must be a sequence of integers, got 3"),
+        (lambda: xi(3, 1), "partition must be a sequence of integers, got 3"),
+        (
+            lambda: MarkedPartition((2, 2), ((2,),)),
+            "marking must be a sequence of (value, bit) pairs, got ((2,),)",
+        ),
     ],
-    ids=["tuple-marked", "list-marked", "psi-tuple-marked", "list-name", "int-name", "psi-tuple-name"],
+    ids=[
+        "tuple-marked", "list-marked", "psi-tuple-marked", "list-name", "int-name", "psi-tuple-name",
+        "int-record", "int-jordan-type", "xi-int-record", "short-marking-pair",
+    ],
 )
 def test_unipotent_symbols_refuse_a_wrong_field(build, message):
     # each of these once built, and psi then raised AttributeError or hash

@@ -251,6 +251,9 @@ def test_special_class_of_refusals(ctx, x, error, message):
         (lambda: Bipartition((1,), (0,)), "partition entries must be positive integers: (0,)"),
         (lambda: Bipartition((1, 2), ()), "partition entries must be weakly decreasing: (1, 2)"),
         (lambda: Bipartition((True,), ()), "partition entries must be positive integers: (True,)"),
+        # a field that is no sequence once raised a TypeError, not BadInput
+        (lambda: Bipartition(None, ()), "partition must be a sequence of integers, got None"),
+        (lambda: PairSequenceBC((1, 2)), "pairs must be a sequence of 2-tuples, got (1, 2)"),
     ],
     ids=[
         "bc-float",
@@ -268,6 +271,8 @@ def test_special_class_of_refusals(ctx, x, error, message):
         "bp-zero-bc",
         "bp-increasing",
         "bp-bool",
+        "bp-none",
+        "bc-flat",
     ],
 )
 def test_constructors_refuse_malformed_values(build, message):

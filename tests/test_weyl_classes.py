@@ -122,6 +122,11 @@ def test_parse_carter_label_examples():
         ("D", 4, "(a_1)"),
         ("A", 1, None),
     ]
+    # parentheses need no primes, and attached primes may follow a multiplier
+    lab = parse_carter_label("(A_1)")
+    assert (lab.parenthesized, lab.primes, str(lab)) == (True, 0, "(A_1)")
+    lab = parse_carter_label("2A'_1")
+    assert (lab.parenthesized, lab.primes, lab.components[0].multiplier, str(lab)) == (False, 1, 2, "2A'_1")
 
 
 def test_carter_label_rank():
@@ -147,9 +152,16 @@ def test_parse_carter_label_errors():
         "A'_1+A_2",
         "(A_1)x",
         "(A'_1)",
+        "~A'_1",
+        "((A_1))",
+        # a structural fault is reported before a zero multiplier
+        "0A_1+X_2",
     ):
         with pytest.raises(ParseError):
             parse_carter_label(bad)
+    # a label that parses may still be refused by its constructor
+    with pytest.raises(BadInput, match="^at most two primes supported$"):
+        parse_carter_label("(A_1)'''")
 
 
 @pytest.mark.parametrize(
